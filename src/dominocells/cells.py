@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Tuple
 
-from .cycles import REGULAR, cycle_partition, move_through
+from .cycles import REGULAR, components, cycle_partition, move_through
 from .insertion import insert
 from .tableaux import DominoTableau
 from .wgroup import SignedPerm, group_elements
 
 __all__ = [
     "CellPartition", "class_of_tableau", "cell_fingerprint",
-    "combinatorial_cells", "asymptotic_cells", "partition_from_blocks",
+    "combinatorial_cells", "asymptotic_cells",
 ]
 
 
@@ -80,17 +80,21 @@ def _canonical_blocks(blocks) -> Tuple[FrozenSet[SignedPerm], ...]:
     return tuple(sorted((frozenset(b) for b in blocks), key=lambda b: min(b)))
 
 
-def partition_from_blocks(n: int, label: str, blocks) -> CellPartition:
-    return CellPartition(n, label, tuple(frozenset(b) for b in blocks))
+@lru_cache(maxsize=2)
+def _recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+    """Recording tableau -> its class, for all of W_n at one rank.  Two
+    ranks are held because the class check compares rank r with r+1."""
+    classes: Dict[DominoTableau, set] = {}
+    for w in group_elements(n):
+        classes.setdefault(insert(w, rank).right, set()).add(w)
+    return {t: frozenset(ws) for t, ws in classes.items()}
 
 
 def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:
     """All w whose rank-r recording tableau equals t."""
     if t.n != n:
         raise ValueError(f"tableau has {t.n} dominos, expected {n}")
-    return frozenset(
-        w for w in group_elements(n) if insert(w, t.rank).right == t
-    )
+    return _recording_classes(n, t.rank).get(t, frozenset())
 
 
 @lru_cache(maxsize=1 << 17)
@@ -123,28 +127,13 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
             groups.setdefault(cell_fingerprint(t), []).append(w)
         blocks = tuple(frozenset(g) for g in groups.values())
         return CellPartition(n, f"comb r={rank} {side}", blocks)
-    left = combinatorial_cells(n, rank, "L")
-    right = combinatorial_cells(n, rank, "R")
-    parent = {w: w for w in elems}
-
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for part in (left, right):
-        for block in part.blocks:
-            ws = sorted(block)
-            for u in ws[1:]:
-                ra, rb = find(ws[0]), find(u)
-                if ra != rb:
-                    parent[ra] = rb
-    groups2: Dict[SignedPerm, set] = {}
-    for w in elems:
-        groups2.setdefault(find(w), set()).add(w)
+    links = []
+    for side in ("L", "R"):
+        for block in combinatorial_cells(n, rank, side).blocks:
+            ws = list(block)
+            links.extend(zip(ws, ws[1:]))
     return CellPartition(
-        n, f"comb r={rank} LR", tuple(frozenset(g) for g in groups2.values())
+        n, f"comb r={rank} LR", tuple(frozenset(g) for g in components(elems, links))
     )
 
 

@@ -28,15 +28,15 @@ off the top or left edge count as 0, squares beyond the shape as infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
-from .shapes import Square, shape_from_cells, staircase
+from .shapes import Square, cells_of_shape, shape_from_cells, staircase
 from .tableaux import DominoTableau, TableauError, TableauPair
 
 __all__ = [
     "REGULAR", "OPPOSITE", "Cycle", "ExtendedCycles",
-    "fixed_square", "moved_domino", "cycle_partition", "cycles_by_kind",
-    "move_through", "extended_cycles", "raise_rank", "lower_rank",
+    "fixed_square", "moved_domino", "cycle_partition", "move_through",
+    "extended_cycles", "raise_rank", "lower_rank",
 ]
 
 REGULAR = "regular"
@@ -113,12 +113,11 @@ def moved_domino(t: DominoTableau, k: int, convention: str) -> FrozenSet[Square]
     return frozenset({fix, new})
 
 
-def _label_partition(t: DominoTableau, convention: str) -> list:
-    """Partition of the labels: j and k share a cycle when the relocated
-    position of one overlaps the current position of the other."""
-    labels = list(t.labels)
-    moved = {k: moved_domino(t, k, convention) for k in labels}
-    parent = {k: k for k in labels}
+def components(nodes: Iterable, links: Iterable[Tuple]) -> list:
+    """Blocks of the finest partition of `nodes` in which each linked pair
+    shares a block (union-find), as lists in first-seen node order."""
+    nodes = list(nodes)
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -126,50 +125,57 @@ def _label_partition(t: DominoTableau, convention: str) -> list:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    cell_owner = {sq: k for k in labels for sq in t.domino(k)}
-    for k in labels:
-        for sq in moved[k]:
-            owner = cell_owner.get(sq)
-            if owner is not None and owner != k:
-                union(k, owner)
-    groups: Dict[int, set] = {}
-    for k in labels:
-        groups.setdefault(find(k), set()).add(k)
-    return sorted((frozenset(g) for g in groups.values()), key=sorted)
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    blocks: Dict = {}
+    for x in nodes:
+        blocks.setdefault(find(x), []).append(x)
+    return list(blocks.values())
 
 
-def cycle_partition(t: DominoTableau, convention: str) -> Tuple[Cycle, ...]:
-    """The cycles of t under the given convention, classified."""
-    before = {sq for sq, _ in _cells_with_labels(t)}
-    out = []
-    for labels in _label_partition(t, convention):
-        after = set(_apply_moves(t, labels, convention))
-        if before == after:
-            kind = "closed"
-        elif len(before) != len(after):
-            kind = "core-open"
-        else:
-            kind = "noncore-open"
-        out.append(Cycle(labels, kind))
-    return tuple(out)
+class _Relocation(NamedTuple):
+    """One relocation pass over a tableau: its square -> label map, every
+    label's relocated domino, computed once, and the label partition into
+    cycles."""
+    t: DominoTableau
+    cells: Dict[Square, int]
+    moved: Dict[int, FrozenSet[Square]]
+    cycles: Tuple[FrozenSet[int], ...]
 
 
-def cycles_by_kind(t: DominoTableau, convention: str, *kinds: str) -> Tuple[Cycle, ...]:
-    return tuple(c for c in cycle_partition(t, convention) if c.kind in kinds)
+def _relocate(t: DominoTableau, convention: str) -> _Relocation:
+    """j and k share a cycle when the relocated position of one overlaps
+    the current position of the other."""
+    cells = {
+        (i, j): lbl
+        for i, row in enumerate(t.rows, start=1)
+        for j, lbl in enumerate(row, start=1)
+    }
+    moved = {k: moved_domino(t, k, convention) for k in t.labels}
+    links = (
+        (k, cells[sq]) for k, squares in moved.items()
+        for sq in squares if cells.get(sq, 0) not in (0, k)
+    )
+    cycles = sorted((frozenset(b) for b in components(t.labels, links)), key=sorted)
+    return _Relocation(t, cells, moved, tuple(cycles))
 
 
-def _cells_with_labels(t: DominoTableau):
-    for i, row in enumerate(t.rows, start=1):
-        for j, lbl in enumerate(row, start=1):
-            yield ((i, j), lbl)
+def _drop_trailing(cells: Dict[Square, int], removable) -> None:
+    """Delete squares of `removable` with nothing right of or below them,
+    until no such square remains."""
+    changed = True
+    while changed:
+        changed = False
+        for sq in sorted(removable & cells.keys(), reverse=True):
+            i, j = sq
+            if (i, j + 1) not in cells and (i + 1, j) not in cells:
+                del cells[sq]
+                changed = True
 
 
-def _apply_moves(t: DominoTableau, labels: Iterable[int], convention: str) -> Dict[Square, int]:
+def _apply_moves(rel: _Relocation, labels: Iterable[int]) -> Dict[Square, int]:
     """Cell -> label map (0 on core cells) after moving the given labels.
 
     A vacated square stays in the shape as a core square while anything
@@ -177,31 +183,43 @@ def _apply_moves(t: DominoTableau, labels: Iterable[int], convention: str) -> Di
     core squares leave the shape only by being claimed."""
     labels = set(labels)
     placed: Dict[Square, int] = {}
-    for k in t.labels:
-        cells = moved_domino(t, k, convention) if k in labels else t.domino(k)
-        for sq in cells:
+    for k in rel.t.labels:
+        for sq in rel.moved[k] if k in labels else rel.t.domino(k):
             if sq in placed:
                 raise TableauError(
                     f"labels {sorted(labels)} are not a union of cycles:"
                     f" collision at {sq}"
                 )
             placed[sq] = k
-    result = dict(placed)
     vacated = set()
-    for (sq, lbl) in _cells_with_labels(t):
-        if sq not in result:
-            result[sq] = 0
+    for sq, lbl in rel.cells.items():
+        if sq not in placed:
+            placed[sq] = 0
             if lbl != 0:
                 vacated.add(sq)
-    changed = True
-    while changed:
-        changed = False
-        for sq in sorted(vacated & result.keys(), reverse=True):
-            i, j = sq
-            if (i, j + 1) not in result and (i + 1, j) not in result:
-                del result[sq]
-                changed = True
-    return result
+    _drop_trailing(placed, vacated)
+    return placed
+
+
+def _classify(rel: _Relocation):
+    """(labels, kind, squares the move adds or removes) for each cycle."""
+    base = rel.cells.keys()
+    for labels in rel.cycles:
+        after = _apply_moves(rel, labels).keys()
+        if after == base:
+            kind = "closed"
+        elif len(after) != len(base):
+            kind = "core-open"
+        else:
+            kind = "noncore-open"
+        yield labels, kind, base ^ after
+
+
+def cycle_partition(t: DominoTableau, convention: str) -> Tuple[Cycle, ...]:
+    """The cycles of t under the given convention, classified."""
+    return tuple(
+        Cycle(labels, kind) for labels, kind, _ in _classify(_relocate(t, convention))
+    )
 
 
 def _tableau_from_cells(cells: Dict[Square, int], rank: int) -> DominoTableau:
@@ -224,21 +242,14 @@ def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> Do
     labels = frozenset(labels)
     if not labels:
         return t
-    partition = _label_partition(t, convention)
-    touched = [g for g in partition if g & labels]
+    rel = _relocate(t, convention)
+    touched = [g for g in rel.cycles if g & labels]
     if frozenset().union(*touched) != labels:
         raise TableauError(
             f"labels {sorted(labels)} are not a union of cycles"
-            f" (cycles: {[sorted(g) for g in partition]})"
+            f" (cycles: {[sorted(g) for g in rel.cycles]})"
         )
-    return _move_unchecked(t, labels, convention)
-
-
-def _move_unchecked(t: DominoTableau, labels, convention: str) -> DominoTableau:
-    """move_through for label sets already known to be unions of cycles."""
-    if not labels:
-        return t
-    return _tableau_from_cells(_apply_moves(t, labels, convention), t.rank)
+    return _tableau_from_cells(_apply_moves(rel, labels), t.rank)
 
 
 @dataclass(frozen=True)
@@ -275,119 +286,91 @@ def extended_cycles(
     """
     if left.shape != right.shape:
         raise TableauError("pair shapes differ")
-    sides = (left, right)
-    nodes = []  # (side, labels, is_core, shape-delta)
-    for side, t in enumerate(sides):
-        base = {sq for sq, _ in _cells_with_labels(t)}
-        for labels in _label_partition(t, convention):
-            moved = set(_apply_moves(t, labels, convention))
-            if moved == base:
-                continue  # closed
-            is_core = len(moved) != len(base)
-            nodes.append((side, labels, is_core, frozenset(base ^ moved)))
-    parent = list(range(len(nodes)))
+    return _extend(_relocate(left, convention), _relocate(right, convention))[0]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            if nodes[a][0] != nodes[b][0] and nodes[a][3] & nodes[b][3]:
-                parent[find(a)] = find(b)
-    components: Dict[int, list] = {}
-    for idx in range(len(nodes)):
-        components.setdefault(find(idx), []).append(idx)
-    left_groups, right_groups = [], []
-    for comp in components.values():
+def _extend(left: _Relocation, right: _Relocation):
+    """extended_cycles of a same-shape pair of passes, with the two moved
+    cell maps."""
+    nodes = [  # (side, labels, is_core, shape-delta) per open cycle
+        (side, labels, kind == "core-open", delta)
+        for side, rel in enumerate((left, right))
+        for labels, kind, delta in _classify(rel) if kind != "closed"
+    ]
+    links = (
+        (a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))
+        if nodes[a][0] != nodes[b][0] and nodes[a][3] & nodes[b][3]
+    )
+    groups = ([], [])
+    for comp in components(range(len(nodes)), links):
         if not any(nodes[i][2] for i in comp):
             continue
-        lg = frozenset().union(
-            frozenset(), *(nodes[i][1] for i in comp if nodes[i][0] == 0)
-        )
-        rg = frozenset().union(
-            frozenset(), *(nodes[i][1] for i in comp if nodes[i][0] == 1)
-        )
-        if lg:
-            left_groups.append(lg)
-        if rg:
-            right_groups.append(rg)
-    ext = ExtendedCycles(
-        tuple(sorted(left_groups, key=sorted)), tuple(sorted(right_groups, key=sorted))
-    )
-    moved_l = set(_apply_moves(left, ext.left_labels, convention))
-    moved_r = set(_apply_moves(right, ext.right_labels, convention))
-    if moved_l != moved_r:
+        for side in (0, 1):
+            g = frozenset().union(
+                frozenset(), *(nodes[i][1] for i in comp if nodes[i][0] == side)
+            )
+            if g:
+                groups[side].append(g)
+    ext = ExtendedCycles(*(tuple(sorted(g, key=sorted)) for g in groups))
+    moved_l = _apply_moves(left, ext.left_labels)
+    moved_r = _apply_moves(right, ext.right_labels)
+    if moved_l.keys() != moved_r.keys():
         raise TableauError("extended cycles failed to match the moved shapes")
-    return ext
+    return ext, moved_l, moved_r
 
 
-def _normalize_to_rank(t: DominoTableau, rank: int) -> DominoTableau:
-    """Re-cut the core of a loose moved tableau to the rank staircase:
-    staircase squares never touched by a domino join as core squares, and
-    trailing core squares left outside the staircase are dropped."""
-    cells = {sq: lbl for (sq, lbl) in _cells_with_labels(t)}
-    want = {
-        (i, j) for i, row_len in enumerate(staircase(rank), 1)
-        for j in range(1, row_len + 1)
-    }
+def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
+    """The tableau of a loose moved cell map with its core re-cut to the
+    rank staircase: staircase squares never touched by a domino join as
+    core squares, and trailing core squares outside the staircase are
+    dropped."""
+    want = set(cells_of_shape(staircase(rank)))
     for sq in want - cells.keys():
         cells[sq] = 0
-    changed = True
-    while changed:
-        changed = False
-        for sq in sorted((s for s, v in cells.items() if v == 0 and s not in want),
-                         reverse=True):
-            i, j = sq
-            if (i, j + 1) not in cells and (i + 1, j) not in cells:
-                del cells[sq]
-                changed = True
+    _drop_trailing(cells, {sq for sq, lbl in cells.items() if lbl == 0} - want)
     out = _tableau_from_cells(cells, rank)
-    if out.core_squares != frozenset(want):
+    if out.core_squares != want:
         raise TableauError(f"core is not the rank-{rank} staircase")
     return out
 
 
-def _core_labels(t: DominoTableau, convention: str) -> frozenset:
-    base_size = sum(t.shape)
-    return frozenset().union(
+def _core_shift(t: DominoTableau, convention: str, rank: int) -> DominoTableau:
+    """Move one tableau through all its core cycles and re-cut to `rank`."""
+    rel = _relocate(t, convention)
+    core = frozenset().union(
         frozenset(),
-        *(g for g in _label_partition(t, convention)
-          if len(_apply_moves(t, g, convention)) != base_size),
+        *(labels for labels, kind, _ in _classify(rel) if kind == "core-open"),
     )
+    return _normalized(_apply_moves(rel, core), rank)
 
 
 def core_raise(t: DominoTableau) -> DominoTableau:
     """Move one tableau through all its regular core cycles: rank r+1."""
-    moved = _move_unchecked(t, _core_labels(t, REGULAR), REGULAR)
-    return _normalize_to_rank(moved, t.rank + 1)
+    return _core_shift(t, REGULAR, t.rank + 1)
 
 
 def core_lower(t: DominoTableau) -> DominoTableau:
     """Move one tableau through all its opposite core cycles: rank r-1."""
     if t.rank < 1:
         raise TableauError("cannot lower the rank of a rank-0 tableau")
-    moved = _move_unchecked(t, _core_labels(t, OPPOSITE), OPPOSITE)
-    return _normalize_to_rank(moved, t.rank - 1)
+    return _core_shift(t, OPPOSITE, t.rank - 1)
+
+
+def _shift_rank(pair: TableauPair, convention: str, rank: int) -> TableauPair:
+    """Move a pair through its extended cycles and re-cut to `rank`."""
+    _, left, right = _extend(
+        _relocate(pair.left, convention), _relocate(pair.right, convention)
+    )
+    return TableauPair(_normalized(left, rank), _normalized(right, rank))
 
 
 def raise_rank(pair: TableauPair) -> TableauPair:
     """Move a rank-r pair through its regular extended cycles: rank r+1."""
-    ext = extended_cycles(pair.left, pair.right, REGULAR)
-    new_left = _move_unchecked(pair.left, ext.left_labels, REGULAR)
-    new_right = _move_unchecked(pair.right, ext.right_labels, REGULAR)
-    r = pair.rank + 1
-    return TableauPair(_normalize_to_rank(new_left, r), _normalize_to_rank(new_right, r))
+    return _shift_rank(pair, REGULAR, pair.rank + 1)
 
 
 def lower_rank(pair: TableauPair) -> TableauPair:
     """Move a rank-(r+1) pair through its opposite extended cycles: rank r."""
     if pair.rank < 1:
         raise TableauError("cannot lower the rank of a rank-0 pair")
-    ext = extended_cycles(pair.left, pair.right, OPPOSITE)
-    new_left = _move_unchecked(pair.left, ext.left_labels, OPPOSITE)
-    new_right = _move_unchecked(pair.right, ext.right_labels, OPPOSITE)
-    r = pair.rank - 1
-    return TableauPair(_normalize_to_rank(new_left, r), _normalize_to_rank(new_right, r))
+    return _shift_rank(pair, OPPOSITE, pair.rank - 1)

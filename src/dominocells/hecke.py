@@ -101,10 +101,6 @@ def poly_symmetric_part(a: Poly) -> Poly:
     return out
 
 
-def v_power(e: int) -> Poly:
-    return {e: 1}
-
-
 @dataclass(frozen=True)
 class LaurentPolynomial:
     """Exact element of Z[v, v^-1]; thin wrapper over the sparse dict form."""
@@ -255,6 +251,7 @@ class KLTable:
             for g in simple_generators(n)
         ]
         self._c: Dict[SignedPerm, HeckeDict] = {}
+        self._edges: Optional[Dict[SignedPerm, FrozenSet[SignedPerm]]] = None
         self._bar_t: Dict[SignedPerm, HeckeDict] = {}
         self.cache_dir = cache_dir
         self._loaded_from_cache = False
@@ -398,8 +395,11 @@ class KLTable:
         return out
 
     def left_edges(self) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
-        """w -> those y != w with c_y appearing in some c_s c_w."""
+        """w -> those y != w with c_y appearing in some c_s c_w, computed
+        once per table."""
         self.all_kl_basis()
+        if self._edges is not None:
+            return self._edges
         edges: Dict[SignedPerm, set] = {w: set() for w in self.elements}
         for w in self.elements:
             cw = self._c[w]
@@ -412,7 +412,8 @@ class KLTable:
                 for z, coef in self.c_expand(prod).items():
                     if z != w and coef:
                         edges[w].add(z)
-        return {w: frozenset(s) for w, s in edges.items()}
+        self._edges = {w: frozenset(s) for w, s in edges.items()}
+        return self._edges
 
     def cells(self, side: str = "L") -> CellPartition:
         if side not in ("L", "R", "LR"):

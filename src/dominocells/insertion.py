@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .shapes import Square, shape_from_cells, staircase
 from .tableaux import DominoTableau, TableauError, TableauPair, core_tableau
 from .cycles import raise_rank
-from .wgroup import SignedPerm, is_nonsplit, validate_signed_perm
+from .wgroup import SignedPerm, validate_signed_perm
 
 __all__ = [
     "insert", "insertion_states", "uninsert", "asymptotic_bitableaux",
@@ -248,6 +248,16 @@ def _embed_bitableaux(pos_t, neg_t, rank: int) -> Dict[Square, int]:
     return cells
 
 
+def _transpose(t):
+    """Conjugate of an ordinary tableau given as rows."""
+    if not t:
+        return ()
+    return tuple(
+        tuple(t[a][b] for a in range(len(t)) if len(t[a]) > b)
+        for b in range(len(t[0]))
+    )
+
+
 def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauPair:
     """Second, independent algorithm for insertion at rank >= n - 1:
     ordinary Robinson-Schensted on the positive values and on the absolute
@@ -264,17 +274,8 @@ def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauP
     neg_p, neg_q = rs_insert([-w[k - 1] for k in neg_steps])
     pos_q = tuple(tuple(pos_steps[s - 1] for s in row) for row in pos_q)
     neg_q = tuple(tuple(neg_steps[s - 1] for s in row) for row in neg_q)
-
-    def transpose(t):
-        if not t:
-            return ()
-        return tuple(
-            tuple(t[a][b] for a in range(len(t)) if len(t[a]) > b)
-            for b in range(len(t[0]))
-        )
-
-    left = _freeze(_embed_bitableaux(pos_p, transpose(neg_p), rank), rank)
-    right = _freeze(_embed_bitableaux(pos_q, transpose(neg_q), rank), rank)
+    left = _freeze(_embed_bitableaux(pos_p, _transpose(neg_p), rank), rank)
+    right = _freeze(_embed_bitableaux(pos_q, _transpose(neg_q), rank), rank)
     return TableauPair(left, right)
 
 
@@ -305,16 +306,7 @@ def _split_parts(t: DominoTableau):
             tuple(d[(a, b)] for b in range(1, 1 + sum(1 for k in d if k[0] == a)))
             for a in range(1, nrows + 1)
         )
-
-    def transpose(t_):
-        if not t_:
-            return ()
-        return tuple(
-            tuple(t_[a][b] for a in range(len(t_)) if len(t_[a]) > b)
-            for b in range(len(t_[0]))
-        )
-
-    return grid(pos), transpose(grid(neg_t))
+    return grid(pos), _transpose(grid(neg_t))
 
 
 def uninsert(pair: TableauPair) -> SignedPerm:
@@ -357,8 +349,3 @@ def split_rank(w: SignedPerm) -> int:
         if insert(w, r).is_split():
             return r
     raise AssertionError(f"no split rank below n for {w}")
-
-
-def split_rank_matches_nonsplit(w: SignedPerm) -> bool:
-    """Cross-module check: split rank n-1 iff the decreasing-sequences test."""
-    return (split_rank(w) == len(w) - 1) == is_nonsplit(w)

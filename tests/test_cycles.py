@@ -190,18 +190,20 @@ def test_cycles_partition_the_labels(t):
         assert sorted(labels) == list(t.labels)
 
 
-@given(st.sampled_from(SMALL))
-def test_classification_matches_shape_behaviour(t):
-    cells = sum(t.shape)
-    for conv in (REGULAR, OPPOSITE):
-        for cyc in cycle_partition(t, conv):
-            moved = move_through(t, cyc.labels, conv)
-            if cyc.kind == "closed":
-                assert moved.shape == t.shape
-            elif cyc.kind == "core-open":
-                assert sum(moved.shape) != cells
-            else:
-                assert moved.shape != t.shape and sum(moved.shape) == cells
+def test_classification_matches_shape_behaviour():
+    for n in range(1, 5):
+        for r in range(4):
+            for t in enumerate_sdt(n, r):
+                cells = sum(t.shape)
+                for conv in (REGULAR, OPPOSITE):
+                    for cyc in cycle_partition(t, conv):
+                        moved = move_through(t, cyc.labels, conv)
+                        if cyc.kind == "closed":
+                            assert moved.shape == t.shape
+                        elif cyc.kind == "core-open":
+                            assert sum(moved.shape) != cells
+                        else:
+                            assert moved.shape != t.shape and sum(moved.shape) == cells
 
 
 def test_core_raise_and_lower_are_mutually_inverse():
@@ -247,7 +249,7 @@ def test_minimality_of_extension_by_brute_force():
 
 
 def test_rank_round_trip_on_insertion_images():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for w in enumerate_group(n):
             for r in range(n):
                 pair = insert(w, r)

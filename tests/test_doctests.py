@@ -1,0 +1,12 @@
+import doctest
+
+import pytest
+
+from dominocells import shapes, tableaux, wgroup
+
+
+@pytest.mark.parametrize("module", [wgroup, shapes, tableaux], ids=lambda m: m.__name__)
+def test_module_doctests(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
