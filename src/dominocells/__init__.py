@@ -25,8 +25,6 @@ from .insertion import (
 from .cells import (
     CellPartition, class_of_tableau, combinatorial_cells, asymptotic_cells,
 )
-from .hecke import (
-    LaurentPolynomial, WeightFunction, kl_basis, kl_cells, bruhat_leq,
-)
+from .hecke import WeightFunction, kl_cells
 
 __version__ = "0.1.0"

@@ -14,6 +14,15 @@ equal to T_w plus a combination of T_y, y below w in Bruhat order, whose
 coefficients have only negative exponents.  Cells are the strong
 components of the preorder generated by left multiplication by the c_s.
 
+Both come from the same products (Lusztig, Hecke algebras with unequal
+parameters, Thm 6.6): for sw > w,
+
+    c_s c_w = c_{sw} + sum over z < sw of M^s_{z,w} c_z,
+
+with M^s_{z,w} bar-invariant, so stripping the bar-symmetric part of each
+coefficient below sw from c_s c_w leaves c_{sw}, and the z stripped are
+the left-preorder edges of w.
+
 Internally a Laurent polynomial is a dict {exponent: integer coefficient}
 with no zero values, and a Hecke algebra element is a dict mapping
 one-line signed permutations to such dicts.
@@ -21,10 +30,11 @@ one-line signed permutations to such dicts.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .cells import CellPartition
@@ -34,10 +44,8 @@ from .wgroup import (
 )
 
 __all__ = [
-    "LaurentPolynomial", "WeightFunction", "poly_add", "poly_mul",
-    "poly_bar", "poly_is_strictly_negative", "poly_symmetric_part",
-    "t_multiply_left", "bar", "kl_basis", "kl_cells", "KLTable",
-    "bruhat_leq", "bruhat_leq_bfs",
+    "WeightFunction", "poly_add", "poly_mul", "poly_bar",
+    "poly_is_strictly_negative", "poly_symmetric_part", "kl_cells", "KLTable",
 ]
 
 
@@ -45,7 +53,6 @@ __all__ = [
 
 Poly = Dict[int, int]
 
-P_ZERO: Poly = {}
 P_ONE: Poly = {0: 1}
 
 
@@ -102,45 +109,6 @@ def poly_symmetric_part(a: Poly) -> Poly:
 
 
 @dataclass(frozen=True)
-class LaurentPolynomial:
-    """Exact element of Z[v, v^-1]; thin wrapper over the sparse dict form."""
-    coeffs: Tuple[Tuple[int, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: Poly) -> "LaurentPolynomial":
-        return cls(tuple(sorted((e, c) for e, c in d.items() if c)))
-
-    def to_dict(self) -> Poly:
-        return dict(self.coeffs)
-
-    def __add__(self, other):
-        return LaurentPolynomial.from_dict(poly_add(self.to_dict(), other.to_dict()))
-
-    def __mul__(self, other):
-        return LaurentPolynomial.from_dict(poly_mul(self.to_dict(), other.to_dict()))
-
-    def __neg__(self):
-        return LaurentPolynomial.from_dict(poly_scale(self.to_dict(), -1))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def bar(self) -> "LaurentPolynomial":
-        return LaurentPolynomial.from_dict(poly_bar(self.to_dict()))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.coeffs:
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
 class WeightFunction:
     """L(s_i) = a, L(t) = b, both positive; cells depend only on b/a."""
     a: int
@@ -150,83 +118,8 @@ class WeightFunction:
         if self.a < 1 or self.b < 1:
             raise ValueError("weights must be positive integers")
 
-    @property
-    def ratio(self) -> Optional[int]:
-        return self.b // self.a if self.b % self.a == 0 else None
-
     def of_generator(self, g: Generator) -> int:
         return self.b if g.kind == "t" else self.a
-
-
-# -- Bruhat order ---------------------------------------------------------
-
-
-def _embed_in_symmetric(w: SignedPerm) -> Tuple[int, ...]:
-    """One-line image in S_2n under positions (-n..-1, 1..n) -> 1..2n."""
-    n = len(w)
-
-    def pos(v):
-        return v + n + 1 if v < 0 else v + n
-
-    img = [0] * (2 * n)
-    for x in range(1, n + 1):
-        img[pos(x) - 1] = pos(w[x - 1])
-        img[pos(-x) - 1] = pos(-w[x - 1])
-    return tuple(img)
-
-
-@lru_cache(maxsize=1 << 16)
-def _dominance_table(p: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """rows[i][j] = #{k <= i+1 : p(k) >= j}, the dominance statistics."""
-    m = len(p)
-    rows = []
-    suffix = [0] * (m + 2)
-    for i in range(m):
-        for j in range(1, p[i] + 1):
-            suffix[j] += 1
-        rows.append(tuple(suffix))
-    return tuple(rows)
-
-
-def bruhat_leq(u: SignedPerm, w: SignedPerm) -> bool:
-    """Bruhat order on the signed permutation group, via the standard
-    dominance criterion applied to the symmetric-group embedding."""
-    if len(u) != len(w):
-        raise ValueError("rank mismatch")
-    pu, pw = _embed_in_symmetric(u), _embed_in_symmetric(w)
-    tu, tw = _dominance_table(pu), _dominance_table(pw)
-    return all(
-        tu[i][j] <= tw[i][j] for i in range(len(pu)) for j in range(1, len(pu) + 1)
-    )
-
-
-@lru_cache(maxsize=8)
-def _bruhat_reachability(n: int) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
-    """u <= w iff a chain of length-increasing reflection multiplications
-    joins them; exact by definition, used to validate bruhat_leq."""
-    elems = sorted(group_elements(n), key=lambda w: (length(w), w))
-    refl = set()
-    e = identity(n)
-    for g in simple_generators(n):
-        refl.add(generator_perm(g, n))
-    # all reflections: conjugates of the generators
-    for w in elems:
-        wi = inverse(w)
-        for g in list(refl):
-            refl.add(compose(compose(w, g), wi))
-    below: Dict[SignedPerm, set] = {}
-    for w in elems:  # increasing length
-        cur = {w}
-        for t in refl:
-            wt = compose(w, t)
-            if length(wt) < length(w):
-                cur |= below[wt]
-        below[w] = cur
-    return {w: frozenset(b) for w, b in below.items()}
-
-
-def bruhat_leq_bfs(u: SignedPerm, w: SignedPerm) -> bool:
-    return u in _bruhat_reachability(len(w))[w]
 
 
 # -- the algebra ----------------------------------------------------------
@@ -236,8 +129,9 @@ HeckeDict = Dict[SignedPerm, Poly]
 
 class KLTable:
     """All Kazhdan-Lusztig data of one weighted group: basis elements,
-    bar involution, cell preorders.  Memoized per (n, a, b); optionally
-    persisted as JSON lines."""
+    bar involution, cell preorders.  The basis and the left-preorder edges
+    come from one pass over the products c_s c_w; with a cache directory
+    they are read from, or written once to, a checked JSON-lines file."""
 
     def __init__(self, n: int, weights: WeightFunction, cache_dir: Optional[str] = None):
         self.n = n
@@ -254,9 +148,6 @@ class KLTable:
         self._edges: Optional[Dict[SignedPerm, FrozenSet[SignedPerm]]] = None
         self._bar_t: Dict[SignedPerm, HeckeDict] = {}
         self.cache_dir = cache_dir
-        self._loaded_from_cache = False
-        if cache_dir:
-            self._load_cache()
 
     # ---- T-basis operations
 
@@ -271,25 +162,6 @@ class KLTable:
                 _add_into(out, sy, coef)
                 _add_into(out, y, poly_mul(coef, {ls: 1, -ls: -1}))
         return out
-
-    def t_multiply_left_word(self, u: SignedPerm, h: HeckeDict) -> HeckeDict:
-        """T_u . h via a reduced word for u."""
-        for gen_perm, ls in reversed(self._reduced_word(u)):
-            h = self.t_multiply_left(gen_perm, ls, h)
-        return h
-
-    def _reduced_word(self, w: SignedPerm) -> List[Tuple[SignedPerm, int]]:
-        word = []
-        cur = w
-        while cur != identity(self.n):
-            for g, gp, ls in self.gens:
-                if self.length[compose(gp, cur)] < self.length[cur]:
-                    word.append((gp, ls))
-                    cur = compose(gp, cur)
-                    break
-            else:
-                raise AssertionError("no left descent found")
-        return word
 
     def bar_t(self, y: SignedPerm) -> HeckeDict:
         """bar(T_y) = (T_{y^{-1}})^{-1}, built from inverse generators."""
@@ -319,58 +191,75 @@ class KLTable:
                 _add_into(out, z, poly_mul(barc, c2))
         return out
 
-    # ---- Kazhdan-Lusztig basis
+    # ---- Kazhdan-Lusztig basis and left-preorder edges
 
     def kl_basis(self, w: SignedPerm) -> HeckeDict:
-        cached = self._c.get(w)
-        if cached is not None:
-            return cached
-        order = [y for y in self.elements if self.length[y] <= self.length[w]]
-        for y in order:
-            if y not in self._c:
-                self._compute_c(y)
-        return self._c[w]
-
-    def _compute_c(self, w: SignedPerm) -> None:
-        if w == identity(self.n):
-            self._c[w] = {w: dict(P_ONE)}
-            return
-        for g, gp, ls in self.gens:
-            sw = compose(gp, w)
-            if self.length[sw] < self.length[w]:
-                break
-        m = self.t_multiply_left(gp, ls, self._c[sw])
-        for y, coef in self._c[sw].items():
-            _add_into(m, y, poly_mul(coef, {-ls: 1}))
-        # Strip the bar-symmetric parts below w, longest first.  Subtracting
-        # at z only disturbs strictly shorter elements (which may enter the
-        # support), so rescan until nothing symmetric is left.
-        while True:
-            worst = None
-            for z, coef in m.items():
-                if z == w:
-                    continue
-                if poly_symmetric_part(coef):
-                    if worst is None or (self.length[z], z) > (self.length[worst], worst):
-                        worst = z
-            if worst is None:
-                break
-            sym = poly_symmetric_part(m[worst])
-            for y2, c2 in self._c[worst].items():
-                _add_into(m, y2, poly_mul(poly_scale(sym, -1), c2))
-        assert m.get(w) == P_ONE, f"c_{w} is not unitriangular"
-        for z, coef in m.items():
-            if z != w and not poly_is_strictly_negative(coef):
-                raise AssertionError(f"c_{w} coefficient at {z} not negative: {coef}")
-        self._c[w] = m
+        return self.all_kl_basis()[w]
 
     def all_kl_basis(self) -> Dict[SignedPerm, HeckeDict]:
-        for y in self.elements:
-            if y not in self._c:
-                self._compute_c(y)
-        if self.cache_dir and not self._loaded_from_cache:
-            self._save_cache()
+        """w -> c_w for the whole group, read from the cache file when it
+        passes its checks, otherwise computed by one pass and written once."""
+        if self._edges is None and not self._load_cache():
+            self._pass()
+            if self.cache_dir:
+                self._save_cache()
         return self._c
+
+    def _pass(self) -> None:
+        """For w in length order and each s with sw > w, strip c_s c_w of
+        the bar-symmetric part of every coefficient below sw, longest
+        first.  Subtracting a multiple of c_z only reaches elements shorter
+        than z, so one heap-ordered sweep visits each z once.  The first
+        product that reaches sw sets c_{sw}; every later one must agree."""
+        rank = {w: i for i, w in enumerate(self.elements)}
+        e = identity(self.n)
+        c: Dict[SignedPerm, HeckeDict] = {e: {e: dict(P_ONE)}}
+        edges: Dict[SignedPerm, FrozenSet[SignedPerm]] = {}
+        for w in self.elements:
+            cw = c[w]
+            targets = set()
+            for g, gp, ls in self.gens:
+                sw = compose(gp, w)
+                if self.length[sw] < self.length[w]:
+                    continue  # c_s c_w = (v_s + v_s^{-1}) c_w
+                m = self.t_multiply_left(gp, ls, cw)  # c_s = T_s + v_s^{-1}
+                for y, coef in cw.items():
+                    _add_into(m, y, {k - ls: a for k, a in coef.items()})
+                heap = [-rank[z] for z in m if z != sw]
+                heapq.heapify(heap)
+                queued = set(m)
+                while heap:
+                    z = self.elements[-heapq.heappop(heap)]
+                    sym = poly_symmetric_part(m.get(z, {}))
+                    if not sym:
+                        continue
+                    targets.add(z)  # M^s_{z,w} = sym
+                    minus_sym = poly_scale(sym, -1)
+                    for y, coef in c[z].items():
+                        _add_into(m, y, poly_mul(minus_sym, coef))
+                        if y not in queued:
+                            queued.add(y)
+                            heapq.heappush(heap, -rank[y])
+                targets.add(sw)
+                known = c.get(sw)
+                if known is None:
+                    assert m.get(sw) == P_ONE, f"c_{sw} is not unitriangular"
+                    for z, coef in m.items():
+                        if z != sw and not poly_is_strictly_negative(coef):
+                            raise AssertionError(
+                                f"c_{sw} coefficient at {z} not negative: {coef}"
+                            )
+                    c[sw] = m
+                elif known != m:
+                    raise AssertionError(f"c_s c_{w} gives another c_{sw}")
+            targets.discard(w)
+            edges[w] = frozenset(targets)
+        self._c, self._edges = c, edges
+
+    def left_edges(self) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
+        """w -> those y != w with c_y appearing in some c_s c_w."""
+        self.all_kl_basis()
+        return self._edges
 
     # ---- cells
 
@@ -394,27 +283,6 @@ class KLTable:
                     rest.pop(y2, None)
         return out
 
-    def left_edges(self) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
-        """w -> those y != w with c_y appearing in some c_s c_w, computed
-        once per table."""
-        self.all_kl_basis()
-        if self._edges is not None:
-            return self._edges
-        edges: Dict[SignedPerm, set] = {w: set() for w in self.elements}
-        for w in self.elements:
-            cw = self._c[w]
-            for g, gp, ls in self.gens:
-                if self.length[compose(gp, w)] < self.length[w]:
-                    continue  # c_s c_w is a scalar times c_w
-                prod = self.t_multiply_left(gp, ls, cw)
-                for y, coef in cw.items():
-                    _add_into(prod, y, poly_mul(coef, {-ls: 1}))
-                for z, coef in self.c_expand(prod).items():
-                    if z != w and coef:
-                        edges[w].add(z)
-        self._edges = {w: frozenset(s) for w, s in edges.items()}
-        return self._edges
-
     def cells(self, side: str = "L") -> CellPartition:
         if side not in ("L", "R", "LR"):
             raise ValueError("side must be L, R or LR")
@@ -436,41 +304,83 @@ class KLTable:
         return CellPartition(self.n, tag, tuple(frozenset(c) for c in comp))
 
     # ---- persistence
+    #
+    # Line 1 is a header {v, n, a, b, records, sha256 of the record lines};
+    # then one record per element, in table order, with c_w and the left
+    # edges of w.  A file that fails any check is recomputed and rewritten.
 
     def _cache_path(self) -> str:
-        name = f"kl_v1_n{self.n}_a{self.weights.a}_b{self.weights.b}.jsonl"
+        name = f"kl_v2_n{self.n}_a{self.weights.a}_b{self.weights.b}.jsonl"
         return os.path.join(self.cache_dir, name)
 
-    def _save_cache(self) -> None:
-        os.makedirs(self.cache_dir, exist_ok=True)
-        with open(self._cache_path(), "w") as fh:
-            for w in self.elements:
-                rec = {
-                    "v": 1,
-                    "w": list(w),
-                    "coeffs": [
-                        {"y": list(y), "poly": {str(e): c for e, c in p.items()}}
-                        for y, p in sorted(self._c[w].items())
-                    ],
-                }
-                fh.write(json.dumps(rec) + "\n")
+    def _header(self, records: int, digest: str) -> Dict:
+        return {"v": 2, "n": self.n, "a": self.weights.a, "b": self.weights.b,
+                "records": records, "sha256": digest}
 
-    def _load_cache(self) -> None:
-        path = self._cache_path()
-        if not os.path.exists(path):
-            return
-        with open(path) as fh:
+    def _save_cache(self) -> None:
+        digest = _sha256()
+        lines = []
+        for w in self.elements:
+            rec = {
+                "w": list(w),
+                "c": [[list(y), sorted(p.items())] for y, p in sorted(self._c[w].items())],
+                "edges": sorted(list(z) for z in self._edges[w]),
+            }
+            lines.append(json.dumps(rec).encode() + b"\n")
+            digest.update(lines[-1])
+        header = self._header(len(lines), digest.hexdigest())
+        os.makedirs(self.cache_dir, exist_ok=True)
+        # Written beside the target and renamed over it, so a reader sees
+        # the old file or the new one; a file cut short fails the digest.
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header).encode() + b"\n")
+                fh.writelines(lines)
+            os.replace(tmp, self._cache_path())
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    def _load_cache(self) -> bool:
+        """Fill the table from the cache file; False when there is no file
+        or it fails a check.  The file is read once to check it and once
+        to parse it, so it is never held whole in memory."""
+        if not self.cache_dir:
+            return False
+        try:
+            fh = open(self._cache_path(), "rb")
+        except FileNotFoundError:
+            return False
+        with fh:
+            try:
+                header = json.loads(fh.readline())
+            except ValueError:
+                return False
+            digest, records = _sha256(), 0
+            for line in fh:
+                digest.update(line)
+                records += 1
+            expected = self._header(len(self.elements), digest.hexdigest())
+            if header != expected or records != len(self.elements):
+                return False
+            fh.seek(0)
+            fh.readline()
+            c, edges = {}, {}
             for line in fh:
                 rec = json.loads(line)
-                if rec.get("v") != 1:
-                    continue
                 w = tuple(rec["w"])
-                self._c[w] = {
-                    tuple(entry["y"]): {int(e): c for e, c in entry["poly"].items()}
-                    for entry in rec["coeffs"]
-                }
-        if len(self._c) == len(self.elements):
-            self._loaded_from_cache = True
+                c[w] = {tuple(y): dict(p) for y, p in rec["c"]}
+                edges[w] = frozenset(tuple(z) for z in rec["edges"])
+        self._c, self._edges = c, edges
+        return True
+
+
+def _sha256():
+    # Imported on first use: hashlib loads OpenSSL, about 3.6 MB of peak RSS
+    # that every run would pay at import time, with a cache or without.
+    import hashlib
+    return hashlib.sha256()
 
 
 def _add_into(h: HeckeDict, y: SignedPerm, p: Poly) -> None:
@@ -537,37 +447,7 @@ def _strong_components(nodes, edges) -> List[FrozenSet]:
     return out
 
 
-_TABLES: Dict[Tuple[int, int, int], KLTable] = {}
-
-
-def get_table(n: int, weights: WeightFunction, cache_dir: Optional[str] = None) -> KLTable:
-    key = (n, weights.a, weights.b)
-    table = _TABLES.get(key)
-    if table is None:
-        table = KLTable(n, weights, cache_dir=cache_dir)
-        _TABLES[key] = table
-    elif cache_dir and not table.cache_dir:
-        table.cache_dir = cache_dir
-    return table
-
-
-# -- public operation surface ---------------------------------------------
-
-
-def t_multiply_left(g: Generator, h: HeckeDict, weights: WeightFunction, n: int) -> HeckeDict:
-    table = get_table(n, weights)
-    return table.t_multiply_left(generator_perm(g, n), weights.of_generator(g), h)
-
-
-def bar(h: HeckeDict, weights: WeightFunction, n: int) -> HeckeDict:
-    return get_table(n, weights).bar(h)
-
-
-def kl_basis(w: SignedPerm, weights: WeightFunction) -> HeckeDict:
-    return get_table(len(w), weights).kl_basis(w)
-
-
 def kl_cells(
     n: int, weights: WeightFunction, side: str = "L", cache_dir: Optional[str] = None
 ) -> CellPartition:
-    return get_table(n, weights, cache_dir=cache_dir).cells(side)
+    return KLTable(n, weights, cache_dir=cache_dir).cells(side)

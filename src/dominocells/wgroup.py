@@ -29,7 +29,7 @@ from typing import Iterator
 __all__ = [
     "SignedPerm", "Generator", "DescentSet",
     "validate_signed_perm", "identity", "compose", "inverse",
-    "generator_perm", "simple_generators", "length", "weight",
+    "generator_perm", "simple_generators", "length",
     "right_descends", "tau_invariant", "enhanced_tau_invariant",
     "is_nonsplit", "enumerate_group", "parse_perm", "format_perm",
 ]
@@ -133,12 +133,6 @@ def length(w: SignedPerm) -> int:
     n = len(w)
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
     return inv + sum(-x for x in w if x < 0)
-
-
-def weight(w: SignedPerm, a: int, b: int) -> int:
-    """Weight L(w) for L(s_i) = a, L(t) = b; additive on reduced words."""
-    neg = sum(1 for x in w if x < 0)
-    return a * (length(w) - neg) + b * neg
 
 
 def right_descends(w: SignedPerm, g: Generator) -> bool:

@@ -1,0 +1,103 @@
+"""
+Reference computations that the Hecke tests compare against: Bruhat order
+(by the dominance criterion, and by reachability straight from the
+definition) and multiplication by T_u along a reduced word.  No pipeline
+in `dominocells` needs them, so they live beside the tests.
+"""
+
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Tuple
+
+from dominocells.wgroup import (
+    SignedPerm, compose, generator_perm, group_elements, identity, inverse,
+    length, simple_generators,
+)
+
+
+def _embed_in_symmetric(w: SignedPerm) -> Tuple[int, ...]:
+    """One-line image in S_2n under positions (-n..-1, 1..n) -> 1..2n."""
+    n = len(w)
+
+    def pos(v):
+        return v + n + 1 if v < 0 else v + n
+
+    img = [0] * (2 * n)
+    for x in range(1, n + 1):
+        img[pos(x) - 1] = pos(w[x - 1])
+        img[pos(-x) - 1] = pos(-w[x - 1])
+    return tuple(img)
+
+
+@lru_cache(maxsize=1 << 16)
+def _dominance_table(p: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """rows[i][j] = #{k <= i+1 : p(k) >= j}, the dominance statistics."""
+    m = len(p)
+    rows = []
+    suffix = [0] * (m + 2)
+    for i in range(m):
+        for j in range(1, p[i] + 1):
+            suffix[j] += 1
+        rows.append(tuple(suffix))
+    return tuple(rows)
+
+
+def bruhat_leq(u: SignedPerm, w: SignedPerm) -> bool:
+    """Bruhat order on the signed permutation group, via the standard
+    dominance criterion applied to the symmetric-group embedding."""
+    if len(u) != len(w):
+        raise ValueError("rank mismatch")
+    pu, pw = _embed_in_symmetric(u), _embed_in_symmetric(w)
+    tu, tw = _dominance_table(pu), _dominance_table(pw)
+    return all(
+        tu[i][j] <= tw[i][j] for i in range(len(pu)) for j in range(1, len(pu) + 1)
+    )
+
+
+@lru_cache(maxsize=8)
+def _bruhat_reachability(n: int) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
+    """u <= w iff a chain of length-increasing reflection multiplications
+    joins them; exact by definition, used to validate bruhat_leq."""
+    elems = sorted(group_elements(n), key=lambda w: (length(w), w))
+    refl = set()
+    for g in simple_generators(n):
+        refl.add(generator_perm(g, n))
+    # all reflections: conjugates of the generators
+    for w in elems:
+        wi = inverse(w)
+        for g in list(refl):
+            refl.add(compose(compose(w, g), wi))
+    below: Dict[SignedPerm, set] = {}
+    for w in elems:  # increasing length
+        cur = {w}
+        for t in refl:
+            wt = compose(w, t)
+            if length(wt) < length(w):
+                cur |= below[wt]
+        below[w] = cur
+    return {w: frozenset(b) for w, b in below.items()}
+
+
+def bruhat_leq_bfs(u: SignedPerm, w: SignedPerm) -> bool:
+    return u in _bruhat_reachability(len(w))[w]
+
+
+def reduced_word(table, w: SignedPerm) -> List[Tuple[SignedPerm, int]]:
+    """(generator, weight) pairs s_1 .. s_k with w = s_1 ... s_k reduced."""
+    word = []
+    cur = w
+    while cur != identity(table.n):
+        for g, gp, ls in table.gens:
+            if table.length[compose(gp, cur)] < table.length[cur]:
+                word.append((gp, ls))
+                cur = compose(gp, cur)
+                break
+        else:
+            raise AssertionError("no left descent found")
+    return word
+
+
+def t_multiply_left_word(table, u: SignedPerm, h):
+    """T_u . h, one generator of a reduced word for u at a time."""
+    for gen_perm, ls in reversed(reduced_word(table, u)):
+        h = table.t_multiply_left(gen_perm, ls, h)
+    return h

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,25 +6,21 @@ from hypothesis import given, strategies as st
 
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
-    KLTable, LaurentPolynomial, WeightFunction, bruhat_leq, bruhat_leq_bfs,
-    get_table, kl_basis, kl_cells, poly_add, poly_bar, poly_is_strictly_negative,
-    poly_mul, poly_symmetric_part,
+    KLTable, WeightFunction, kl_cells, poly_add, poly_bar,
+    poly_is_strictly_negative, poly_mul, poly_symmetric_part,
 )
 from dominocells.wgroup import compose, group_elements, identity, length
-
-
-def lpoly(d):
-    return LaurentPolynomial.from_dict(d)
+from hecke_oracles import bruhat_leq, bruhat_leq_bfs, t_multiply_left_word
 
 
 def test_laurent_ring_basics():
-    a = lpoly({1: 2, -1: 1})
-    b = lpoly({0: 1, 1: -2})
-    assert (a + b).to_dict() == {-1: 1, 0: 1}
-    assert (a * b).to_dict() == {1: 2, 2: -4, -1: 1, 0: -2} | {}
-    assert (a - a).to_dict() == {}
-    assert a.bar().to_dict() == {-1: 2, 1: 1}
-    assert a.bar().bar() == a
+    a = {1: 2, -1: 1}
+    b = {0: 1, 1: -2}
+    assert poly_add(a, b) == {-1: 1, 0: 1}
+    assert poly_mul(a, b) == {1: 2, 2: -4, -1: 1, 0: -2}
+    assert poly_add(a, {e: -c for e, c in a.items()}) == {}
+    assert poly_bar(a) == {-1: 2, 1: 1}
+    assert poly_bar(poly_bar(a)) == a
 
 
 @given(st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=5))
@@ -51,7 +48,7 @@ def _random_element(table, rng, size=3):
 
 def test_t_multiplication_fixtures():
     L = WeightFunction(1, 2)
-    table = get_table(2, L)
+    table = KLTable(2, L)
     e = identity(2)
     t = (-1, 2)
     s = (2, 1)
@@ -71,12 +68,12 @@ def test_t_multiplication_fixtures():
 def test_associativity_spot_checks():
     rng = random.Random(7)
     for n in (2, 3):
-        table = get_table(n, WeightFunction(1, 2))
+        table = KLTable(n, WeightFunction(1, 2))
         for _ in range(8):
             u, v, w = (rng.choice(table.elements) for _ in range(3))
-            tv = table.t_multiply_left_word(v, {w: {0: 1}})
-            left = table.t_multiply_left_word(u, tv)
-            tu_tv = table.t_multiply_left_word(u, table.t_multiply_left_word(v, {identity(n): {0: 1}}))
+            tv = t_multiply_left_word(table, v, {w: {0: 1}})
+            left = t_multiply_left_word(table, u, tv)
+            tu_tv = t_multiply_left_word(table, u, t_multiply_left_word(table, v, {identity(n): {0: 1}}))
             right = _elem_mul_right_tw(table, tu_tv, w)
             assert left == right
 
@@ -121,14 +118,14 @@ def _merge(h, y, p):
 def test_bar_is_an_involution():
     rng = random.Random(11)
     for n in (2, 3):
-        table = get_table(n, WeightFunction(1, 2))
+        table = KLTable(n, WeightFunction(1, 2))
         for _ in range(6):
             h = _random_element(table, rng)
             assert table.bar(table.bar(h)) == h
 
 
 def test_bar_fixture_for_a_generator():
-    table = get_table(2, WeightFunction(1, 2))
+    table = KLTable(2, WeightFunction(1, 2))
     e = identity(2)
     s = (2, 1)
     # bar(T_s) = T_s^{-1} = T_s - (v^a - v^-a) T_e
@@ -139,14 +136,14 @@ def test_kl_basis_fixtures():
     L = WeightFunction(1, 2)
     e = identity(2)
     t = (-1, 2)
-    ct = kl_basis(t, L)
-    assert ct == {t: {0: 1}, e: {-2: 1}}
-    assert kl_basis(e, L) == {e: {0: 1}}
+    table = KLTable(2, L)
+    assert table.kl_basis(t) == {t: {0: 1}, e: {-2: 1}}
+    assert table.kl_basis(e) == {e: {0: 1}}
 
 
 @pytest.mark.parametrize("n,a,b", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (3, 1, 3)])
 def test_kl_basis_is_bar_invariant_and_unitriangular(n, a, b):
-    table = get_table(n, WeightFunction(a, b))
+    table = KLTable(n, WeightFunction(a, b))
     table.all_kl_basis()
     for w in table.elements:
         cw = table.kl_basis(w)
@@ -158,19 +155,24 @@ def test_kl_basis_is_bar_invariant_and_unitriangular(n, a, b):
         assert table.bar(cw) == cw
 
 
+def _c_s_times(table, gp, ls, h):
+    prod = table.t_multiply_left(gp, ls, h)
+    for y, coef in h.items():
+        _merge(prod, y, poly_mul(coef, {-ls: 1}))
+    return prod
+
+
 def test_descent_scalar_action():
     # left multiplication by c_s fixes the line of c_w when s descends w
     for n in (2, 3):
         L = WeightFunction(1, 2)
-        table = get_table(n, L)
+        table = KLTable(n, L)
         table.all_kl_basis()
         for w in table.elements:
             for g, gp, ls in table.gens:
                 if length(compose(gp, w)) < length(w):
                     cw = table.kl_basis(w)
-                    prod = table.t_multiply_left(gp, ls, cw)
-                    for y, coef in cw.items():
-                        _merge(prod, y, poly_mul(coef, {-ls: 1}))
+                    prod = _c_s_times(table, gp, ls, cw)
                     scalar = {ls: 1, -ls: 1}
                     expected = {}
                     for y, coef in cw.items():
@@ -197,12 +199,82 @@ def test_cells_depend_only_on_the_ratio(n, k):
     assert one.same_partition(two)
 
 
-def test_cache_roundtrip(tmp_path):
+@pytest.mark.parametrize("n,ratio", [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)])
+def test_left_edges_match_c_expand_of_every_product(n, ratio):
+    # reference: expand each c_s c_w, descents included, in the c basis
+    table = KLTable(n, WeightFunction(1, ratio))
+    expected = {}
+    for w in table.elements:
+        targets = set()
+        for g, gp, ls in table.gens:
+            prod = _c_s_times(table, gp, ls, table.kl_basis(w))
+            targets |= {z for z, coef in table.c_expand(prod).items() if coef}
+        targets.discard(w)
+        expected[w] = frozenset(targets)
+    assert table.left_edges() == expected
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(KLTable, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(KLTable, name, counted)
+    return calls
+
+
+def test_cache_roundtrip(tmp_path, monkeypatch):
     L = WeightFunction(1, 2)
-    t1 = KLTable(2, L, cache_dir=str(tmp_path))
-    t1.all_kl_basis()
-    t2 = KLTable(2, L, cache_dir=str(tmp_path))
-    assert t2._loaded_from_cache
-    for w in t1.elements:
-        assert t2.kl_basis(w) == t1.kl_basis(w)
-    assert t2.cells("L").same_partition(t1.cells("L"))
+    products = _count_calls(monkeypatch, "t_multiply_left")
+    saves = _count_calls(monkeypatch, "_save_cache")
+    t1 = KLTable(3, L, cache_dir=str(tmp_path))
+    cells = [t1.cells(side) for side in ("L", "R", "LR")]
+    ascents = sum(
+        1 for w in t1.elements for g, gp, ls in t1.gens
+        if length(compose(gp, w)) > length(w)
+    )
+    assert (len(products), len(saves)) == (ascents, 1)
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_v2_n3_a1_b2.jsonl"]
+    t2 = KLTable(3, L, cache_dir=str(tmp_path))
+    assert [t2.cells(side) for side in ("L", "R", "LR")] == cells
+    assert (len(products), len(saves)) == (ascents, 1)  # the warm table skips the pass
+    assert t2.all_kl_basis() == t1.all_kl_basis()
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+def _header_for_another_n(text):
+    head, _, body = text.partition("\n")
+    header = json.loads(head)
+    header["n"] += 1
+    return json.dumps(header) + "\n" + body
+
+
+def _one_coefficient_edited(text):
+    lines = text.splitlines(keepends=True)
+    rec = json.loads(lines[-1])
+    rec["c"][0][1][0][1] += 1
+    lines[-1] = json.dumps(rec) + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncated, _header_for_another_n, _one_coefficient_edited]
+)
+def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
+    L = WeightFunction(1, 2)
+    first = KLTable(3, L, cache_dir=str(tmp_path))
+    cold = [first.cells(side) for side in ("L", "R", "LR")]
+    path = tmp_path / "kl_v2_n3_a1_b2.jsonl"
+    good = path.read_text()
+    path.write_text(damage(good))
+    assert path.read_text() != good
+    table = KLTable(3, L, cache_dir=str(tmp_path))
+    assert [table.cells(side) for side in ("L", "R", "LR")] == cold
+    assert path.read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
