@@ -13,27 +13,31 @@ horizontal, a horizontal that lost just its left square re-enters the
 next column as a vertical.  Evictions are resolved smallest label first.
 The right tableau records which two squares each step added.
 
+The inverse runs the same local rules backwards (van Leeuwen's view of
+insertion as growth): it undoes the recorded steps last first and, within
+a step, the labels largest first, finding each moved domino's old place
+as the one removable domino that the re-entry rule sends onto its new
+place.
+
 For rank >= n-1 the signs never interact and the whole map degenerates to
 a pair of ordinary Robinson-Schensted insertions, one on the positive
 values and one on the absolute values of the negative ones; that second
-algorithm is implemented independently here as a cross-check and as the
-engine for inverting the map.
+algorithm is implemented independently here as a cross-check.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .shapes import Square, shape_from_cells, staircase
+from .shapes import Square, removable_dominos, shape_from_cells, staircase
 from .tableaux import DominoTableau, TableauError, TableauPair, core_tableau
-from .cycles import raise_rank
 from .wgroup import SignedPerm, validate_signed_perm
 
 __all__ = [
     "insert", "insertion_states", "uninsert", "asymptotic_bitableaux",
-    "split_rank", "rs_insert", "rs_uninsert",
+    "split_rank", "rs_insert",
 ]
 
 
@@ -46,23 +50,6 @@ class _Board:
         for i, row_len in enumerate(staircase(rank), start=1):
             for j in range(1, row_len + 1):
                 self.cells[(i, j)] = 0
-
-    def row_prefix(self, i: int, label: int) -> int:
-        """Number of leading squares of row i with labels below `label`."""
-        j = 0
-        while True:
-            lbl = self.cells.get((i, j + 1))
-            if lbl is None or lbl >= label:
-                return j
-            j += 1
-
-    def col_prefix(self, j: int, label: int) -> int:
-        i = 0
-        while True:
-            lbl = self.cells.get((i + 1, j))
-            if lbl is None or lbl >= label:
-                return i
-            i += 1
 
     def place(self, label: int, target: Tuple[Square, Square]):
         """Claim two squares for `label`; returns labels it evicted from."""
@@ -84,42 +71,47 @@ class _Board:
         self.label_cells[label] = set()
 
 
+def _reentry(domino, lost) -> Tuple[str, int]:
+    """Where an evicted domino re-enters, given the squares it lost: the row
+    below when it kept only row-direction claims, the column to the right
+    when it kept only column-direction claims."""
+    (i1, j1), (i2, j2) = sorted(domino)
+    if j1 == j2:  # vertical; sorted puts the top first
+        return ("row", i2) if lost == {(i1, j1)} else ("col", j1 + 1)
+    return ("col", j2) if lost == {(i1, j1)} else ("row", i1 + 1)
+
+
+def _target(cells: Dict[Square, int], label: int, mode: str, idx: int):
+    """The two squares of row or column `idx` after its leading run of
+    labels below `label`."""
+    c = 0
+    if mode == "row":
+        while cells.get((idx, c + 1), label) < label:
+            c += 1
+        return (idx, c + 1), (idx, c + 2)
+    while cells.get((c + 1, idx), label) < label:
+        c += 1
+    return (c + 1, idx), (c + 2, idx)
+
+
 def _insert_value(board: _Board, value: int) -> None:
     m = abs(value)
     # (label) heap; orig/losses track evicted dominos until they re-enter
-    orig: Dict[int, Tuple[Square, ...]] = {}
+    orig: Dict[int, Set[Square]] = {}
     losses: Dict[int, Set[Square]] = {}
-    entry: Dict[int, Tuple[str, int]] = {m: ("row", 1) if value > 0 else ("col", 1)}
     heap = [m]
     queued = {m}
     while heap:
         u = heapq.heappop(heap)
         queued.discard(u)
-        if u in entry:
-            mode, idx = entry.pop(u)
+        if u == m:
+            mode, idx = ("row", 1) if value > 0 else ("col", 1)
         else:
-            cells = sorted(orig.pop(u))
-            lost = losses.pop(u)
+            mode, idx = _reentry(orig.pop(u), losses.pop(u))
             board.remove(u)
-            (i1, j1), (i2, j2) = cells
-            if j1 == j2:  # vertical; cells sorted puts the top first
-                if lost == {(i1, j1)}:
-                    mode, idx = "row", i2
-                else:
-                    mode, idx = "col", j1 + 1
-            else:
-                if lost == {(i1, j1)}:
-                    mode, idx = "col", j2
-                else:
-                    mode, idx = "row", i1 + 1
-        if mode == "row":
-            c = board.row_prefix(idx, u)
-            target = ((idx, c + 1), (idx, c + 2))
-        else:
-            c = board.col_prefix(idx, u)
-            target = ((c + 1, idx), (c + 2, idx))
+        target = _target(board.cells, u, mode, idx)
         for d, squares in board.place(u, target).items():
-            orig.setdefault(d, tuple(sorted(board.label_cells[d] | set(squares))))
+            orig.setdefault(d, board.label_cells[d] | set(squares))
             losses.setdefault(d, set()).update(squares)
             board.label_cells[d] -= set(squares)
             if d not in queued:
@@ -200,27 +192,6 @@ def rs_insert(values) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
-def rs_uninsert(p, q) -> Tuple[int, ...]:
-    """Invert rs_insert; q holds the distinct step numbers in standard order."""
-    p = [list(r) for r in p]
-    q = [list(r) for r in q]
-    order = sorted(
-        ((lbl, i) for i, row in enumerate(q) for lbl in row), reverse=True
-    )
-    out = []
-    for _, i in order:
-        q[i].pop()
-        x = p[i].pop()
-        for row in reversed(p[:i]):
-            k = max(idx for idx, y in enumerate(row) if y < x)
-            row[k], x = x, row[k]
-        out.append(x)
-    for row in p + q:
-        if row:
-            raise TableauError("recording tableau steps inconsistent")
-    return tuple(reversed(out))
-
-
 def _embed_bitableaux(pos_t, neg_t, rank: int) -> Dict[Square, int]:
     """Lay out an ordinary tableau pair part as dominos around the rank-r
     staircase: cell (a, b) of the positive part becomes the horizontal
@@ -279,65 +250,77 @@ def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauP
     return TableauPair(left, right)
 
 
-def _split_parts(t: DominoTableau):
-    """Decompose a split-range tableau into its ordinary parts (inverse of
-    _embed_bitableaux)."""
-    rank = t.rank
-    pos: Dict[Tuple[int, int], int] = {}
-    neg_t: Dict[Tuple[int, int], int] = {}
-    for k in t.labels:
-        (i1, j1), (i2, j2) = sorted(t.domino(k))
-        if i1 == i2:  # horizontal: positive part
-            b2 = j1 - rank + i1
-            if b2 <= 0 or b2 % 2:
-                raise TableauError(f"domino {k} is not in bitableau position")
-            pos[(i1, b2 // 2)] = k
-        else:
-            a2 = i1 - rank + j1
-            if a2 <= 0 or a2 % 2:
-                raise TableauError(f"domino {k} is not in bitableau position")
-            neg_t[(a2 // 2, j1)] = k
+def _undo_step(cells: Dict[Square, int], added) -> Tuple[int, Dict[Square, int]]:
+    """Undo the insertion step that added the domino `added` to the left
+    tableau `cells` (square -> label, 0 on the core); returns the inserted
+    value and the cells before the step.
 
-    def grid(d):
-        if not d:
-            return ()
-        nrows = max(a for a, _ in d)
-        return tuple(
-            tuple(d[(a, b)] for b in range(1, 1 + sum(1 for k in d if k[0] == a)))
-            for a in range(1, nrows + 1)
+    Labels are undone largest first, while `loose` holds the two squares
+    that the labels not yet undone gained in the step.  A label whose
+    domino misses them kept its place.  A horizontal domino in row 1 or a
+    vertical one in column 1 is the inserted value: no evicted domino
+    re-enters there.  Any other label was evicted from the one removable
+    domino of "core plus labels up to it, less `loose`" that re-enters onto
+    its current squares.
+    """
+    if frozenset(added) not in removable_dominos(shape_from_cells(cells.keys())):
+        raise TableauError(f"squares {sorted(added)} are not a removable domino")
+    dominos: Dict[int, Set[Square]] = {}
+    for sq, lbl in cells.items():
+        if lbl:
+            dominos.setdefault(lbl, set()).add(sq)
+    loose = set(added)
+    moved: Dict[int, FrozenSet[Square]] = {}
+    for lbl in sorted(dominos, reverse=True):
+        now = dominos[lbl]
+        if not now & loose:
+            continue
+        (i1, j1), (i2, j2) = sorted(now)
+        if i1 == i2 == 1 or j1 == j2 == 1:
+            if now != loose:
+                raise TableauError(f"entry domino {lbl} is not the step's squares")
+            before = {sq: x for sq, x in cells.items() if x not in moved and x != lbl}
+            for k, d in moved.items():
+                before.update(dict.fromkeys(d, k))
+            return (lbl if i1 == i2 else -lbl), before
+        region = shape_from_cells(
+            [sq for sq, x in cells.items() if x <= lbl and sq not in loose]
         )
-    return grid(pos), _transpose(grid(neg_t))
+        ways = [
+            d for d in removable_dominos(region)
+            if set(_target(cells, lbl, *_reentry(
+                d, {sq for sq in d if cells[sq] < lbl}))) == now
+        ]
+        if len(ways) != 1:
+            raise TableauError(f"domino {lbl} has {len(ways)} ways back, not one")
+        moved[lbl] = ways[0]
+        # the smaller labels gained the old domino and whatever is still
+        # loose, except the squares this label holds now
+        loose = (loose | ways[0]) - now
+    raise TableauError(f"no entry domino covers the squares {sorted(added)}")
 
 
 def uninsert(pair: TableauPair) -> SignedPerm:
     """The signed permutation mapping to `pair` under rank-`pair.rank`
-    insertion, recovered by raising the pair into the asymptotic range and
-    unwinding the two ordinary Robinson-Schensted insertions."""
-    n = pair.n
-    if n == 0:
-        return ()
-    lifted = pair
-    while lifted.rank < n - 1:
-        lifted = raise_rank(lifted)
-    pos_p, neg_p = _split_parts(lifted.left)
-    pos_q, neg_q = _split_parts(lifted.right)
-    pos_steps = sorted(x for row in pos_q for x in row)
-    neg_steps = sorted(x for row in neg_q for x in row)
-    renum_p = tuple(
-        tuple(pos_steps.index(x) + 1 for x in row) for row in pos_q
-    )
-    renum_n = tuple(
-        tuple(neg_steps.index(x) + 1 for x in row) for row in neg_q
-    )
-    pos_vals = rs_uninsert(pos_p, renum_p)
-    neg_vals = rs_uninsert(neg_p, renum_n)
-    w = [0] * n
-    for k, v in zip(pos_steps, pos_vals):
-        w[k - 1] = v
-    for k, v in zip(neg_steps, neg_vals):
-        w[k - 1] = -v
-    validate_signed_perm(tuple(w))
-    return tuple(w)
+    insertion, by reverse bumping: the steps the right tableau records are
+    undone last first.
+
+    >>> uninsert(insert((4, 1, -3, -2), 2))
+    (4, 1, -3, -2)
+    """
+    pair.left.check_standard(strict_core=False)
+    cells = {
+        (i, j): x
+        for i, row in enumerate(pair.left.rows, start=1)
+        for j, x in enumerate(row, start=1)
+    }
+    w: List[int] = []
+    for k in range(pair.right.n, 0, -1):
+        value, cells = _undo_step(cells, pair.right.domino(k))
+        w.append(value)
+    if shape_from_cells(cells.keys()) != staircase(pair.rank):
+        raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")
+    return tuple(reversed(w))
 
 
 @lru_cache(maxsize=1 << 18)

@@ -18,8 +18,8 @@ from typing import FrozenSet, Iterator, Optional, Tuple
 
 __all__ = [
     "Shape", "Square", "staircase", "is_young", "cells_of_shape",
-    "shape_contains", "removable_dominos", "delete_domino", "two_core",
-    "diagonal", "shape_from_cells",
+    "removable_dominos", "delete_domino", "two_core", "diagonal",
+    "shape_from_cells",
 ]
 
 Shape = tuple  # weakly decreasing tuple[int, ...]
@@ -41,31 +41,19 @@ def cells_of_shape(shape: Shape) -> Iterator[Square]:
             yield (i, j)
 
 
-def shape_contains(shape: Shape, sq: Square) -> bool:
-    i, j = sq
-    return 1 <= i <= len(shape) and 1 <= j <= shape[i - 1]
-
-
 def shape_from_cells(cells) -> Shape:
-    """Shape of a set of cells; raises if they do not form a Young diagram."""
+    """Shape of a collection of distinct cells; raises if they do not form a
+    Young diagram."""
     rows: dict = {}
     for (i, j) in cells:
         rows[i] = rows.get(i, 0) + 1
     if not rows:
         return ()
     shape = tuple(rows.get(i, 0) for i in range(1, max(rows) + 1))
-    if not is_young(shape) or sorted(cells) != sorted(cells_of_shape(shape)):
+    if (not is_young(shape) or len(cells) != sum(shape)
+            or any(not 1 <= j <= shape[i - 1] for (i, j) in cells)):
         raise ValueError("cells do not form a Young diagram")
     return shape
-
-
-def _all_domino_positions(shape: Shape) -> Iterator[FrozenSet[Square]]:
-    for sq in cells_of_shape(shape):
-        i, j = sq
-        if shape_contains(shape, (i, j + 1)):
-            yield frozenset({sq, (i, j + 1)})
-        if shape_contains(shape, (i + 1, j)):
-            yield frozenset({sq, (i + 1, j)})
 
 
 def delete_domino(shape: Shape, domino: FrozenSet[Square]) -> Optional[Shape]:
@@ -83,10 +71,21 @@ def delete_domino(shape: Shape, domino: FrozenSet[Square]) -> Optional[Shape]:
 
 
 def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:
-    """All domino positions whose deletion leaves a Young diagram."""
-    return frozenset(
-        d for d in _all_domino_positions(shape) if delete_domino(shape, d) is not None
-    )
+    """All domino positions whose deletion leaves a Young diagram: the last
+    two squares of a row at least two longer than the next, and the last
+    squares of two equal rows longer than the row below them.
+
+    >>> sorted(map(sorted, removable_dominos((3, 1, 1))))
+    [[(1, 2), (1, 3)], [(2, 1), (3, 1)]]
+    """
+    rows = tuple(shape) + (0, 0)
+    out = set()
+    for i, ln in enumerate(shape, start=1):
+        if ln - 2 >= rows[i]:
+            out.add(frozenset({(i, ln - 1), (i, ln)}))
+        if ln == rows[i] > rows[i + 1]:
+            out.add(frozenset({(i, ln), (i + 1, ln)}))
+    return frozenset(out)
 
 
 def two_core(shape: Shape, order_seed: Optional[int] = None) -> Tuple[Shape, int]:

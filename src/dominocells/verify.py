@@ -11,6 +11,7 @@ the wall-time field.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -101,7 +102,7 @@ def verify_insertion(n: int, rmax: int, verbose: bool = False) -> Report:
     insertion at the next rank."""
     report = Report("insertion", {"n": n, "rmax": rmax})
     elems = group_elements(n)
-    order = (2 ** n) * _factorial(n)
+    order = (2 ** n) * math.factorial(n)
     report.counts["elements"] = len(elems)
     for r in range(rmax + 1):
         seen = {}
@@ -367,9 +368,3 @@ def _first_block_difference(a: CellPartition, b: CellPartition):
             }
     return None
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

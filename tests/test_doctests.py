@@ -2,10 +2,12 @@ import doctest
 
 import pytest
 
-from dominocells import shapes, tableaux, wgroup
+from dominocells import insertion, shapes, tableaux, wgroup
 
 
-@pytest.mark.parametrize("module", [wgroup, shapes, tableaux], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [wgroup, shapes, tableaux, insertion], ids=lambda m: m.__name__
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

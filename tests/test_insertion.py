@@ -1,11 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from dominocells.insertion import (
-    asymptotic_bitableaux, insert, insertion_states, rs_insert, rs_uninsert,
-    split_rank, uninsert,
+    _undo_step, asymptotic_bitableaux, insert, insertion_states, split_rank,
+    uninsert,
 )
-from dominocells.tableaux import core_tableau
+from dominocells.tableaux import DominoTableau, TableauError, TableauPair, core_tableau
 from dominocells.wgroup import enumerate_group, is_nonsplit
 
 W = (4, 1, -3, -2)
@@ -57,6 +56,52 @@ def test_uninsert_roundtrip(n):
 
 def test_uninsert_of_fixture():
     assert uninsert(insert(W, 2)) == W
+
+
+def _cells(t):
+    return {
+        (i, j): x for i, row in enumerate(t.rows, start=1)
+        for j, x in enumerate(row, start=1)
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_undo_step_inverts_each_insertion_step(n):
+    for w in enumerate_group(n):
+        for r in range(n + 1):
+            states = insertion_states(w, r)
+            for k in range(1, n + 1):
+                value, before = _undo_step(
+                    _cells(states[k].left), states[k].right.domino(k)
+                )
+                assert value == w[k - 1]
+                assert before == _cells(states[k - 1].left)
+
+
+def test_undo_step_fails_loudly():
+    cells = _cells(insert(W, 2).left)
+    with pytest.raises(TableauError, match="not a removable domino"):
+        _undo_step(cells, {(1, 3), (1, 4)})
+    # labels 1 and 2 of the rank-0 tableau ((1, 1), (2, 2)) swapped
+    swapped = {(1, 1): 2, (1, 2): 2, (2, 1): 1, (2, 2): 1}
+    with pytest.raises(TableauError, match="0 ways back"):
+        _undo_step(swapped, {(2, 1), (2, 2)})
+    with pytest.raises(TableauError, match="entry domino 2"):
+        _undo_step(swapped, {(1, 2), (2, 2)})
+
+
+def test_uninsert_rejects_invalid_pairs():
+    pair = insert(W, 2)
+    with pytest.raises(TableauError, match="staircase"):
+        uninsert(TableauPair(
+            DominoTableau(1, pair.left.rows), DominoTableau(1, pair.right.rows)
+        ))
+    standard = DominoTableau(0, ((1, 1), (2, 2)))
+    swapped = DominoTableau(0, ((2, 2), (1, 1)))
+    with pytest.raises(TableauError, match="decreases"):
+        uninsert(TableauPair(swapped, standard))
+    with pytest.raises(TableauError, match="not a removable domino"):
+        uninsert(TableauPair(standard, swapped))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -115,14 +160,7 @@ def test_recording_restriction_is_split():
                 rows = []
                 for row in q.rows:
                     rows.append(tuple(x for x in row if x in keep))
-                from dominocells.tableaux import DominoTableau
                 cut = DominoTableau(r, tuple(t for t in rows if t))
                 # restriction keeps a left-justified diagram
                 cut.check_structure()
                 assert cut.is_split()
-
-
-@given(st.permutations(range(1, 7)))
-def test_rs_roundtrip(seq):
-    p, q = rs_insert(seq)
-    assert rs_uninsert(p, q) == tuple(seq)

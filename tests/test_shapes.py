@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.shapes import (
-    delete_domino, diagonal, removable_dominos, staircase, two_core,
+    cells_of_shape, delete_domino, diagonal, removable_dominos,
+    shape_from_cells, staircase, two_core,
 )
 
 
@@ -18,6 +19,15 @@ def partitions(draw, max_cells=20):
         prev = row
         remaining -= row
     return tuple(rows)
+
+
+def _all_partitions(size, largest=None):
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _all_partitions(size - first, first):
+            yield (first,) + rest
 
 
 def test_two_core_fixture():
@@ -57,6 +67,29 @@ def test_removable_dominos_fixtures():
         frozenset({(2, 1), (2, 2)}),
         frozenset({(1, 2), (2, 2)}),
     }
+    # the corner rule against deleting every domino position of every
+    # partition of size <= 12
+    for size in range(13):
+        for shape in _all_partitions(size):
+            cells = set(cells_of_shape(shape))
+            positions = {
+                frozenset({(i, j), sq})
+                for (i, j) in cells
+                for sq in ((i, j + 1), (i + 1, j))
+                if sq in cells
+            }
+            assert removable_dominos(shape) == {
+                d for d in positions if delete_domino(shape, d) is not None
+            }, shape
+
+
+def test_shape_from_cells():
+    assert shape_from_cells(set(cells_of_shape((3, 1)))) == (3, 1)
+    assert shape_from_cells([]) == ()
+    for cells in ({(1, 1), (1, 3)}, {(2, 1)}, {(1, 1), (2, 1), (2, 2)},
+                  {(0, 1), (1, 1)}, {(1, 0), (1, 1)}):
+        with pytest.raises(ValueError):
+            shape_from_cells(cells)
 
 
 def test_diagonal():
