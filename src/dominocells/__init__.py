@@ -10,7 +10,7 @@ from .wgroup import (
     enumerate_group, group_elements, parse_perm, format_perm,
     simple_generators, generator_perm,
 )
-from .shapes import staircase, two_core, removable_dominos, diagonal
+from .shapes import staircase, removable_dominos, diagonal
 from .tableaux import (
     DominoTableau, TableauPair, TableauError, tau_of_tableau,
     enhanced_tau_of_tableau, enumerate_sdt, core_tableau,

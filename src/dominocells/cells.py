@@ -49,23 +49,6 @@ class CellPartition:
     def same_partition(self, other: "CellPartition") -> bool:
         return self.n == other.n and self.blocks == other.blocks
 
-    def refines(self, other: "CellPartition") -> bool:
-        """Every block of self lies inside a block of other."""
-        lookup = {w: i for i, b in enumerate(other.blocks) for w in b}
-        return all(len({lookup[w] for w in b}) == 1 for b in self.blocks)
-
-    def common_refinement(self, other: "CellPartition") -> "CellPartition":
-        lookup = {w: i for i, b in enumerate(other.blocks) for w in b}
-        pieces: Dict[Tuple[int, int], set] = {}
-        for i, b in enumerate(self.blocks):
-            for w in b:
-                pieces.setdefault((i, lookup[w]), set()).add(w)
-        return CellPartition(
-            self.n,
-            f"meet({self.label},{other.label})",
-            tuple(frozenset(p) for p in pieces.values()),
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -26,6 +26,22 @@ from .verify import (
 from .wgroup import parse_perm
 
 
+def _int_from(low: int, *words: str):
+    """An argparse type: an integer >= low, or one of `words`."""
+    def parse(text: str):
+        if text in words:
+            return text
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            expected = " or ".join([f"an integer >= {low}", *map(repr, words)])
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dominocells",
@@ -38,25 +54,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=["insertion", "tau", "classes", "conjecture", "intermediate"],
     )
-    ver.add_argument("--n", type=int, required=True)
-    ver.add_argument("--rank", type=int, default=None)
-    ver.add_argument("--ratio", default=None, help="integer or 'all'")
+    ver.add_argument("--n", type=_int_from(0), required=True)
+    ver.add_argument("--rank", type=_int_from(0), default=None)
+    ver.add_argument("--ratio", type=_int_from(1, "all"), default=None,
+                     help="integer or 'all'")
     ver.add_argument("--cache", default=None, metavar="DIR")
     ver.add_argument("--json", default=None, metavar="PATH")
     ver.add_argument("--verbose", action="store_true")
 
     cel = sub.add_parser("cells", help="print a cell partition as JSON")
-    cel.add_argument("--n", type=int, required=True)
-    cel.add_argument("--rank", type=int, required=True)
+    cel.add_argument("--n", type=_int_from(0), required=True)
+    cel.add_argument("--rank", type=_int_from(0), required=True)
     cel.add_argument("--side", choices=["L", "R", "LR"], default="L")
     cel.add_argument("--kind", choices=["comb", "kl"], default="comb")
-    cel.add_argument("--ratio", type=int, default=None)
+    cel.add_argument("--ratio", type=_int_from(1), default=None)
     cel.add_argument("--cache", default=None, metavar="DIR")
 
     ins = sub.add_parser("insert", help="insert a signed permutation")
     ins.add_argument("--perm", required=True, help='"4 1 -3 -2" or [4,1,-3,-2]')
-    ins.add_argument("--n", type=int, default=None)
-    ins.add_argument("--rank", type=int, required=True)
+    ins.add_argument("--n", type=_int_from(0), default=None)
+    ins.add_argument("--rank", type=_int_from(0), required=True)
     ins.add_argument("--steps", action="store_true")
     ins.add_argument("--json", default=None, metavar="PATH")
 
@@ -92,7 +109,10 @@ def _run_verify(args) -> List[Report]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.suite == "intermediate" and args.n < 2:
+        parser.error("verify intermediate needs --n >= 2")
 
     if args.command == "verify":
         reports = _run_verify(args)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
 
-from .shapes import Square, cells_of_shape, shape_from_cells, staircase
+from .shapes import Square, cells_of_shape, staircase
 from .tableaux import DominoTableau, TableauError, TableauPair
 
 __all__ = [
@@ -49,10 +49,6 @@ _INF = float("inf")
 class Cycle:
     labels: FrozenSet[int]
     kind: str  # closed | core-open | noncore-open
-
-    @property
-    def is_open(self) -> bool:
-        return self.kind != "closed"
 
     @property
     def is_core(self) -> bool:
@@ -148,11 +144,7 @@ class _Relocation(NamedTuple):
 def _relocate(t: DominoTableau, convention: str) -> _Relocation:
     """j and k share a cycle when the relocated position of one overlaps
     the current position of the other."""
-    cells = {
-        (i, j): lbl
-        for i, row in enumerate(t.rows, start=1)
-        for j, lbl in enumerate(row, start=1)
-    }
+    cells = t.cells()
     moved = {k: moved_domino(t, k, convention) for k in t.labels}
     links = (
         (k, cells[sq]) for k, squares in moved.items()
@@ -222,17 +214,6 @@ def cycle_partition(t: DominoTableau, convention: str) -> Tuple[Cycle, ...]:
     )
 
 
-def _tableau_from_cells(cells: Dict[Square, int], rank: int) -> DominoTableau:
-    shape = shape_from_cells(cells.keys())
-    rows = tuple(
-        tuple(cells[(i, j)] for j in range(1, row_len + 1))
-        for i, row_len in enumerate(shape, start=1)
-    )
-    t = DominoTableau(rank, rows)
-    t.check_structure()
-    return t
-
-
 def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> DominoTableau:
     """Move through a union of cycles.
 
@@ -249,7 +230,9 @@ def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> Do
             f"labels {sorted(labels)} are not a union of cycles"
             f" (cycles: {[sorted(g) for g in rel.cycles]})"
         )
-    return _tableau_from_cells(_apply_moves(rel, labels), t.rank)
+    out = DominoTableau.from_cells(t.rank, _apply_moves(rel, labels))
+    out.check_structure()
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +311,8 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
     for sq in want - cells.keys():
         cells[sq] = 0
     _drop_trailing(cells, {sq for sq, lbl in cells.items() if lbl == 0} - want)
-    out = _tableau_from_cells(cells, rank)
+    out = DominoTableau.from_cells(rank, cells)
+    out.check_structure()
     if out.core_squares != want:
         raise TableauError(f"core is not the rank-{rank} staircase")
     return out

@@ -128,10 +128,10 @@ HeckeDict = Dict[SignedPerm, Poly]
 
 
 class KLTable:
-    """All Kazhdan-Lusztig data of one weighted group: basis elements,
-    bar involution, cell preorders.  The basis and the left-preorder edges
-    come from one pass over the products c_s c_w; with a cache directory
-    they are read from, or written once to, a checked JSON-lines file."""
+    """All Kazhdan-Lusztig data of one weighted group: basis elements and
+    cell preorders.  The basis and the left-preorder edges come from one
+    pass over the products c_s c_w; with a cache directory they are read
+    from, or written once to, a checked JSON-lines file."""
 
     def __init__(self, n: int, weights: WeightFunction, cache_dir: Optional[str] = None):
         self.n = n
@@ -146,7 +146,6 @@ class KLTable:
         ]
         self._c: Dict[SignedPerm, HeckeDict] = {}
         self._edges: Optional[Dict[SignedPerm, FrozenSet[SignedPerm]]] = None
-        self._bar_t: Dict[SignedPerm, HeckeDict] = {}
         self.cache_dir = cache_dir
 
     # ---- T-basis operations
@@ -161,34 +160,6 @@ class KLTable:
             else:
                 _add_into(out, sy, coef)
                 _add_into(out, y, poly_mul(coef, {ls: 1, -ls: -1}))
-        return out
-
-    def bar_t(self, y: SignedPerm) -> HeckeDict:
-        """bar(T_y) = (T_{y^{-1}})^{-1}, built from inverse generators."""
-        cached = self._bar_t.get(y)
-        if cached is not None:
-            return cached
-        if y == identity(self.n):
-            out = {y: dict(P_ONE)}
-        else:
-            for g, gp, ls in self.gens:
-                sy = compose(gp, y)
-                if self.length[sy] < self.length[y]:
-                    break
-            # bar(T_y) = bar(T_s) bar(T_{sy}); bar(T_s) = T_s^{-1}
-            rest = self.bar_t(sy)
-            out = self.t_multiply_left(gp, ls, rest)
-            for z, coef in rest.items():
-                _add_into(out, z, poly_mul(coef, {-ls: 1, ls: -1}))
-        self._bar_t[y] = out
-        return out
-
-    def bar(self, h: HeckeDict) -> HeckeDict:
-        out: HeckeDict = {}
-        for y, coef in h.items():
-            barc = poly_bar(coef)
-            for z, c2 in self.bar_t(y).items():
-                _add_into(out, z, poly_mul(barc, c2))
         return out
 
     # ---- Kazhdan-Lusztig basis and left-preorder edges

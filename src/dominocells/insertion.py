@@ -31,44 +31,16 @@ import heapq
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .shapes import Square, removable_dominos, shape_from_cells, staircase
-from .tableaux import DominoTableau, TableauError, TableauPair, core_tableau
+from .shapes import (
+    Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
+)
+from .tableaux import DominoTableau, TableauError, TableauPair
 from .wgroup import SignedPerm, validate_signed_perm
 
 __all__ = [
     "insert", "insertion_states", "uninsert", "asymptotic_bitableaux",
     "split_rank", "rs_insert",
 ]
-
-
-class _Board:
-    """Mutable cell grid used while one signed permutation is inserted."""
-
-    def __init__(self, rank: int):
-        self.cells: Dict[Square, int] = {}
-        self.label_cells: Dict[int, Set[Square]] = {}
-        for i, row_len in enumerate(staircase(rank), start=1):
-            for j in range(1, row_len + 1):
-                self.cells[(i, j)] = 0
-
-    def place(self, label: int, target: Tuple[Square, Square]):
-        """Claim two squares for `label`; returns labels it evicted from."""
-        hit: Dict[int, List[Square]] = {}
-        for sq in target:
-            old = self.cells.get(sq)
-            if old == 0:
-                raise AssertionError(f"insertion target {sq} is a core square")
-            if old is not None:
-                hit.setdefault(old, []).append(sq)
-            self.cells[sq] = label
-        self.label_cells[label] = set(target)
-        return hit
-
-    def remove(self, label: int) -> None:
-        for sq in self.label_cells.get(label, ()):
-            if self.cells.get(sq) == label:
-                del self.cells[sq]
-        self.label_cells[label] = set()
 
 
 def _reentry(domino, lost) -> Tuple[str, int]:
@@ -94,76 +66,71 @@ def _target(cells: Dict[Square, int], label: int, mode: str, idx: int):
     return (c + 1, idx), (c + 2, idx)
 
 
-def _insert_value(board: _Board, value: int) -> None:
+def _insert_value(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Square]],
+                  value: int) -> None:
+    """Insert one value into the live square -> label map `cells`; `where`
+    maps each label to the domino it was last placed on."""
     m = abs(value)
-    # (label) heap; orig/losses track evicted dominos until they re-enter
-    orig: Dict[int, Set[Square]] = {}
-    losses: Dict[int, Set[Square]] = {}
+    losses: Dict[int, Set[Square]] = {}  # evicted label -> squares it lost
     heap = [m]
-    queued = {m}
     while heap:
         u = heapq.heappop(heap)
-        queued.discard(u)
         if u == m:
             mode, idx = ("row", 1) if value > 0 else ("col", 1)
         else:
-            mode, idx = _reentry(orig.pop(u), losses.pop(u))
-            board.remove(u)
-        target = _target(board.cells, u, mode, idx)
-        for d, squares in board.place(u, target).items():
-            orig.setdefault(d, board.label_cells[d] | set(squares))
-            losses.setdefault(d, set()).update(squares)
-            board.label_cells[d] -= set(squares)
-            if d not in queued:
-                heapq.heappush(heap, d)
-                queued.add(d)
-
-
-def _freeze(board_cells: Dict[Square, int], rank: int) -> DominoTableau:
-    shape = shape_from_cells(board_cells.keys())
-    rows = tuple(
-        tuple(board_cells[(i, j)] for j in range(1, ln + 1))
-        for i, ln in enumerate(shape, start=1)
-    )
-    return DominoTableau(rank, rows)
+            mode, idx = _reentry(where[u], losses.pop(u))
+            for sq in where[u]:
+                if cells.get(sq) == u:
+                    del cells[sq]
+        where[u] = target = _target(cells, u, mode, idx)
+        for sq in target:
+            old = cells.get(sq)
+            if old == 0:
+                raise AssertionError(f"insertion target {sq} is a core square")
+            if old is not None:
+                if old not in losses:
+                    losses[old] = set()
+                    heapq.heappush(heap, old)
+                losses[old].add(sq)
+            cells[sq] = u
 
 
 def _run_insertion(w: SignedPerm, rank: int):
+    """Yield the live (left, right) square -> label maps, 0 on the core,
+    before the first step and after each step."""
     validate_signed_perm(w)
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    board = _Board(rank)
-    recording: Dict[Square, int] = {sq: 0 for sq in board.cells}
-    steps = []
+    cells = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
+    recording = dict(cells)
+    where: Dict[int, Tuple[Square, Square]] = {}
+    yield cells, recording
     for step, value in enumerate(w, start=1):
-        before = set(board.cells)
-        _insert_value(board, value)
-        added = sorted(set(board.cells) - before)
+        before = set(cells)
+        _insert_value(cells, where, value)
+        added = sorted(cells.keys() - before)
         if len(added) != 2:
             raise AssertionError(f"step {step} added squares {added}")
-        for sq in added:
-            recording[sq] = step
-        steps.append((dict(board.cells), dict(recording)))
-    return steps
+        recording.update(dict.fromkeys(added, step))
+        yield cells, recording
 
 
 @lru_cache(maxsize=1 << 18)
 def insert(w: SignedPerm, rank: int) -> TableauPair:
     """The image of w under rank-`rank` domino insertion."""
-    steps = _run_insertion(tuple(w), rank)
-    if not steps:
-        t = core_tableau(rank)
-        return TableauPair(t, t)
-    p_cells, q_cells = steps[-1]
-    return TableauPair(_freeze(p_cells, rank), _freeze(q_cells, rank))
+    *_, (left, right) = _run_insertion(tuple(w), rank)
+    return TableauPair(
+        DominoTableau.from_cells(rank, left), DominoTableau.from_cells(rank, right)
+    )
 
 
 def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     """The partial pairs after 0, 1, ..., n insertion steps."""
-    out = [TableauPair(core_tableau(rank), core_tableau(rank))]
-    for p_cells, q_cells in _run_insertion(tuple(w), rank):
-        out.append(TableauPair(_freeze(p_cells, rank), _freeze(q_cells, rank)))
-    return out
+    return [
+        TableauPair(DominoTableau.from_cells(rank, left),
+                    DominoTableau.from_cells(rank, right))
+        for left, right in _run_insertion(tuple(w), rank)
+    ]
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------
@@ -198,10 +165,7 @@ def _embed_bitableaux(pos_t, neg_t, rank: int) -> Dict[Square, int]:
     domino at row a starting in column r - a + 2b, cell (a, b) of the
     (transposed) negative part the vertical one in column b from row
     r + 2a - b."""
-    cells: Dict[Square, int] = {}
-    for i, row_len in enumerate(staircase(rank), start=1):
-        for j in range(1, row_len + 1):
-            cells[(i, j)] = 0
+    cells = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
     for a, row in enumerate(pos_t, start=1):
         for b, lbl in enumerate(row, start=1):
             j = rank - a + 2 * b
@@ -245,9 +209,11 @@ def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauP
     neg_p, neg_q = rs_insert([-w[k - 1] for k in neg_steps])
     pos_q = tuple(tuple(pos_steps[s - 1] for s in row) for row in pos_q)
     neg_q = tuple(tuple(neg_steps[s - 1] for s in row) for row in neg_q)
-    left = _freeze(_embed_bitableaux(pos_p, _transpose(neg_p), rank), rank)
-    right = _freeze(_embed_bitableaux(pos_q, _transpose(neg_q), rank), rank)
-    return TableauPair(left, right)
+    left = _embed_bitableaux(pos_p, _transpose(neg_p), rank)
+    right = _embed_bitableaux(pos_q, _transpose(neg_q), rank)
+    return TableauPair(
+        DominoTableau.from_cells(rank, left), DominoTableau.from_cells(rank, right)
+    )
 
 
 def _undo_step(cells: Dict[Square, int], added) -> Tuple[int, Dict[Square, int]]:
@@ -309,11 +275,7 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     (4, 1, -3, -2)
     """
     pair.left.check_standard(strict_core=False)
-    cells = {
-        (i, j): x
-        for i, row in enumerate(pair.left.rows, start=1)
-        for j, x in enumerate(row, start=1)
-    }
+    cells = pair.left.cells()
     w: List[int] = []
     for k in range(pair.right.n, 0, -1):
         value, cells = _undo_step(cells, pair.right.domino(k))

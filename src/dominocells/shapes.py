@@ -1,25 +1,22 @@
 """
-Integer partitions as Young diagrams, removable dominos, 2-cores and rank.
+Integer partitions as Young diagrams, removable dominos and diagonals.
 
 A shape is a weakly decreasing tuple of positive integers (row lengths).
 Squares are 1-indexed: (i, j) lies in row i, column j.  A domino is a pair
 of adjacent squares; deleting removable dominos from a diagram always
 terminates in a staircase [r, r-1, ..., 1], the 2-core, and r is the rank.
 
->>> two_core((7, 6, 1, 1, 1))
-((3, 2, 1), 3)
 >>> staircase(3)
 (3, 2, 1)
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterator
 
 __all__ = [
     "Shape", "Square", "staircase", "is_young", "cells_of_shape",
-    "removable_dominos", "delete_domino", "two_core", "diagonal",
-    "shape_from_cells",
+    "removable_dominos", "diagonal", "shape_from_cells",
 ]
 
 Shape = tuple  # weakly decreasing tuple[int, ...]
@@ -56,20 +53,6 @@ def shape_from_cells(cells) -> Shape:
     return shape
 
 
-def delete_domino(shape: Shape, domino: FrozenSet[Square]) -> Optional[Shape]:
-    """Resulting shape, or None when deletion does not leave a Young diagram
-    (the empty diagram and diagrams containing (1,1) are the legal results)."""
-    remaining = set(cells_of_shape(shape)) - set(domino)
-    if not remaining:
-        return ()
-    if (1, 1) not in remaining:
-        return None
-    try:
-        return shape_from_cells(remaining)
-    except ValueError:
-        return None
-
-
 def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:
     """All domino positions whose deletion leaves a Young diagram: the last
     two squares of a row at least two longer than the next, and the last
@@ -86,35 +69,6 @@ def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:
         if ln == rows[i] > rows[i + 1]:
             out.add(frozenset({(i, ln), (i + 1, ln)}))
     return frozenset(out)
-
-
-def two_core(shape: Shape, order_seed: Optional[int] = None) -> Tuple[Shape, int]:
-    """The 2-core and rank of a shape, by iterated domino deletion.
-
-    The result does not depend on the deletion order; `order_seed` picks a
-    different order so the tests can check exactly that.
-
-    >>> two_core((2,))
-    ((), 0)
-    """
-    if not is_young(shape):
-        raise ValueError(f"not a partition: {shape}")
-    current = tuple(shape)
-    deleted = 0
-    while True:
-        options = sorted(removable_dominos(current), key=sorted)
-        if not options:
-            break
-        if order_seed is None:
-            pick = options[0]
-        else:
-            pick = options[(order_seed + deleted) % len(options)]
-        current = delete_domino(current, pick)
-        deleted += 1
-    rank = len(current)
-    if current != staircase(rank):
-        raise AssertionError(f"2-core of {shape} is not a staircase: {current}")
-    return current, rank
 
 
 def diagonal(k: int) -> FrozenSet[Square]:

@@ -17,12 +17,13 @@ False
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, Tuple
 
-from .shapes import Square, Shape, diagonal, is_young, staircase
+from .shapes import (
+    Square, Shape, cells_of_shape, diagonal, is_young, shape_from_cells, staircase,
+)
 from .wgroup import DescentSet
 
 __all__ = [
@@ -51,10 +52,6 @@ class DominoTableau:
         return tuple(len(r) for r in self.rows)
 
     @cached_property
-    def size(self) -> int:
-        return sum(self.shape)
-
-    @cached_property
     def labels(self) -> Tuple[int, ...]:
         seen = sorted({x for row in self.rows for x in row if x != 0})
         return tuple(seen)
@@ -70,14 +67,39 @@ class DominoTableau:
             return self.rows[i - 1][j - 1]
         return -1
 
+    def cells(self) -> Dict[Square, int]:
+        """The square -> label map, 0 on core squares, as a fresh dict."""
+        return {
+            (i, j): x
+            for i, row in enumerate(self.rows, start=1)
+            for j, x in enumerate(row, start=1)
+        }
+
+    @classmethod
+    def from_cells(cls, rank: int, cells: Dict[Square, int]) -> "DominoTableau":
+        """The tableau with the square -> label map `cells`; raises
+        ValueError when the squares do not form a Young diagram.
+
+        >>> t = DominoTableau(1, ((0, 1, 1), (2,), (2,)))
+        >>> DominoTableau.from_cells(1, t.cells()) == t
+        True
+        >>> DominoTableau.from_cells(0, {(1, 2): 1, (1, 3): 1})
+        Traceback (most recent call last):
+        ...
+        ValueError: cells do not form a Young diagram
+        """
+        return cls(rank, tuple(
+            tuple(cells[(i, j)] for j in range(1, row_len + 1))
+            for i, row_len in enumerate(shape_from_cells(cells.keys()), start=1)
+        ))
+
     @cached_property
     def dominos(self) -> Dict[int, FrozenSet[Square]]:
         """Map label -> the two squares it occupies."""
         positions: Dict[int, list] = {}
-        for i, row in enumerate(self.rows, start=1):
-            for j, x in enumerate(row, start=1):
-                if x != 0:
-                    positions.setdefault(x, []).append((i, j))
+        for sq, x in self.cells().items():
+            if x != 0:
+                positions.setdefault(x, []).append(sq)
         return {k: frozenset(v) for k, v in positions.items()}
 
     def domino(self, k: int) -> FrozenSet[Square]:
@@ -92,12 +114,7 @@ class DominoTableau:
 
     @cached_property
     def core_squares(self) -> FrozenSet[Square]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, x in enumerate(row, start=1)
-            if x == 0
-        )
+        return frozenset(sq for sq, x in self.cells().items() if x == 0)
 
     # -- validation ------------------------------------------------------
 
@@ -124,8 +141,7 @@ class DominoTableau:
         """
         self.check_structure()
         if strict_core and self.core_squares != frozenset(
-            (i, j) for i, row_len in enumerate(staircase(self.rank), 1)
-            for j in range(1, row_len + 1)
+            cells_of_shape(staircase(self.rank))
         ):
             raise TableauError(
                 f"core squares {sorted(self.core_squares)} do not form the"
@@ -149,13 +165,6 @@ class DominoTableau:
                         f"column {j + 1} decreases at row {i}: {upper[j]} then {lower[j]}"
                     )
 
-    def is_valid(self, strict_core: bool = True) -> bool:
-        try:
-            self.check_standard(strict_core=strict_core)
-            return True
-        except TableauError:
-            return False
-
     # -- predicates ------------------------------------------------------
 
     def is_split(self) -> bool:
@@ -164,15 +173,7 @@ class DominoTableau:
             self.label_at(sq) == -1 for sq in sorted(diagonal(self.rank + 2))
         )
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"rank": self.rank, "rows": [list(r) for r in self.rows]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DominoTableau":
-        data = json.loads(text)
-        return cls(int(data["rank"]), tuple(tuple(r) for r in data["rows"]))
+    # -- display -------------------------------------------------------
 
     def pretty(self) -> str:
         """Box drawing, one cell per square, with no wall inside a domino."""
@@ -189,8 +190,7 @@ class DominoTableau:
             la, lb = self.label_at(a), self.label_at(b)
             return la == lb and la > 0
 
-        for (i, j) in ((i, j) for i, r in enumerate(self.rows, 1)
-                       for j in range(1, len(r) + 1)):
+        for (i, j) in self.cells():
             y, x = 2 * (i - 1), (width + 1) * (j - 1)
             for corner in ((y, x), (y, x + width + 1), (y + 2, x), (y + 2, x + width + 1)):
                 put(*corner, "+")
@@ -247,15 +247,6 @@ class TableauPair:
 
     def is_split(self) -> bool:
         return self.left.is_split()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rank": self.rank,
-                "left": [list(r) for r in self.left.rows],
-                "right": [list(r) for r in self.right.rows],
-            }
-        )
 
 
 def tau_of_tableau(q: DominoTableau) -> DescentSet:

@@ -10,7 +10,6 @@ the wall-time field.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -73,9 +72,6 @@ class Report:
         if self._overflow:
             out["counterexamples_truncated"] = self._overflow
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def summary(self) -> str:
         status = self.status.upper()

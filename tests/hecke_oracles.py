@@ -1,13 +1,16 @@
 """
 Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
-definition) and multiplication by T_u along a reduced word.  No pipeline
-in `dominocells` needs them, so they live beside the tests.
+definition), multiplication by T_u along a reduced word, and the bar
+involution.  No pipeline in `dominocells` needs them, so they live beside
+the tests.
 """
 
+import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
+from dominocells.hecke import P_ONE, _add_into, poly_bar, poly_mul
 from dominocells.wgroup import (
     SignedPerm, compose, generator_perm, group_elements, identity, inverse,
     length, simple_generators,
@@ -101,3 +104,39 @@ def t_multiply_left_word(table, u: SignedPerm, h):
     for gen_perm, ls in reversed(reduced_word(table, u)):
         h = table.t_multiply_left(gen_perm, ls, h)
     return h
+
+
+# table -> {y: bar(T_y)}, dropped with the table
+_BAR_T = weakref.WeakKeyDictionary()
+
+
+def bar_t(table, y: SignedPerm):
+    """bar(T_y) = (T_{y^{-1}})^{-1}, built from inverse generators."""
+    memo = _BAR_T.setdefault(table, {})
+    cached = memo.get(y)
+    if cached is not None:
+        return cached
+    if y == identity(table.n):
+        out = {y: dict(P_ONE)}
+    else:
+        for _, gp, ls in table.gens:
+            sy = compose(gp, y)
+            if table.length[sy] < table.length[y]:
+                break
+        # bar(T_y) = bar(T_s) bar(T_{sy}); bar(T_s) = T_s^{-1}
+        rest = bar_t(table, sy)
+        out = table.t_multiply_left(gp, ls, rest)
+        for z, coef in rest.items():
+            _add_into(out, z, poly_mul(coef, {-ls: 1, ls: -1}))
+    memo[y] = out
+    return out
+
+
+def bar(table, h):
+    """The bar involution on an element of the table's Hecke algebra."""
+    out = {}
+    for y, coef in h.items():
+        barc = poly_bar(coef)
+        for z, c2 in bar_t(table, y).items():
+            _add_into(out, z, poly_mul(barc, c2))
+    return out

@@ -21,7 +21,7 @@ from dominocells.verify import (
     verify_intermediate_structure, verify_tau,
 )
 from dominocells.wgroup import enumerate_group, is_nonsplit
-from hecke_oracles import t_multiply_left_word
+from hecke_oracles import bar, t_multiply_left_word
 
 W = (4, 1, -3, -2)
 
@@ -236,7 +236,7 @@ def test_c10_property_suites():
         for _ in range(10):
             h = {w: {rng.randint(-2, 2): rng.randint(1, 4)}
                  for w in rng.sample(table.elements, 3)}
-            if table.bar(table.bar(h)) != h:
+            if bar(table, bar(table, h)) != h:
                 failures.append({"kind": "bar", "n": n})
 
     # unitriangularity and bar invariance of the canonical basis
@@ -251,13 +251,13 @@ def test_c10_property_suites():
                     for y, c in cw.items() if y != w
                 ):
                     failures.append({"kind": "unitriangular", "n": n, "w": w})
-                if table.bar(cw) != cw:
+                if bar(table, cw) != cw:
                     failures.append({"kind": "bar-invariance", "n": n, "w": w})
     table4 = KLTable(4, WeightFunction(1, 3))
     table4.all_kl_basis()
     for w in rng.sample(table4.elements, 24):
         cw = table4.kl_basis(w)
-        if table4.bar(cw) != cw:
+        if bar(table4, cw) != cw:
             failures.append({"kind": "bar-invariance", "n": 4, "w": w})
 
     # cells depend only on the parameter ratio

@@ -72,8 +72,11 @@ def _singleton_relocations(t, label, conv):
             except ValueError:
                 continue
             cand_t = DominoTableau(t.rank, shape_rows)
-            if cand_t.is_valid(strict_core=False):
-                results.append(cand_t)
+            try:
+                cand_t.check_standard(strict_core=False)
+            except TableauError:
+                continue
+            results.append(cand_t)
     return results
 
 

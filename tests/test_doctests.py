@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -10,5 +11,12 @@ from dominocells import insertion, shapes, tableaux, wgroup
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_readme_example():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0

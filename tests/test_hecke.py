@@ -10,7 +10,7 @@ from dominocells.hecke import (
     poly_is_strictly_negative, poly_mul, poly_symmetric_part,
 )
 from dominocells.wgroup import compose, group_elements, identity, length
-from hecke_oracles import bruhat_leq, bruhat_leq_bfs, t_multiply_left_word
+from hecke_oracles import bar, bruhat_leq, bruhat_leq_bfs, t_multiply_left_word
 
 
 def test_laurent_ring_basics():
@@ -121,7 +121,7 @@ def test_bar_is_an_involution():
         table = KLTable(n, WeightFunction(1, 2))
         for _ in range(6):
             h = _random_element(table, rng)
-            assert table.bar(table.bar(h)) == h
+            assert bar(table, bar(table, h)) == h
 
 
 def test_bar_fixture_for_a_generator():
@@ -129,7 +129,7 @@ def test_bar_fixture_for_a_generator():
     e = identity(2)
     s = (2, 1)
     # bar(T_s) = T_s^{-1} = T_s - (v^a - v^-a) T_e
-    assert table.bar({s: {0: 1}}) == {s: {0: 1}, e: {-1: 1, 1: -1}}
+    assert bar(table, {s: {0: 1}}) == {s: {0: 1}, e: {-1: 1, 1: -1}}
 
 
 def test_kl_basis_fixtures():
@@ -152,7 +152,7 @@ def test_kl_basis_is_bar_invariant_and_unitriangular(n, a, b):
             if y != w:
                 assert bruhat_leq(y, w)
                 assert poly_is_strictly_negative(coef)
-        assert table.bar(cw) == cw
+        assert bar(table, cw) == cw
 
 
 def _c_s_times(table, gp, ls, h):

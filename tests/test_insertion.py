@@ -58,13 +58,6 @@ def test_uninsert_of_fixture():
     assert uninsert(insert(W, 2)) == W
 
 
-def _cells(t):
-    return {
-        (i, j): x for i, row in enumerate(t.rows, start=1)
-        for j, x in enumerate(row, start=1)
-    }
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_undo_step_inverts_each_insertion_step(n):
     for w in enumerate_group(n):
@@ -72,14 +65,15 @@ def test_undo_step_inverts_each_insertion_step(n):
             states = insertion_states(w, r)
             for k in range(1, n + 1):
                 value, before = _undo_step(
-                    _cells(states[k].left), states[k].right.domino(k)
+                    states[k].left.cells(), states[k].right.domino(k)
                 )
                 assert value == w[k - 1]
-                assert before == _cells(states[k - 1].left)
+                assert before == states[k - 1].left.cells()
+            assert states[-1] == insert(w, r)
 
 
 def test_undo_step_fails_loudly():
-    cells = _cells(insert(W, 2).left)
+    cells = insert(W, 2).left.cells()
     with pytest.raises(TableauError, match="not a removable domino"):
         _undo_step(cells, {(1, 3), (1, 4)})
     # labels 1 and 2 of the rank-0 tableau ((1, 1), (2, 2)) swapped

@@ -2,9 +2,48 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.shapes import (
-    cells_of_shape, delete_domino, diagonal, removable_dominos,
-    shape_from_cells, staircase, two_core,
+    cells_of_shape, diagonal, is_young, removable_dominos, shape_from_cells,
+    staircase,
 )
+
+
+def delete_domino(shape, domino):
+    """Resulting shape, or None when deletion does not leave a Young diagram
+    (the empty diagram and diagrams containing (1,1) are the legal results)."""
+    remaining = set(cells_of_shape(shape)) - set(domino)
+    if not remaining:
+        return ()
+    if (1, 1) not in remaining:
+        return None
+    try:
+        return shape_from_cells(remaining)
+    except ValueError:
+        return None
+
+
+def two_core(shape, order_seed=None):
+    """The 2-core and rank of a shape, by iterated domino deletion.
+
+    The result does not depend on the deletion order; `order_seed` picks a
+    different order so the tests can check exactly that."""
+    if not is_young(shape):
+        raise ValueError(f"not a partition: {shape}")
+    current = tuple(shape)
+    deleted = 0
+    while True:
+        options = sorted(removable_dominos(current), key=sorted)
+        if not options:
+            break
+        if order_seed is None:
+            pick = options[0]
+        else:
+            pick = options[(order_seed + deleted) % len(options)]
+        current = delete_domino(current, pick)
+        deleted += 1
+    rank = len(current)
+    if current != staircase(rank):
+        raise AssertionError(f"2-core of {shape} is not a staircase: {current}")
+    return current, rank
 
 
 @st.composite

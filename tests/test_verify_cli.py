@@ -1,4 +1,7 @@
 import json
+import shlex
+
+import pytest
 
 import dominocells.cycles as cycles_mod
 from dominocells.cli import main
@@ -98,6 +101,27 @@ def test_cli_insert_rejects_bad_input(capsys):
     assert main(["insert", "--perm", "1 1", "--rank", "0"]) == 2
     assert main(["insert", "--perm", "1 2", "--n", "3", "--rank", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "verify conjecture --n 2 --ratio abc",
+    "verify conjecture --n 2 --ratio 0",
+    "verify insertion --n -1",
+    "verify tau --n -2",
+    "verify classes --n 2 --rank -1",
+    "cells --n 2 --rank -1",
+    "cells --n 2 --rank 0 --kind kl --ratio 0",
+    "verify intermediate --n 1",
+    'insert --perm "1 2" --rank -1',
+])
+def test_cli_rejects_out_of_range_numbers_at_the_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("dominocells")
+    assert "Traceback" not in err
 
 
 def test_cli_cells_kind_kl(capsys):
