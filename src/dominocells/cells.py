@@ -120,10 +120,10 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
     )
 
 
-def asymptotic_cells(n: int, side: str = "L", check_stability: bool = True) -> CellPartition:
+def asymptotic_cells(n: int, side: str = "L") -> CellPartition:
     """Combinatorial cells in the stable range r >= n - 1."""
     rank = max(n - 1, 0)
     part = combinatorial_cells(n, rank, side)
-    if check_stability and not part.same_partition(combinatorial_cells(n, rank + 1, side)):
+    if not part.same_partition(combinatorial_cells(n, rank + 1, side)):
         raise AssertionError(f"asymptotic cells not stable at n={n} side={side}")
     return CellPartition(n, f"asymptotic {side}", part.blocks)

@@ -21,7 +21,10 @@ parameters, Thm 6.6): for sw > w,
 
 with M^s_{z,w} bar-invariant, so stripping the bar-symmetric part of each
 coefficient below sw from c_s c_w leaves c_{sw}, and the z stripped are
-the left-preorder edges of w.
+the left-preorder edges of w.  The product needs no T-basis arithmetic:
+since c_s = T_s + v_s^{-1}, a term T_y of c_w gives T_{sy} + v_s^{-1} T_y
+when sy > y and T_{sy} + v_s T_y otherwise.  Right cells are the inverses
+of left cells, since y <=_R w exactly when y^{-1} <=_L w^{-1}.
 
 Internally a Laurent polynomial is a dict {exponent: integer coefficient}
 with no zero values, and a Hecke algebra element is a dict mapping
@@ -44,8 +47,8 @@ from .wgroup import (
 )
 
 __all__ = [
-    "WeightFunction", "poly_add", "poly_mul", "poly_bar",
-    "poly_is_strictly_negative", "poly_symmetric_part", "kl_cells", "KLTable",
+    "WeightFunction", "poly_mul", "poly_is_strictly_negative",
+    "poly_symmetric_part", "kl_cells", "KLTable",
 ]
 
 
@@ -54,23 +57,6 @@ __all__ = [
 Poly = Dict[int, int]
 
 P_ONE: Poly = {0: 1}
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_scale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -84,10 +70,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             else:
                 del out[e]
     return out
-
-
-def poly_bar(a: Poly) -> Poly:
-    return {-e: c for e, c in a.items()}
 
 
 def poly_is_strictly_negative(a: Poly) -> bool:
@@ -140,31 +122,23 @@ class KLTable:
             sorted(group_elements(n), key=lambda w: (length(w), w))
         )
         self.length = {w: length(w) for w in self.elements}
-        self.gens = [
-            (g, generator_perm(g, n), weights.of_generator(g))
-            for g in simple_generators(n)
+        self._rank = {w: i for i, w in enumerate(self.elements)}
+        self.gens = [  # (s, L(s)) for each Coxeter generator s
+            (generator_perm(g, n), weights.of_generator(g)) for g in simple_generators(n)
         ]
         self._c: Dict[SignedPerm, HeckeDict] = {}
         self._edges: Optional[Dict[SignedPerm, FrozenSet[SignedPerm]]] = None
+        self._left_cells: Optional[List[FrozenSet[SignedPerm]]] = None
         self.cache_dir = cache_dir
-
-    # ---- T-basis operations
-
-    def t_multiply_left(self, gen_perm: SignedPerm, ls: int, h: HeckeDict) -> HeckeDict:
-        """Left multiplication by T_s where L(s) = ls."""
-        out: HeckeDict = {}
-        for y, coef in h.items():
-            sy = compose(gen_perm, y)
-            if self.length[sy] > self.length[y]:
-                _add_into(out, sy, coef)
-            else:
-                _add_into(out, sy, coef)
-                _add_into(out, y, poly_mul(coef, {ls: 1, -ls: -1}))
-        return out
 
     # ---- Kazhdan-Lusztig basis and left-preorder edges
 
     def kl_basis(self, w: SignedPerm) -> HeckeDict:
+        """c_w on the T basis.
+
+        >>> KLTable(1, WeightFunction(1, 2)).kl_basis((-1,))
+        {(-1,): {0: 1}, (1,): {-2: 1}}
+        """
         return self.all_kl_basis()[w]
 
     def all_kl_basis(self) -> Dict[SignedPerm, HeckeDict]:
@@ -178,39 +152,20 @@ class KLTable:
 
     def _pass(self) -> None:
         """For w in length order and each s with sw > w, strip c_s c_w of
-        the bar-symmetric part of every coefficient below sw, longest
-        first.  Subtracting a multiple of c_z only reaches elements shorter
-        than z, so one heap-ordered sweep visits each z once.  The first
+        the bar-symmetric part of every coefficient below sw.  The first
         product that reaches sw sets c_{sw}; every later one must agree."""
-        rank = {w: i for i, w in enumerate(self.elements)}
         e = identity(self.n)
         c: Dict[SignedPerm, HeckeDict] = {e: {e: dict(P_ONE)}}
         edges: Dict[SignedPerm, FrozenSet[SignedPerm]] = {}
         for w in self.elements:
-            cw = c[w]
             targets = set()
-            for g, gp, ls in self.gens:
-                sw = compose(gp, w)
+            for s, ls in self.gens:
+                sw = compose(s, w)
                 if self.length[sw] < self.length[w]:
                     continue  # c_s c_w = (v_s + v_s^{-1}) c_w
-                m = self.t_multiply_left(gp, ls, cw)  # c_s = T_s + v_s^{-1}
-                for y, coef in cw.items():
-                    _add_into(m, y, {k - ls: a for k, a in coef.items()})
-                heap = [-rank[z] for z in m if z != sw]
-                heapq.heapify(heap)
-                queued = set(m)
-                while heap:
-                    z = self.elements[-heapq.heappop(heap)]
-                    sym = poly_symmetric_part(m.get(z, {}))
-                    if not sym:
-                        continue
-                    targets.add(z)  # M^s_{z,w} = sym
-                    minus_sym = poly_scale(sym, -1)
-                    for y, coef in c[z].items():
-                        _add_into(m, y, poly_mul(minus_sym, coef))
-                        if y not in queued:
-                            queued.add(y)
-                            heapq.heappush(heap, -rank[y])
+                m = self._c_s_times(s, ls, c[w])
+                # M^s_{z,w} is what is stripped at z; what is left is c_sw
+                targets.update(self._strip(m, c, poly_symmetric_part, keep=sw))
                 targets.add(sw)
                 known = c.get(sw)
                 if known is None:
@@ -227,6 +182,41 @@ class KLTable:
             edges[w] = frozenset(targets)
         self._c, self._edges = c, edges
 
+    def _c_s_times(self, s: SignedPerm, ls: int, h: HeckeDict) -> HeckeDict:
+        """c_s h where L(s) = ls, by c_s = T_s + v_s^{-1}: a term T_y goes
+        to T_{sy} + v_s^{-1} T_y when sy > y, to T_{sy} + v_s T_y otherwise."""
+        out: HeckeDict = {}
+        for y, coef in h.items():
+            sy = compose(s, y)
+            _add_into(out, sy, coef)
+            _add_into(out, y, coef, -ls if self.length[sy] > self.length[y] else ls)
+        return out
+
+    def _strip(self, m: HeckeDict, c: Dict[SignedPerm, HeckeDict], part,
+               keep: Optional[SignedPerm] = None) -> Dict[SignedPerm, Poly]:
+        """For every z but `keep`, longest first, subtract part(m[z]) c_z
+        from m in place; return z -> part(m[z]) where it is nonzero.
+        Subtracting a multiple of c_z only reaches elements shorter than z,
+        so one heap-ordered sweep visits each z once."""
+        rank = self._rank
+        heap = [-rank[z] for z in m if z != keep]
+        heapq.heapify(heap)
+        queued = set(m)
+        out: Dict[SignedPerm, Poly] = {}
+        while heap:
+            z = self.elements[-heapq.heappop(heap)]
+            p = part(m.get(z, {}))
+            if not p:
+                continue
+            out[z] = p
+            minus_p = {e: -k for e, k in p.items()}
+            for y, coef in c[z].items():
+                _add_into(m, y, poly_mul(minus_p, coef))
+                if y not in queued:
+                    queued.add(y)
+                    heapq.heappush(heap, -rank[y])
+        return out
+
     def left_edges(self) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
         """w -> those y != w with c_y appearing in some c_s c_w."""
         self.all_kl_basis()
@@ -236,41 +226,24 @@ class KLTable:
 
     def c_expand(self, h: HeckeDict) -> Dict[SignedPerm, Poly]:
         """Coefficients of h in the Kazhdan-Lusztig basis."""
-        rest = {y: dict(c) for y, c in h.items()}
-        out: Dict[SignedPerm, Poly] = {}
-        while rest:
-            z = max(rest, key=lambda y: (self.length[y], y))
-            coef = rest.pop(z)
-            if not coef:
-                continue
-            out[z] = coef
-            for y2, c2 in self.kl_basis(z).items():
-                if y2 == z:
-                    continue
-                cur = poly_add(rest.get(y2, {}), poly_mul(poly_scale(coef, -1), c2))
-                if cur:
-                    rest[y2] = cur
-                else:
-                    rest.pop(y2, None)
-        return out
+        return self._strip({y: dict(p) for y, p in h.items()}, self.all_kl_basis(), dict)
 
     def cells(self, side: str = "L") -> CellPartition:
         if side not in ("L", "R", "LR"):
             raise ValueError("side must be L, R or LR")
         left = self.left_edges()
-        if side == "L":
-            edges = left
-        elif side == "R":
-            edges = {
-                inverse(w): frozenset(inverse(z) for z in zs)
-                for w, zs in left.items()
-            }
-        else:
+        if side == "LR":
             edges = {
                 w: left[w] | frozenset(inverse(z) for z in left[inverse(w)])
                 for w in self.elements
             }
-        comp = _strong_components(self.elements, edges)
+            comp = _strong_components(self.elements, edges)
+        else:
+            if self._left_cells is None:
+                self._left_cells = _strong_components(self.elements, left)
+            comp = self._left_cells
+            if side == "R":
+                comp = [frozenset(map(inverse, block)) for block in comp]
         tag = f"kl a={self.weights.a} b={self.weights.b} {side}"
         return CellPartition(self.n, tag, tuple(frozenset(c) for c in comp))
 
@@ -354,13 +327,15 @@ def _sha256():
     return hashlib.sha256()
 
 
-def _add_into(h: HeckeDict, y: SignedPerm, p: Poly) -> None:
+def _add_into(h: HeckeDict, y: SignedPerm, p: Poly, shift: int = 0) -> None:
+    """h[y] += v^shift p, in place."""
     cur = h.get(y)
     if cur is None:
         if p:
-            h[y] = dict(p)
+            h[y] = {e + shift: c for e, c in p.items()}
         return
     for e, c in p.items():
+        e += shift
         s = cur.get(e, 0) + c
         if s:
             cur[e] = s
@@ -374,47 +349,38 @@ def _strong_components(nodes, edges) -> List[FrozenSet]:
     """Iterative Tarjan."""
     index: Dict = {}
     low: Dict = {}
-    on_stack: Dict = {}
     stack: List = []
+    on_stack = set()
     out: List[FrozenSet] = []
-    counter = [0]
     for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(sorted(edges.get(root, ()))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack[root] = True
+        on_stack.add(root)
+        work = [(root, iter(sorted(edges.get(root, ()))))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                    index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack[nxt] = True
+                    on_stack.add(nxt)
                     work.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
                     break
-                if on_stack.get(nxt):
+                if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    x = stack.pop()
-                    on_stack[x] = False
-                    comp.add(x)
-                    if x == node:
-                        break
-                out.append(frozenset(comp))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = set()
+                    while node not in comp:
+                        comp.add(stack.pop())
+                    on_stack -= comp
+                    out.append(frozenset(comp))
     return out
 
 

@@ -105,6 +105,8 @@ def generator_perm(g: Generator, n: int) -> SignedPerm:
     """The one-line form of a generator inside W_n."""
     w = list(range(1, n + 1))
     if g.kind == "t":
+        if n < 1:
+            raise ValueError("t out of range for W_0")
         w[0] = -1
     elif g.kind == "s":
         if not 1 <= g.index <= n - 1:
@@ -118,7 +120,9 @@ def generator_perm(g: Generator, n: int) -> SignedPerm:
 
 
 def simple_generators(n: int) -> list:
-    """The Coxeter generators t, s_1, ..., s_{n-1}."""
+    """The Coxeter generators t, s_1, ..., s_{n-1}; W_0 has none."""
+    if n < 1:
+        return []
     return [Generator("t")] + [Generator("s", i) for i in range(1, n)]
 
 
@@ -152,7 +156,7 @@ def right_descends(w: SignedPerm, g: Generator) -> bool:
 def tau_invariant(w: SignedPerm) -> DescentSet:
     """The right descent set within the Coxeter generators {t, s_i}."""
     names = set()
-    if w[0] < 0:
+    if w and w[0] < 0:
         names.add("t")
     for i in range(1, len(w)):
         if w[i] < w[i - 1]:

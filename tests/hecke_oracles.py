@@ -1,20 +1,46 @@
 """
 Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
-definition), multiplication by T_u along a reduced word, and the bar
-involution.  No pipeline in `dominocells` needs them, so they live beside
-the tests.
+definition), Laurent-polynomial sums and the bar map on coefficients,
+multiplication on the T basis (by T_s, and by T_u along a reduced word),
+and the bar involution.  No pipeline in `dominocells` needs them, so they
+live beside the tests; the T-basis product here shares no code with the
+c_s product that builds the Kazhdan-Lusztig basis.
 """
 
 import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
-from dominocells.hecke import P_ONE, _add_into, poly_bar, poly_mul
+from dominocells.hecke import P_ONE, poly_mul
 from dominocells.wgroup import (
     SignedPerm, compose, generator_perm, group_elements, identity, inverse,
     length, simple_generators,
 )
+
+
+def poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_bar(a):
+    return {-e: c for e, c in a.items()}
+
+
+def add_term(h, y, p):
+    """h[y] += p, dropping y when the sum is zero."""
+    total = poly_add(h.get(y, {}), p)
+    if total:
+        h[y] = total
+    else:
+        h.pop(y, None)
 
 
 def _embed_in_symmetric(w: SignedPerm) -> Tuple[int, ...]:
@@ -84,12 +110,27 @@ def bruhat_leq_bfs(u: SignedPerm, w: SignedPerm) -> bool:
     return u in _bruhat_reachability(len(w))[w]
 
 
+def t_multiply_left(table, s: SignedPerm, L: int, h):
+    """T_s . h where L(s) = L:
+
+        T_s T_y = T_{sy}                      if l(sy) > l(y)
+                = T_{sy} + (v^L - v^-L) T_y   otherwise.
+    """
+    out = {}
+    for y, coef in h.items():
+        sy = compose(s, y)
+        add_term(out, sy, coef)
+        if table.length[sy] < table.length[y]:
+            add_term(out, y, poly_mul(coef, {L: 1, -L: -1}))
+    return out
+
+
 def reduced_word(table, w: SignedPerm) -> List[Tuple[SignedPerm, int]]:
     """(generator, weight) pairs s_1 .. s_k with w = s_1 ... s_k reduced."""
     word = []
     cur = w
     while cur != identity(table.n):
-        for g, gp, ls in table.gens:
+        for gp, ls in table.gens:
             if table.length[compose(gp, cur)] < table.length[cur]:
                 word.append((gp, ls))
                 cur = compose(gp, cur)
@@ -102,7 +143,7 @@ def reduced_word(table, w: SignedPerm) -> List[Tuple[SignedPerm, int]]:
 def t_multiply_left_word(table, u: SignedPerm, h):
     """T_u . h, one generator of a reduced word for u at a time."""
     for gen_perm, ls in reversed(reduced_word(table, u)):
-        h = table.t_multiply_left(gen_perm, ls, h)
+        h = t_multiply_left(table, gen_perm, ls, h)
     return h
 
 
@@ -119,15 +160,15 @@ def bar_t(table, y: SignedPerm):
     if y == identity(table.n):
         out = {y: dict(P_ONE)}
     else:
-        for _, gp, ls in table.gens:
+        for gp, ls in table.gens:
             sy = compose(gp, y)
             if table.length[sy] < table.length[y]:
                 break
         # bar(T_y) = bar(T_s) bar(T_{sy}); bar(T_s) = T_s^{-1}
         rest = bar_t(table, sy)
-        out = table.t_multiply_left(gp, ls, rest)
+        out = t_multiply_left(table, gp, ls, rest)
         for z, coef in rest.items():
-            _add_into(out, z, poly_mul(coef, {-ls: 1, ls: -1}))
+            add_term(out, z, poly_mul(coef, {-ls: 1, ls: -1}))
     memo[y] = out
     return out
 
@@ -138,5 +179,5 @@ def bar(table, h):
     for y, coef in h.items():
         barc = poly_bar(coef)
         for z, c2 in bar_t(table, y).items():
-            _add_into(out, z, poly_mul(barc, c2))
+            add_term(out, z, poly_mul(barc, c2))
     return out

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
-    KLTable, WeightFunction, kl_cells, poly_add, poly_bar,
-    poly_is_strictly_negative, poly_mul, poly_symmetric_part,
+    KLTable, WeightFunction, kl_cells, poly_is_strictly_negative, poly_mul,
+    poly_symmetric_part,
 )
 from dominocells.wgroup import compose, group_elements, identity, length
-from hecke_oracles import bar, bruhat_leq, bruhat_leq_bfs, t_multiply_left_word
+from hecke_oracles import (
+    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar,
+    t_multiply_left, t_multiply_left_word,
+)
 
 
 def test_laurent_ring_basics():
@@ -54,13 +57,13 @@ def test_t_multiplication_fixtures():
     s = (2, 1)
     ts = compose(t, s)
     # T_s T_e = T_s
-    assert table.t_multiply_left(s, 1, {e: {0: 1}}) == {s: {0: 1}}
+    assert t_multiply_left(table, s, 1, {e: {0: 1}}) == {s: {0: 1}}
     # T_s T_s = T_e + (v^a - v^-a) T_s
-    assert table.t_multiply_left(s, 1, {s: {0: 1}}) == {
+    assert t_multiply_left(table, s, 1, {s: {0: 1}}) == {
         e: {0: 1}, s: {1: 1, -1: -1}
     }
     # T_t T_ts = T_s + (v^b - v^-b) T_ts
-    assert table.t_multiply_left(t, 2, {ts: {0: 1}}) == {
+    assert t_multiply_left(table, t, 2, {ts: {0: 1}}) == {
         s: {0: 1}, ts: {2: 1, -2: -1}
     }
 
@@ -84,7 +87,7 @@ def _elem_mul_right_tw(table, elem, w):
     cur = w
     n = table.n
     while cur != identity(n):
-        for g, gp, ls in table.gens:
+        for gp, ls in table.gens:
             if length(compose(cur, gp)) < length(cur):
                 word.append((gp, ls))
                 cur = compose(cur, gp)
@@ -95,24 +98,12 @@ def _elem_mul_right_tw(table, elem, w):
         for y, coef in out.items():
             yg = compose(y, gp)
             if length(yg) > length(y):
-                _merge(nxt, yg, coef)
+                add_term(nxt, yg, coef)
             else:
-                _merge(nxt, yg, coef)
-                _merge(nxt, y, poly_mul(coef, {ls: 1, -ls: -1}))
+                add_term(nxt, yg, coef)
+                add_term(nxt, y, poly_mul(coef, {ls: 1, -ls: -1}))
         out = nxt
     return out
-
-
-def _merge(h, y, p):
-    cur = h.setdefault(y, {})
-    for e, c in p.items():
-        s = cur.get(e, 0) + c
-        if s:
-            cur[e] = s
-        else:
-            del cur[e]
-    if not cur:
-        del h[y]
 
 
 def test_bar_is_an_involution():
@@ -156,9 +147,10 @@ def test_kl_basis_is_bar_invariant_and_unitriangular(n, a, b):
 
 
 def _c_s_times(table, gp, ls, h):
-    prod = table.t_multiply_left(gp, ls, h)
+    # c_s = T_s + v_s^{-1}, on the T basis
+    prod = t_multiply_left(table, gp, ls, h)
     for y, coef in h.items():
-        _merge(prod, y, poly_mul(coef, {-ls: 1}))
+        add_term(prod, y, poly_mul(coef, {-ls: 1}))
     return prod
 
 
@@ -169,7 +161,7 @@ def test_descent_scalar_action():
         table = KLTable(n, L)
         table.all_kl_basis()
         for w in table.elements:
-            for g, gp, ls in table.gens:
+            for gp, ls in table.gens:
                 if length(compose(gp, w)) < length(w):
                     cw = table.kl_basis(w)
                     prod = _c_s_times(table, gp, ls, cw)
@@ -206,12 +198,27 @@ def test_left_edges_match_c_expand_of_every_product(n, ratio):
     expected = {}
     for w in table.elements:
         targets = set()
-        for g, gp, ls in table.gens:
+        for gp, ls in table.gens:
             prod = _c_s_times(table, gp, ls, table.kl_basis(w))
             targets |= {z for z, coef in table.c_expand(prod).items() if coef}
         targets.discard(w)
         expected[w] = frozenset(targets)
     assert table.left_edges() == expected
+
+
+@pytest.mark.parametrize("n,ratio", [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)])
+def test_c_expand_inverts_the_kl_basis(n, ratio):
+    # sum over z of c_expand(h)[z] c_z gives back h, on arbitrary elements
+    table = KLTable(n, WeightFunction(1, ratio))
+    rng = random.Random(100 * n + ratio)
+    for _ in range(10):
+        h = _random_element(table, rng, size=min(4, len(table.elements)))
+        before = {y: dict(p) for y, p in h.items()}
+        total = {}
+        for z, coef in table.c_expand(h).items():
+            for y, c2 in table.kl_basis(z).items():
+                add_term(total, y, poly_mul(coef, c2))
+        assert total == h == before
 
 
 def _count_calls(monkeypatch, name):
@@ -228,12 +235,12 @@ def _count_calls(monkeypatch, name):
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
     L = WeightFunction(1, 2)
-    products = _count_calls(monkeypatch, "t_multiply_left")
+    products = _count_calls(monkeypatch, "_c_s_times")
     saves = _count_calls(monkeypatch, "_save_cache")
     t1 = KLTable(3, L, cache_dir=str(tmp_path))
     cells = [t1.cells(side) for side in ("L", "R", "LR")]
     ascents = sum(
-        1 for w in t1.elements for g, gp, ls in t1.gens
+        1 for w in t1.elements for gp, ls in t1.gens
         if length(compose(gp, w)) > length(w)
     )
     assert (len(products), len(saves)) == (ascents, 1)

@@ -124,6 +124,25 @@ def test_cli_rejects_out_of_range_numbers_at_the_parser(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify tau --n 0",
+    "verify conjecture --n 0 --ratio 1",
+    "cells --n 0 --rank 0 --kind kl",
+    "cells --n 0 --rank 0 --kind kl --side R",
+    "cells --n 0 --rank 0 --kind kl --side LR",
+])
+def test_cli_runs_on_the_trivial_group(argv, capsys):
+    # W_0 = {()} has no generators and an empty descent set
+    assert main(shlex.split(argv)) == 0
+    out = capsys.readouterr().out
+    if argv.startswith("cells"):
+        comb = argv.replace("--kind kl", "--kind comb")
+        assert main(shlex.split(comb)) == 0
+        kl, expected = json.loads(out), json.loads(capsys.readouterr().out)
+        kl.pop("label"), expected.pop("label")
+        assert kl == expected == {"n": 0, "blocks": [[[]]]}
+
+
 def test_cli_cells_kind_kl(capsys):
     code = main(["cells", "--n", "2", "--rank", "1", "--side", "L",
                  "--kind", "kl", "--ratio", "2"])

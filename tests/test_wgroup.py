@@ -86,6 +86,14 @@ def test_tau_fixtures():
     assert tau_invariant(longest).simple == frozenset({"t", "s1", "s2", "s3"})
 
 
+def test_the_trivial_group_has_no_generators():
+    assert simple_generators(0) == []
+    assert tau_invariant(()) == DescentSet(frozenset())
+    for g in (Generator("t"), Generator("s", 1), Generator("tk", 1)):
+        with pytest.raises(ValueError):
+            generator_perm(g, 0)
+
+
 def test_xi_fixtures():
     w = (4, 1, -3, -2)
     xi3 = enhanced_tau_invariant(w, 3)
