@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List
 
@@ -24,6 +25,10 @@ from .verify import (
     verify_intermediate_structure, verify_tau,
 )
 from .wgroup import parse_perm
+
+# The Kazhdan-Lusztig oracle keeps c_w for every element of W_n; n = 5 needs
+# minutes and a few hundred MB, and |W_6| = 46,080 is out of reach.
+KL_MAX_N = 5
 
 
 def _int_from(low: int, *words: str):
@@ -113,6 +118,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.suite == "intermediate" and args.n < 2:
         parser.error("verify intermediate needs --n >= 2")
+    uses_kl = (args.suite in ("conjecture", "intermediate") if args.command == "verify"
+               else args.command == "cells" and args.kind == "kl")
+    if uses_kl and args.n > KL_MAX_N:
+        order = 2 ** args.n * math.factorial(args.n)
+        parser.error(
+            f"--n {args.n} is too large for the Kazhdan-Lusztig oracle: "
+            f"|W_{args.n}| = {order:,} elements; it stops at n = {KL_MAX_N}"
+        )
 
     if args.command == "verify":
         reports = _run_verify(args)

@@ -27,8 +27,15 @@ when sy > y and T_{sy} + v_s T_y otherwise.  Right cells are the inverses
 of left cells, since y <=_R w exactly when y^{-1} <=_L w^{-1}.
 
 Internally a Laurent polynomial is a dict {exponent: integer coefficient}
-with no zero values, and a Hecke algebra element is a dict mapping
-one-line signed permutations to such dicts.
+with no zero values.  Inside a table an element is its index 0..N-1 in
+(length, one-line form) order, and a Hecke algebra element is a dict from
+indices to such dicts.  The left action of each generator on indices, and
+whether it raises the length, is one table per n shared by the tables of
+every weight function, so the pass never composes permutations.  In the
+finished c_w, equal coefficients are one shared dict: at n = 5 there are
+millions of coefficients but only thousands of distinct ones.  Signed
+permutations appear only at the boundary: `kl_basis`, `c_expand` and the
+blocks of `cells`.
 """
 
 from __future__ import annotations
@@ -38,16 +45,17 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cells import CellPartition
 from .wgroup import (
     Generator, SignedPerm, compose, generator_perm, group_elements,
-    identity, inverse, length, simple_generators,
+    inverse, length, simple_generators,
 )
 
 __all__ = [
-    "WeightFunction", "poly_mul", "poly_is_strictly_negative",
+    "WeightFunction", "poly_is_strictly_negative",
     "poly_symmetric_part", "kl_cells", "KLTable",
 ]
 
@@ -57,19 +65,6 @@ __all__ = [
 Poly = Dict[int, int]
 
 P_ONE: Poly = {0: 1}
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
 
 
 def poly_is_strictly_negative(a: Poly) -> bool:
@@ -104,9 +99,38 @@ class WeightFunction:
         return self.b if g.kind == "t" else self.a
 
 
+# -- the group on indices -------------------------------------------------
+
+class _IndexedGroup(NamedTuple):
+    """W_n in (length, w) order, with the left action of each generator
+    s = t, s_1, ..., s_{n-1}: lmul[k][i] is the index of s w_i and up[k][i]
+    says whether l(s w_i) > l(w_i); inv[i] is the index of w_i^{-1}."""
+    elements: Tuple[SignedPerm, ...]
+    index: Dict[SignedPerm, int]
+    lmul: Tuple[Tuple[int, ...], ...]
+    up: Tuple[Tuple[bool, ...], ...]
+    inv: Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _indexed_group(n: int) -> _IndexedGroup:
+    lengths = {w: length(w) for w in group_elements(n)}
+    elements = tuple(sorted(lengths, key=lambda w: (lengths[w], w)))
+    index = {w: i for i, w in enumerate(elements)}
+    lmul, up = [], []
+    for g in simple_generators(n):
+        s = generator_perm(g, n)
+        row = tuple(index[compose(s, w)] for w in elements)
+        lmul.append(row)
+        up.append(tuple(lengths[elements[j]] > lengths[w] for j, w in zip(row, elements)))
+    inv = tuple(index[inverse(w)] for w in elements)
+    return _IndexedGroup(elements, index, tuple(lmul), tuple(up), inv)
+
+
 # -- the algebra ----------------------------------------------------------
 
 HeckeDict = Dict[SignedPerm, Poly]
+IndexedDict = Dict[int, Poly]
 
 
 class KLTable:
@@ -118,17 +142,14 @@ class KLTable:
     def __init__(self, n: int, weights: WeightFunction, cache_dir: Optional[str] = None):
         self.n = n
         self.weights = weights
-        self.elements: Tuple[SignedPerm, ...] = tuple(
-            sorted(group_elements(n), key=lambda w: (length(w), w))
-        )
-        self.length = {w: length(w) for w in self.elements}
-        self._rank = {w: i for i, w in enumerate(self.elements)}
+        self._group = _indexed_group(n)
+        self.elements: Tuple[SignedPerm, ...] = self._group.elements
         self.gens = [  # (s, L(s)) for each Coxeter generator s
             (generator_perm(g, n), weights.of_generator(g)) for g in simple_generators(n)
         ]
-        self._c: Dict[SignedPerm, HeckeDict] = {}
-        self._edges: Optional[Dict[SignedPerm, FrozenSet[SignedPerm]]] = None
-        self._left_cells: Optional[List[FrozenSet[SignedPerm]]] = None
+        self._c: List[IndexedDict] = []
+        self._edges: Optional[List[FrozenSet[int]]] = None
+        self._left_cells: Optional[List[FrozenSet[int]]] = None
         self.cache_dir = cache_dir
 
     # ---- Kazhdan-Lusztig basis and left-preorder edges
@@ -139,11 +160,13 @@ class KLTable:
         >>> KLTable(1, WeightFunction(1, 2)).kl_basis((-1,))
         {(-1,): {0: 1}, (1,): {-2: 1}}
         """
-        return self.all_kl_basis()[w]
+        cw = self.all_kl_basis()[self._group.index[w]]
+        return {self.elements[y]: p for y, p in cw.items()}
 
-    def all_kl_basis(self) -> Dict[SignedPerm, HeckeDict]:
-        """w -> c_w for the whole group, read from the cache file when it
-        passes its checks, otherwise computed by one pass and written once."""
+    def all_kl_basis(self) -> List[IndexedDict]:
+        """c_w for the whole group, by index, read from the cache file when
+        it passes its checks, otherwise computed by one pass and written
+        once."""
         if self._edges is None and not self._load_cache():
             self._pass()
             if self.cache_dir:
@@ -154,71 +177,103 @@ class KLTable:
         """For w in length order and each s with sw > w, strip c_s c_w of
         the bar-symmetric part of every coefficient below sw.  The first
         product that reaches sw sets c_{sw}; every later one must agree."""
-        e = identity(self.n)
-        c: Dict[SignedPerm, HeckeDict] = {e: {e: dict(P_ONE)}}
-        edges: Dict[SignedPerm, FrozenSet[SignedPerm]] = {}
-        for w in self.elements:
+        group, elements = self._group, self.elements
+        shared: Dict[FrozenSet, Poly] = {}
+        c: List[Optional[IndexedDict]] = [None] * len(elements)
+        c[0] = _shared({0: dict(P_ONE)}, shared)  # the identity comes first
+        edges: List[FrozenSet[int]] = []
+        actions = [(lmul, up, ls) for lmul, up, (_, ls) in zip(group.lmul, group.up, self.gens)]
+        for w, cw in enumerate(c):
             targets = set()
-            for s, ls in self.gens:
-                sw = compose(s, w)
-                if self.length[sw] < self.length[w]:
+            for lmul, up, ls in actions:
+                if not up[w]:
                     continue  # c_s c_w = (v_s + v_s^{-1}) c_w
-                m = self._c_s_times(s, ls, c[w])
+                sw = lmul[w]
+                m = self._c_s_times(lmul, up, ls, cw)
                 # M^s_{z,w} is what is stripped at z; what is left is c_sw
                 targets.update(self._strip(m, c, poly_symmetric_part, keep=sw))
                 targets.add(sw)
-                known = c.get(sw)
+                known = c[sw]
                 if known is None:
-                    assert m.get(sw) == P_ONE, f"c_{sw} is not unitriangular"
+                    assert m.get(sw) == P_ONE, f"c_{elements[sw]} is not unitriangular"
                     for z, coef in m.items():
                         if z != sw and not poly_is_strictly_negative(coef):
                             raise AssertionError(
-                                f"c_{sw} coefficient at {z} not negative: {coef}"
+                                f"c_{elements[sw]} coefficient at {elements[z]} "
+                                f"not negative: {coef}"
                             )
-                    c[sw] = m
+                    c[sw] = _shared(m, shared)
                 elif known != m:
-                    raise AssertionError(f"c_s c_{w} gives another c_{sw}")
+                    raise AssertionError(
+                        f"c_s c_{elements[w]} gives another c_{elements[sw]}")
             targets.discard(w)
-            edges[w] = frozenset(targets)
+            edges.append(frozenset(targets))
         self._c, self._edges = c, edges
 
-    def _c_s_times(self, s: SignedPerm, ls: int, h: HeckeDict) -> HeckeDict:
-        """c_s h where L(s) = ls, by c_s = T_s + v_s^{-1}: a term T_y goes
-        to T_{sy} + v_s^{-1} T_y when sy > y, to T_{sy} + v_s T_y otherwise."""
-        out: HeckeDict = {}
+    def _c_s_times(self, lmul: Tuple[int, ...], up: Tuple[bool, ...], ls: int,
+                   h: IndexedDict) -> IndexedDict:
+        """c_s h where s acts by `lmul` and `up` and L(s) = ls, by
+        c_s = T_s + v_s^{-1}: a term T_y goes to T_{sy} + v_s^{-1} T_y when
+        sy > y, to T_{sy} + v_s T_y otherwise.  The coefficients of h are
+        only read: each key of the result starts as a copy."""
+        out: IndexedDict = {lmul[y]: dict(coef) for y, coef in h.items()}
         for y, coef in h.items():
-            sy = compose(s, y)
-            _add_into(out, sy, coef)
-            _add_into(out, y, coef, -ls if self.length[sy] > self.length[y] else ls)
+            shift = -ls if up[y] else ls
+            cur = out.get(y)
+            if cur is None:
+                out[y] = {e + shift: k for e, k in coef.items()}
+                continue
+            for e, k in coef.items():
+                e += shift
+                s = cur.get(e, 0) + k
+                if s:
+                    cur[e] = s
+                else:
+                    del cur[e]
+            if not cur:
+                del out[y]
         return out
 
-    def _strip(self, m: HeckeDict, c: Dict[SignedPerm, HeckeDict], part,
-               keep: Optional[SignedPerm] = None) -> Dict[SignedPerm, Poly]:
+    @staticmethod
+    def _strip(m: IndexedDict, c: List[IndexedDict], part,
+               keep: Optional[int] = None) -> Dict[int, Poly]:
         """For every z but `keep`, longest first, subtract part(m[z]) c_z
         from m in place; return z -> part(m[z]) where it is nonzero.
         Subtracting a multiple of c_z only reaches elements shorter than z,
-        so one heap-ordered sweep visits each z once."""
-        rank = self._rank
-        heap = [-rank[z] for z in m if z != keep]
+        which come earlier in the index order, so one heap-ordered sweep
+        visits each z once.  The c_z are only read."""
+        heap = [-z for z in m if z != keep]
         heapq.heapify(heap)
         queued = set(m)
-        out: Dict[SignedPerm, Poly] = {}
+        out: Dict[int, Poly] = {}
         while heap:
-            z = self.elements[-heapq.heappop(heap)]
+            z = -heapq.heappop(heap)
             p = part(m.get(z, {}))
             if not p:
                 continue
             out[z] = p
-            minus_p = {e: -k for e, k in p.items()}
+            terms = p.items()
             for y, coef in c[z].items():
-                _add_into(m, y, poly_mul(minus_p, coef))
-                if y not in queued:
-                    queued.add(y)
-                    heapq.heappush(heap, -rank[y])
+                cur = m.get(y)
+                if cur is None:
+                    cur = m[y] = {}
+                    if y not in queued:
+                        queued.add(y)
+                        heapq.heappush(heap, -y)
+                for ep, kp in terms:  # m[y] -= p coef
+                    for ec, kc in coef.items():
+                        e = ep + ec
+                        s = cur.get(e, 0) - kp * kc
+                        if s:
+                            cur[e] = s
+                        else:
+                            del cur[e]
+                if not cur:
+                    del m[y]
         return out
 
-    def left_edges(self) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
-        """w -> those y != w with c_y appearing in some c_s c_w."""
+    def left_edges(self) -> List[FrozenSet[int]]:
+        """By index: w -> those y != w with c_y appearing in some c_s c_w."""
         self.all_kl_basis()
         return self._edges
 
@@ -226,70 +281,86 @@ class KLTable:
 
     def c_expand(self, h: HeckeDict) -> Dict[SignedPerm, Poly]:
         """Coefficients of h in the Kazhdan-Lusztig basis."""
-        return self._strip({y: dict(p) for y, p in h.items()}, self.all_kl_basis(), dict)
+        index, elements = self._group.index, self.elements
+        m = {index[y]: dict(p) for y, p in h.items()}
+        out = self._strip(m, self.all_kl_basis(), dict)
+        return {elements[z]: p for z, p in out.items()}
 
     def cells(self, side: str = "L") -> CellPartition:
         if side not in ("L", "R", "LR"):
             raise ValueError("side must be L, R or LR")
         left = self.left_edges()
+        inv = self._group.inv
         if side == "LR":
-            edges = {
-                w: left[w] | frozenset(inverse(z) for z in left[inverse(w)])
-                for w in self.elements
-            }
-            comp = _strong_components(self.elements, edges)
+            edges = [
+                left_w | frozenset(inv[z] for z in left[inv[w]])
+                for w, left_w in enumerate(left)
+            ]
+            comp = _strong_components(edges)
         else:
             if self._left_cells is None:
-                self._left_cells = _strong_components(self.elements, left)
+                self._left_cells = _strong_components(left)
             comp = self._left_cells
             if side == "R":
-                comp = [frozenset(map(inverse, block)) for block in comp]
+                comp = [frozenset(inv[z] for z in block) for block in comp]
+        elements = self.elements
         tag = f"kl a={self.weights.a} b={self.weights.b} {side}"
-        return CellPartition(self.n, tag, tuple(frozenset(c) for c in comp))
+        return CellPartition(
+            self.n, tag, tuple(frozenset(elements[z] for z in block) for block in comp)
+        )
 
     # ---- persistence
     #
-    # Line 1 is a header {v, n, a, b, records, sha256 of the record lines};
-    # then one record per element, in table order, with c_w and the left
-    # edges of w.  A file that fails any check is recomputed and rewritten.
+    # Line 1 is a header {v, n, a, b, records}; then one record per index,
+    # with c_w as [[y, [[e, k], ...]], ...] and the left edges of w as
+    # indices; the last line is a trailer {sha256} over every line before
+    # it.  A file that fails any check is recomputed and rewritten.
 
     def _cache_path(self) -> str:
-        name = f"kl_v2_n{self.n}_a{self.weights.a}_b{self.weights.b}.jsonl"
+        name = f"kl_v3_n{self.n}_a{self.weights.a}_b{self.weights.b}.jsonl"
         return os.path.join(self.cache_dir, name)
 
-    def _header(self, records: int, digest: str) -> Dict:
-        return {"v": 2, "n": self.n, "a": self.weights.a, "b": self.weights.b,
-                "records": records, "sha256": digest}
+    def _header(self) -> Dict:
+        return {"v": 3, "n": self.n, "a": self.weights.a, "b": self.weights.b,
+                "records": len(self.elements)}
 
     def _save_cache(self) -> None:
-        digest = _sha256()
-        lines = []
-        for w in self.elements:
-            rec = {
-                "w": list(w),
-                "c": [[list(y), sorted(p.items())] for y, p in sorted(self._c[w].items())],
-                "edges": sorted(list(z) for z in self._edges[w]),
-            }
-            lines.append(json.dumps(rec).encode() + b"\n")
-            digest.update(lines[-1])
-        header = self._header(len(lines), digest.hexdigest())
         os.makedirs(self.cache_dir, exist_ok=True)
         # Written beside the target and renamed over it, so a reader sees
-        # the old file or the new one; a file cut short fails the digest.
+        # the old file or the new one; a file cut short has no trailer.
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(json.dumps(header).encode() + b"\n")
-                fh.writelines(lines)
+                digest = _sha256()
+
+                def write(text: str) -> None:
+                    line = text.encode() + b"\n"
+                    digest.update(line)
+                    fh.write(line)
+
+                write(json.dumps(self._header()))
+                # Each shared coefficient is encoded once; the table holds
+                # every coefficient, so no id is reused while this runs.
+                texts: Dict[int, str] = {}
+                for cw, edges in zip(self._c, self._edges):
+                    terms = []
+                    for y, p in sorted(cw.items()):
+                        text = texts.get(id(p))
+                        if text is None:
+                            text = texts[id(p)] = json.dumps(sorted(p.items()))
+                        terms.append(f"[{y}, {text}]")
+                    write(f'{{"c": [{", ".join(terms)}], "edges": {json.dumps(sorted(edges))}}}')
+                fh.write(json.dumps({"sha256": digest.hexdigest()}).encode() + b"\n")
             os.replace(tmp, self._cache_path())
         except BaseException:
             os.unlink(tmp)
             raise
 
     def _load_cache(self) -> bool:
-        """Fill the table from the cache file; False when there is no file
-        or it fails a check.  The file is read once to check it and once
-        to parse it, so it is never held whole in memory."""
+        """Fill the table from the cache file in one read; False when there
+        is no file or it fails a check: a header for another table, too few
+        or too many records, a missing or wrong trailer, or anything after
+        the trailer."""
         if not self.cache_dir:
             return False
         try:
@@ -297,25 +368,26 @@ class KLTable:
         except FileNotFoundError:
             return False
         with fh:
+            digest, shared = _sha256(), {}
+            keys = list(range(len(self.elements)))  # one int object per index
+            c: List[IndexedDict] = []
+            edges: List[FrozenSet[int]] = []
             try:
-                header = json.loads(fh.readline())
-            except ValueError:
-                return False
-            digest, records = _sha256(), 0
-            for line in fh:
+                line = fh.readline()
                 digest.update(line)
-                records += 1
-            expected = self._header(len(self.elements), digest.hexdigest())
-            if header != expected or records != len(self.elements):
+                if json.loads(line) != self._header():
+                    return False
+                for _ in self.elements:
+                    line = fh.readline()
+                    digest.update(line)
+                    rec = json.loads(line)
+                    c.append(_shared({keys[y]: dict(p) for y, p in rec["c"]}, shared))
+                    edges.append(frozenset(rec["edges"]))
+                trailer = json.loads(fh.readline())
+            except (ValueError, TypeError, KeyError, IndexError):
+                return False  # a short file, or a line that is not a record
+            if trailer != {"sha256": digest.hexdigest()} or fh.readline():
                 return False
-            fh.seek(0)
-            fh.readline()
-            c, edges = {}, {}
-            for line in fh:
-                rec = json.loads(line)
-                w = tuple(rec["w"])
-                c[w] = {tuple(y): dict(p) for y, p in rec["c"]}
-                edges[w] = frozenset(tuple(z) for z in rec["edges"])
         self._c, self._edges = c, edges
         return True
 
@@ -327,48 +399,43 @@ def _sha256():
     return hashlib.sha256()
 
 
-def _add_into(h: HeckeDict, y: SignedPerm, p: Poly, shift: int = 0) -> None:
-    """h[y] += v^shift p, in place."""
-    cur = h.get(y)
-    if cur is None:
-        if p:
-            h[y] = {e + shift: c for e, c in p.items()}
-        return
-    for e, c in p.items():
-        e += shift
-        s = cur.get(e, 0) + c
-        if s:
-            cur[e] = s
-        else:
-            del cur[e]
-    if not cur:
-        del h[y]
+def _shared(h: IndexedDict, pool: Dict[FrozenSet, Poly]) -> IndexedDict:
+    """h with each coefficient replaced, in place, by the one dict that
+    `pool` keeps for its value.  Safe because a finished c_w is never
+    written: `_c_s_times` copies a coefficient before its first write, and
+    `_strip` only reads the c_z it subtracts."""
+    for y, p in h.items():
+        h[y] = pool.setdefault(frozenset(p.items()), p)
+    return h
 
 
-def _strong_components(nodes, edges) -> List[FrozenSet]:
-    """Iterative Tarjan."""
-    index: Dict = {}
-    low: Dict = {}
-    stack: List = []
-    on_stack = set()
-    out: List[FrozenSet] = []
-    for root in nodes:
-        if root in index:
+def _strong_components(edges: List[FrozenSet[int]]) -> List[FrozenSet[int]]:
+    """Iterative Tarjan on the nodes 0..len(edges)-1."""
+    index = [-1] * len(edges)
+    low = [0] * len(edges)
+    counter = 0
+    stack: List[int] = []
+    on_stack = [False] * len(edges)
+    out: List[FrozenSet[int]] = []
+    for root in range(len(edges)):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(sorted(edges.get(root, ()))))]
+        on_stack[root] = True
+        work = [(root, iter(sorted(edges[root])))]
         while work:
             node, it = work[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(edges.get(nxt, ())))))
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(sorted(edges[nxt]))))
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
             else:
                 work.pop()
@@ -378,8 +445,9 @@ def _strong_components(nodes, edges) -> List[FrozenSet]:
                 if low[node] == index[node]:
                     comp = set()
                     while node not in comp:
-                        comp.add(stack.pop())
-                    on_stack -= comp
+                        top = stack.pop()
+                        on_stack[top] = False
+                        comp.add(top)
                     out.append(frozenset(comp))
     return out
 

@@ -1,9 +1,9 @@
 """
 Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
-definition), Laurent-polynomial sums and the bar map on coefficients,
-multiplication on the T basis (by T_s, and by T_u along a reduced word),
-and the bar involution.  No pipeline in `dominocells` needs them, so they
+definition), Laurent-polynomial sums and products and the bar map on
+coefficients, multiplication on the T basis (by T_s, and by T_u along a
+reduced word), and the bar involution.  No pipeline in `dominocells` needs them, so they
 live beside the tests; the T-basis product here shares no code with the
 c_s product that builds the Kazhdan-Lusztig basis.
 """
@@ -12,7 +12,7 @@ import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
-from dominocells.hecke import P_ONE, poly_mul
+from dominocells.hecke import P_ONE
 from dominocells.wgroup import (
     SignedPerm, compose, generator_perm, group_elements, identity, inverse,
     length, simple_generators,
@@ -27,6 +27,19 @@ def poly_add(a, b):
             out[e] = s
         else:
             out.pop(e, None)
+    return out
+
+
+def poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
@@ -120,7 +133,7 @@ def t_multiply_left(table, s: SignedPerm, L: int, h):
     for y, coef in h.items():
         sy = compose(s, y)
         add_term(out, sy, coef)
-        if table.length[sy] < table.length[y]:
+        if length(sy) < length(y):
             add_term(out, y, poly_mul(coef, {L: 1, -L: -1}))
     return out
 
@@ -131,7 +144,7 @@ def reduced_word(table, w: SignedPerm) -> List[Tuple[SignedPerm, int]]:
     cur = w
     while cur != identity(table.n):
         for gp, ls in table.gens:
-            if table.length[compose(gp, cur)] < table.length[cur]:
+            if length(compose(gp, cur)) < length(cur):
                 word.append((gp, ls))
                 cur = compose(gp, cur)
                 break
@@ -162,7 +175,7 @@ def bar_t(table, y: SignedPerm):
     else:
         for gp, ls in table.gens:
             sy = compose(gp, y)
-            if table.length[sy] < table.length[y]:
+            if length(sy) < length(y):
                 break
         # bar(T_y) = bar(T_s) bar(T_{sy}); bar(T_s) = T_s^{-1}
         rest = bar_t(table, sy)

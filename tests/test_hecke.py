@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,12 +7,15 @@ from hypothesis import given, strategies as st
 
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
-    KLTable, WeightFunction, kl_cells, poly_is_strictly_negative, poly_mul,
+    KLTable, WeightFunction, _indexed_group, kl_cells, poly_is_strictly_negative,
     poly_symmetric_part,
 )
-from dominocells.wgroup import compose, group_elements, identity, length
+from dominocells.wgroup import (
+    compose, generator_perm, group_elements, identity, inverse, length,
+    simple_generators,
+)
 from hecke_oracles import (
-    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar,
+    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar, poly_mul,
     t_multiply_left, t_multiply_left_word,
 )
 
@@ -203,7 +207,9 @@ def test_left_edges_match_c_expand_of_every_product(n, ratio):
             targets |= {z for z, coef in table.c_expand(prod).items() if coef}
         targets.discard(w)
         expected[w] = frozenset(targets)
-    assert table.left_edges() == expected
+    els = table.elements
+    assert {els[w]: frozenset(els[z] for z in edges)
+            for w, edges in enumerate(table.left_edges())} == expected
 
 
 @pytest.mark.parametrize("n,ratio", [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)])
@@ -244,7 +250,8 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
         if length(compose(gp, w)) > length(w)
     )
     assert (len(products), len(saves)) == (ascents, 1)
-    assert [p.name for p in tmp_path.iterdir()] == ["kl_v2_n3_a1_b2.jsonl"]
+    assert [p.name for p in tmp_path.glob("kl_v3_*")] == ["kl_v3_n3_a1_b2.jsonl"]
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_v3_n3_a1_b2.jsonl"]
     t2 = KLTable(3, L, cache_dir=str(tmp_path))
     assert [t2.cells(side) for side in ("L", "R", "LR")] == cells
     assert (len(products), len(saves)) == (ascents, 1)  # the warm table skips the pass
@@ -264,20 +271,35 @@ def _header_for_another_n(text):
 
 def _one_coefficient_edited(text):
     lines = text.splitlines(keepends=True)
-    rec = json.loads(lines[-1])
+    rec = json.loads(lines[-2])  # the last record; the trailer follows it
     rec["c"][0][1][0][1] += 1
-    lines[-1] = json.dumps(rec) + "\n"
+    lines[-2] = json.dumps(rec) + "\n"
     return "".join(lines)
 
 
-@pytest.mark.parametrize(
-    "damage", [_truncated, _header_for_another_n, _one_coefficient_edited]
-)
+def _trailer_missing(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def _line_after_the_trailer(text):
+    return text + text.splitlines(keepends=True)[-2]
+
+
+def _two_records_swapped(text):
+    lines = text.splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("damage", [
+    _truncated, _header_for_another_n, _one_coefficient_edited,
+    _trailer_missing, _line_after_the_trailer, _two_records_swapped,
+])
 def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
     L = WeightFunction(1, 2)
     first = KLTable(3, L, cache_dir=str(tmp_path))
     cold = [first.cells(side) for side in ("L", "R", "LR")]
-    path = tmp_path / "kl_v2_n3_a1_b2.jsonl"
+    path = tmp_path / "kl_v3_n3_a1_b2.jsonl"
     good = path.read_text()
     path.write_text(damage(good))
     assert path.read_text() != good
@@ -285,3 +307,45 @@ def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
     assert [table.cells(side) for side in ("L", "R", "LR")] == cold
     assert path.read_text() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_file_layout(tmp_path):
+    # header, one record per index, then the digest of every line before it
+    table = KLTable(2, WeightFunction(1, 2), cache_dir=str(tmp_path))
+    table.all_kl_basis()
+    lines = (tmp_path / "kl_v3_n2_a1_b2.jsonl").read_bytes().splitlines(keepends=True)
+    assert json.loads(lines[0]) == {"v": 3, "n": 2, "a": 1, "b": 2, "records": 8}
+    assert len(lines) == 1 + 8 + 1
+    assert json.loads(lines[-1]) == {"sha256": hashlib.sha256(b"".join(lines[:-1])).hexdigest()}
+    # c_t = T_t + v^-2 T_e, and c_s c_t = c_st
+    t, st = (table.elements.index(w) for w in ((-1, 2), (-2, 1)))
+    assert json.loads(lines[1 + t]) == {"c": [[0, [[-2, 1]]], [t, [[0, 1]]]],
+                                        "edges": [st]}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_equal_coefficients_are_one_object(tmp_path, warm):
+    L = WeightFunction(1, 2)
+    if warm:
+        KLTable(3, L, cache_dir=str(tmp_path)).all_kl_basis()
+    table = KLTable(3, L, cache_dir=str(tmp_path))
+    coefs = [p for cw in table.all_kl_basis() for p in cw.values()]
+    values = {frozenset(p.items()) for p in coefs}
+    assert len({id(p) for p in coefs}) == len(values) < len(coefs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_left_action_table_matches_compose(n):
+    group = _indexed_group(n)
+    els = group.elements
+    assert sorted(els) == sorted(group_elements(n))
+    assert all(group.index[w] == i for i, w in enumerate(els))
+    assert all(length(u) <= length(w) for u, w in zip(els, els[1:]))
+    gens = [generator_perm(g, n) for g in simple_generators(n)]
+    assert len(group.lmul) == len(group.up) == len(gens)
+    for s, lmul, up in zip(gens, group.lmul, group.up):
+        for i, w in enumerate(els):
+            assert els[lmul[i]] == compose(s, w)
+            assert lmul[lmul[i]] == i
+            assert up[i] == (length(compose(s, w)) > length(w))
+    assert all(els[group.inv[i]] == inverse(w) for i, w in enumerate(els))

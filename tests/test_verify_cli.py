@@ -125,6 +125,44 @@ def test_cli_rejects_out_of_range_numbers_at_the_parser(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "verify conjecture --n 6 --ratio 1",
+    "verify intermediate --n 6",
+    "cells --n 6 --rank 4 --kind kl",
+])
+def test_cli_refuses_kl_sizes_that_cannot_finish(argv, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a Kazhdan-Lusztig table was built")
+
+    monkeypatch.setattr("dominocells.hecke.KLTable.all_kl_basis", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "|W_6| = 46,080" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify conjecture --n 5 --ratio 1",
+    "verify intermediate --n 5",
+    "cells --n 5 --rank 3 --kind kl",
+    "cells --n 6 --rank 4 --kind comb",
+])
+def test_cli_accepts_kl_sizes_up_to_the_limit(argv, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in ("_run_verify", "kl_cells", "combinatorial_cells"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", reached)
+    with pytest.raises(Reached):
+        main(shlex.split(argv))
+
+
+@pytest.mark.parametrize("argv", [
     "verify tau --n 0",
     "verify conjecture --n 0 --ratio 1",
     "cells --n 0 --rank 0 --kind kl",
@@ -156,7 +194,7 @@ def test_cli_cache_dir(tmp_path, capsys):
                  "--cache", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    assert list(tmp_path.glob("kl_v2_*.jsonl"))
+    assert list(tmp_path.glob("kl_v3_*.jsonl"))
     code = main(["verify", "conjecture", "--n", "2", "--ratio", "1",
                  "--cache", str(tmp_path)])
     assert code == 0
