@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Tuple
 
 from .cycles import REGULAR, components, cycle_partition, move_through
-from .insertion import insert
+from .insertion import insert, recording_classes
 from .tableaux import DominoTableau
 from .wgroup import SignedPerm, group_elements
 
@@ -63,21 +63,11 @@ def _canonical_blocks(blocks) -> Tuple[FrozenSet[SignedPerm], ...]:
     return tuple(sorted((frozenset(b) for b in blocks), key=lambda b: min(b)))
 
 
-@lru_cache(maxsize=2)
-def _recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
-    """Recording tableau -> its class, for all of W_n at one rank.  Two
-    ranks are held because the class check compares rank r with r+1."""
-    classes: Dict[DominoTableau, set] = {}
-    for w in group_elements(n):
-        classes.setdefault(insert(w, rank).right, set()).add(w)
-    return {t: frozenset(ws) for t, ws in classes.items()}
-
-
 def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:
     """All w whose rank-r recording tableau equals t."""
     if t.n != n:
         raise ValueError(f"tableau has {t.n} dominos, expected {n}")
-    return _recording_classes(n, t.rank).get(t, frozenset())
+    return recording_classes(n, t.rank).get(t, frozenset())
 
 
 @lru_cache(maxsize=1 << 17)

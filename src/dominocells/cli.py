@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="integer or 'all'")
     ver.add_argument("--cache", default=None, metavar="DIR")
     ver.add_argument("--json", default=None, metavar="PATH")
-    ver.add_argument("--verbose", action="store_true")
 
     cel = sub.add_parser("cells", help="print a cell partition as JSON")
     cel.add_argument("--n", type=_int_from(0), required=True)
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("insert", help="insert a signed permutation")
     ins.add_argument("--perm", required=True, help='"4 1 -3 -2" or [4,1,-3,-2]')
-    ins.add_argument("--n", type=_int_from(0), default=None)
     ins.add_argument("--rank", type=_int_from(0), required=True)
     ins.add_argument("--steps", action="store_true")
     ins.add_argument("--json", default=None, metavar="PATH")
@@ -88,28 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_verify(args) -> List[Report]:
     if args.suite == "insertion":
         rmax = args.rank if args.rank is not None else args.n
-        return [verify_insertion(args.n, rmax, verbose=args.verbose)]
+        return [verify_insertion(args.n, rmax)]
     if args.suite == "tau":
-        return [verify_tau(args.n, verbose=args.verbose)]
+        return [verify_tau(args.n)]
     if args.suite == "classes":
         ranks = [args.rank] if args.rank is not None else list(range(args.n + 1))
-        return [
-            verify_class_decomposition(args.n, r, verbose=args.verbose)
-            for r in ranks
-        ]
+        return [verify_class_decomposition(args.n, r) for r in ranks]
     if args.suite == "conjecture":
-        return [
-            verify_conjecture(
-                args.n, args.ratio or "all", cache_dir=args.cache,
-                verbose=args.verbose,
-            )
-        ]
+        return [verify_conjecture(args.n, args.ratio or "all", cache_dir=args.cache)]
     if args.suite == "intermediate":
-        return [
-            verify_intermediate_structure(
-                args.n, cache_dir=args.cache, verbose=args.verbose
-            )
-        ]
+        return [verify_intermediate_structure(args.n, cache_dir=args.cache)]
     raise AssertionError(args.suite)
 
 
@@ -153,10 +139,6 @@ def main(argv=None) -> int:
             w = parse_perm(args.perm)
         except ValueError as exc:
             print(f"bad --perm: {exc}", file=sys.stderr)
-            return 2
-        if args.n is not None and args.n != len(w):
-            print(f"--n {args.n} does not match the permutation length {len(w)}",
-                  file=sys.stderr)
             return 2
         if args.steps:
             states = insertion_states(w, args.rank)

@@ -35,11 +35,11 @@ from .shapes import (
     Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
 )
 from .tableaux import DominoTableau, TableauError, TableauPair
-from .wgroup import SignedPerm, validate_signed_perm
+from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
-    "insert", "insertion_states", "uninsert", "asymptotic_bitableaux",
-    "split_rank", "rs_insert",
+    "insert", "insertion_states", "recording_classes", "uninsert",
+    "asymptotic_bitableaux", "split_rank", "rs_insert",
 ]
 
 
@@ -131,6 +131,19 @@ def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
                     DominoTableau.from_cells(rank, right))
         for left, right in _run_insertion(tuple(w), rank)
     ]
+
+
+@lru_cache(maxsize=2)
+def recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+    """Recording tableau -> its class, for all of W_n at one rank.  Two
+    ranks are held because the class check compares rank r with r+1.  Each
+    insertion is read once, so it bypasses `insert` and freezes only the
+    right tableau."""
+    classes: Dict[DominoTableau, set] = {}
+    for w in group_elements(n):
+        *_, (_, right) = _run_insertion(w, rank)
+        classes.setdefault(DominoTableau.from_cells(rank, right), set()).add(w)
+    return {t: frozenset(ws) for t, ws in classes.items()}
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------
@@ -285,12 +298,13 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     return tuple(reversed(w))
 
 
-@lru_cache(maxsize=1 << 18)
 def split_rank(w: SignedPerm) -> int:
-    """The least r for which the rank-r insertion pair is split."""
+    """The least r for which the rank-r insertion pair is split.  Each
+    insertion is read once, so it bypasses `insert` and freezes only the
+    left tableau, the one that decides splitness."""
     w = tuple(w)
-    n = len(w)
-    for r in range(max(n, 1)):
-        if insert(w, r).is_split():
+    for r in range(max(len(w), 1)):
+        *_, (left, _) = _run_insertion(w, r)
+        if DominoTableau.from_cells(r, left).is_split():
             return r
     raise AssertionError(f"no split rank below n for {w}")

@@ -29,7 +29,8 @@ from .tableaux import (
     enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
 )
 from .wgroup import (
-    enhanced_tau_invariant, format_perm, group_elements, tau_invariant,
+    DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
+    tau_invariant,
 )
 
 __all__ = [
@@ -50,9 +51,9 @@ class Report:
     ms: float = 0.0
     _overflow: int = 0
 
-    def fail(self, counterexample, verbose: bool = False) -> None:
+    def fail(self, counterexample) -> None:
         self.status = "fail"
-        if verbose or len(self.counterexamples) < COUNTEREXAMPLE_LIMIT:
+        if len(self.counterexamples) < COUNTEREXAMPLE_LIMIT:
             self.counterexamples.append(counterexample)
         else:
             self._overflow += 1
@@ -92,7 +93,7 @@ def _timed(fn):
 
 
 @_timed
-def verify_insertion(n: int, rmax: int, verbose: bool = False) -> Report:
+def verify_insertion(n: int, rmax: int) -> Report:
     """Bijectivity, roundtrips, the counting identity, bitableau agreement
     in the stable range, and compatibility of the rank-raising map with
     insertion at the next rank."""
@@ -105,70 +106,60 @@ def verify_insertion(n: int, rmax: int, verbose: bool = False) -> Report:
         for w in elems:
             pair = insert(w, r)
             if pair.left.shape != pair.right.shape:
-                report.fail({"kind": "shape", "w": format_perm(w), "r": r}, verbose)
+                report.fail({"kind": "shape", "w": format_perm(w), "r": r})
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
-                report.fail(
-                    {"kind": "collision", "r": r,
-                     "w": format_perm(w), "other": format_perm(seen[key])},
-                    verbose,
-                )
+                report.fail({"kind": "collision", "r": r,
+                             "w": format_perm(w), "other": format_perm(seen[key])})
             seen[key] = w
             try:
                 if uninsert(pair) != w:
-                    report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r},
-                                verbose)
+                    report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
             except Exception as exc:
                 report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
-                             "error": str(exc)}, verbose)
+                             "error": str(exc)})
             if r >= n - 1:
                 bit = asymptotic_bitableaux(w, r)
                 if bit.left != pair.left or bit.right != pair.right:
-                    report.fail(
-                        {"kind": "bitableaux", "w": format_perm(w), "r": r}, verbose
-                    )
+                    report.fail({"kind": "bitableaux", "w": format_perm(w), "r": r})
             try:
                 ok = raise_rank(pair) == insert(w, r + 1)
             except Exception as exc:
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
-                             "error": str(exc)}, verbose)
+                             "error": str(exc)})
             else:
                 if not ok:
-                    report.fail(
-                        {"kind": "rank-raise", "w": format_perm(w), "r": r}, verbose
-                    )
+                    report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
         by_shape: Dict = {}
         for t in enumerate_sdt(n, r):
             by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
         total = sum(c * c for c in by_shape.values())
         report.bump("pairs_checked", len(elems))
         if total != order:
-            report.fail({"kind": "counting", "r": r, "sum": total, "order": order},
-                        verbose)
+            report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
         if len(seen) != order:
-            report.fail({"kind": "image-size", "r": r, "size": len(seen)}, verbose)
+            report.fail({"kind": "image-size", "r": r, "size": len(seen)})
     report.counts["ranks"] = rmax + 1
     return report
 
 
 @_timed
-def verify_tau(n: int, verbose: bool = False) -> Report:
+def verify_tau(n: int) -> Report:
     """Descent-set compatibility of elements and tableaux, invariance of the
     tableau descent set under eligible cycle moves, and the step-wise
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
     elems = group_elements(n)
     for w in elems:
+        tau = tau_invariant(w)
         for r in range(n + 1):
             q = insert(w, r).right
-            if tau_invariant(w) != tau_of_tableau(q):
-                report.fail({"kind": "tau", "w": format_perm(w), "r": r}, verbose)
+            if tau != tau_of_tableau(q):
+                report.fail({"kind": "tau", "w": format_perm(w), "r": r})
             for ratio in range(1, r + 2):
                 if enhanced_tau_invariant(w, ratio) != enhanced_tau_of_tableau(q, ratio):
-                    report.fail(
-                        {"kind": "xi", "w": format_perm(w), "r": r, "ratio": ratio},
-                        verbose,
-                    )
+                    report.fail({"kind": "xi", "w": format_perm(w), "r": r,
+                                 "ratio": ratio})
         report.bump("elements")
     # step-wise dichotomy on partial insertions
     for w in elems:
@@ -179,21 +170,20 @@ def verify_tau(n: int, verbose: bool = False) -> Report:
                 for j in range(1, k + 1):
                     a = not pk.is_vertical(abs(w[j - 1]))
                     b = not qk.is_vertical(j)
-                    c = w[j - 1] > 0
-                    if not (a == b == c):
-                        report.fail(
-                            {"kind": "stepwise", "w": format_perm(w), "r": r,
-                             "k": k, "j": j}, verbose,
-                        )
-                    for ratio in range(max(1, j), r + 2):
-                        name = "t" if j == 1 else f"t{j}"
-                        xi = enhanced_tau_invariant(w, ratio)
-                        present = name in xi.simple or name in xi.extended
-                        if present == c:
-                            report.fail(
-                                {"kind": "stepwise-xi", "w": format_perm(w),
-                                 "r": r, "k": k, "j": j, "ratio": ratio}, verbose,
-                            )
+                    if not (a == b == (w[j - 1] > 0)):
+                        report.fail({"kind": "stepwise", "w": format_perm(w),
+                                     "r": r, "k": k, "j": j})
+    # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to n
+    # reach every ratio up to n + 1
+    for w in elems:
+        for ratio in range(1, n + 2):
+            xi = enhanced_tau_invariant(w, ratio)
+            for j in range(1, min(ratio, n) + 1):
+                name = "t" if j == 1 else f"t{j}"
+                present = name in xi.simple or name in xi.extended
+                if present == (w[j - 1] > 0):
+                    report.fail({"kind": "stepwise-xi", "w": format_perm(w),
+                                 "j": j, "ratio": ratio})
     # cycle moves preserve the descent set
     moves = 0
     for r in range(n + 1):
@@ -209,16 +199,15 @@ def verify_tau(n: int, verbose: bool = False) -> Report:
                     moves += 1
                     moved = move_through(t, cyc.labels, conv)
                     if tau_of_tableau(moved) != tau_of_tableau(t):
-                        report.fail(
-                            {"kind": "cycle-tau", "rows": [list(x) for x in t.rows],
-                             "labels": sorted(cyc.labels), "conv": conv}, verbose,
-                        )
+                        report.fail({"kind": "cycle-tau",
+                                     "rows": [list(x) for x in t.rows],
+                                     "labels": sorted(cyc.labels), "conv": conv})
     report.counts["cycle_moves"] = moves
     return report
 
 
 @_timed
-def verify_class_decomposition(n: int, rank: int, verbose: bool = False) -> Report:
+def verify_class_decomposition(n: int, rank: int) -> Report:
     """For every rank-r tableau T with core-raised partner T', subsets of the
     non-core open cycles transport to opposite cycles of T' and the unions
     of recording classes agree."""
@@ -234,10 +223,8 @@ def verify_class_decomposition(n: int, rank: int, verbose: bool = False) -> Repo
                 frozenset(), *(g for g in opp if g & labels)
             )
             if covered != labels:
-                report.fail(
-                    {"kind": "transport", "rows": [list(x) for x in t.rows],
-                     "labels": sorted(labels)}, verbose,
-                )
+                report.fail({"kind": "transport", "rows": [list(x) for x in t.rows],
+                             "labels": sorted(labels)})
         union_low = set()
         union_high = set()
         for mask in range(1 << len(ncc)):
@@ -249,17 +236,13 @@ def verify_class_decomposition(n: int, rank: int, verbose: bool = False) -> Repo
             union_low |= class_of_tableau(t_u, n)
             union_high |= class_of_tableau(t_up_u, n)
         if union_low != union_high:
-            report.fail(
-                {"kind": "class-union", "rows": [list(x) for x in t.rows],
-                 "low": len(union_low), "high": len(union_high)}, verbose,
-            )
+            report.fail({"kind": "class-union", "rows": [list(x) for x in t.rows],
+                         "low": len(union_low), "high": len(union_high)})
     return report
 
 
 @_timed
-def verify_conjecture(
-    n: int, ratio, cache_dir: Optional[str] = None, verbose: bool = False
-) -> Report:
+def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
     """Combinatorial cells equal Kazhdan-Lusztig cells at ratio b/a, all
     three sides; `ratio` may be an integer or the string 'all'."""
     ratios = list(range(1, n + 1)) if ratio in ("all", None) else [int(ratio)]
@@ -273,17 +256,13 @@ def verify_conjecture(
             report.counts[f"blocks_r{rt}_{side}"] = len(comb.blocks)
             if not comb.same_partition(kl):
                 diff = _first_block_difference(comb, kl)
-                report.fail(
-                    {"kind": "partition", "ratio": rt, "side": side, "where": diff},
-                    verbose,
-                )
+                report.fail({"kind": "partition", "ratio": rt, "side": side,
+                             "where": diff})
     return report
 
 
 @_timed
-def verify_intermediate_structure(
-    n: int, cache_dir: Optional[str] = None, verbose: bool = False
-) -> Report:
+def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Report:
     """Structure of the cells at ratio n-1: split and non-split elements are
     unions of left cells; split cells are asymptotic; non-split cells are
     tau-classes of non-split elements, each a union of exactly two
@@ -303,59 +282,57 @@ def verify_intermediate_structure(
     # (i) split/non-split are unions of cells
     for block in kl.blocks:
         if block & split and block & nonsplit:
-            report.fail({"kind": "mixed-block", "size": len(block)}, verbose)
+            report.fail({"kind": "mixed-block", "size": len(block)})
     # (ii) split cells are asymptotic cells
     for block in kl.blocks:
         if block <= split and block not in asym_blocks:
-            report.fail({"kind": "split-not-asymptotic", "size": len(block)}, verbose)
+            report.fail({"kind": "split-not-asymptotic", "size": len(block)})
     # (iii) non-split cells = tau classes of non-split elements, two asymptotic cells each
-    tau_classes: Dict = {}
-    for w in nonsplit:
-        tau_classes.setdefault(str(tau_invariant(w)), set()).add(w)
+    tau_of: Dict[SignedPerm, DescentSet] = {}
+    tau_classes: Dict[DescentSet, List[SignedPerm]] = {}
+    for w in sorted(nonsplit):
+        tau_of[w] = tau = tau_invariant(w)
+        tau_classes.setdefault(tau, []).append(w)
     nonsplit_blocks = [b for b in kl.blocks if b <= nonsplit]
     if len(nonsplit_blocks) != len(tau_classes):
-        report.fail(
-            {"kind": "tau-class-count", "cells": len(nonsplit_blocks),
-             "classes": len(tau_classes)}, verbose,
-        )
+        report.fail({"kind": "tau-class-count", "cells": len(nonsplit_blocks),
+                     "classes": len(tau_classes)})
     for block in nonsplit_blocks:
         parts = [a for a in asym_blocks if a <= block]
         if set().union(*parts) != set(block) or len(parts) != 2:
-            report.fail({"kind": "not-two-asymptotic", "size": len(block)}, verbose)
-        if frozenset(tau_classes.get(str(tau_invariant(min(block))), ())) != block:
-            report.fail({"kind": "tau-class-mismatch", "size": len(block)}, verbose)
+            report.fail({"kind": "not-two-asymptotic", "size": len(block)})
+        if frozenset(tau_classes[tau_of[min(block)]]) != block:
+            report.fail({"kind": "tau-class-mismatch", "size": len(block)})
     # (iv) rank n-1 recording tableaux of non-split elements with equal tau
-    by_tau: Dict = {}
-    for w in sorted(nonsplit):
-        by_tau.setdefault(str(tau_invariant(w)), []).append(insert(w, n - 1).right)
-    for tau_name, tabs in sorted(by_tau.items()):
+    for tau, ws in tau_classes.items():
+        tabs = [insert(w, n - 1).right for w in ws]
         reps = {t.rows for t in tabs}
         base = tabs[0]
         opp_ncc = [c for c in cycle_partition(base, OPPOSITE)
                    if c.kind == "noncore-open"]
         if len(opp_ncc) != 1 or opp_ncc[0].labels != frozenset({n}):
-            report.fail({"kind": "opp-ncc", "tau": tau_name}, verbose)
+            report.fail({"kind": "opp-ncc", "tau": str(tau)})
             continue
         partner = move_through(base, {n}, OPPOSITE)
         if reps != {base.rows, partner.rows}:
-            report.fail({"kind": "two-tableaux", "tau": tau_name,
-                         "count": len(reps)}, verbose)
+            report.fail({"kind": "two-tableaux", "tau": str(tau), "count": len(reps)})
     # (v) the closing equivalence at rank n-2
     comb = combinatorial_cells(n, n - 2, "L")
     if not comb.same_partition(kl):
-        report.fail({"kind": "closing-iff"}, verbose)
+        report.fail({"kind": "closing-iff"})
     # cross-count emitted in the report
     split_asym = {a for a in asym_blocks if a <= split}
     report.counts["split_asymptotic_cells"] = len(split_asym)
     report.counts["nonsplit_tau_classes"] = len(tau_classes)
     if len(kl.blocks) != len(split_asym) + len(tau_classes):
-        report.fail({"kind": "cell-count"}, verbose)
+        report.fail({"kind": "cell-count"})
     return report
 
 
 def _first_block_difference(a: CellPartition, b: CellPartition):
+    b_blocks = set(b.blocks)
     for block in a.blocks:
-        if block not in set(b.blocks):
+        if block not in b_blocks:
             w = min(block)
             return {
                 "w": format_perm(w),

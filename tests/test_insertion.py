@@ -1,8 +1,9 @@
 import pytest
 
+from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _undo_step, asymptotic_bitableaux, insert, insertion_states, split_rank,
-    uninsert,
+    _undo_step, asymptotic_bitableaux, insert, insertion_states,
+    recording_classes, split_rank, uninsert,
 )
 from dominocells.tableaux import DominoTableau, TableauError, TableauPair, core_tableau
 from dominocells.wgroup import enumerate_group, is_nonsplit
@@ -133,6 +134,23 @@ def test_split_rank_fixtures():
 def test_split_rank_matches_decreasing_criterion(n):
     for w in enumerate_group(n):
         assert (split_rank(w) == n - 1) == is_nonsplit(w)
+
+
+def test_split_rank_matches_the_pair_path():
+    for w in enumerate_group(4):
+        assert split_rank(w) == min(r for r in range(4) if insert(w, r).is_split())
+
+
+def test_one_shot_insertions_bypass_the_insert_memo():
+    assert not hasattr(split_rank, "cache_info")
+    w = (5, -1, 3, -4, 2)
+    t = insert(w, 2).right
+    recording_classes.cache_clear()
+    before = insert.cache_info()
+    for v in enumerate_group(5):
+        split_rank(v)
+    assert w in class_of_tableau(t, 5)
+    assert insert.cache_info() == before
 
 
 def test_partial_states_track_shapes():

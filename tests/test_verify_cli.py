@@ -99,7 +99,6 @@ def test_cli_insert_json_and_steps(tmp_path, capsys):
 
 def test_cli_insert_rejects_bad_input(capsys):
     assert main(["insert", "--perm", "1 1", "--rank", "0"]) == 2
-    assert main(["insert", "--perm", "1 2", "--n", "3", "--rank", "0"]) == 2
     capsys.readouterr()
 
 
