@@ -23,7 +23,7 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    asymptotic_bitableaux, insert, insertion_states, split_rank, uninsert,
+    asymptotic_bitableaux, insert, insertion_states, uninsert,
 )
 from .tableaux import (
     enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
@@ -149,22 +149,19 @@ def verify_tau(n: int) -> Report:
     tableau descent set under eligible cycle moves, and the step-wise
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
-    elems = group_elements(n)
-    for w in elems:
+    for w in group_elements(n):
         tau = tau_invariant(w)
+        xis = [enhanced_tau_invariant(w, ratio) for ratio in range(1, n + 2)]
         for r in range(n + 1):
-            q = insert(w, r).right
+            states = insertion_states(w, r)
+            q = states[-1].right
             if tau != tau_of_tableau(q):
                 report.fail({"kind": "tau", "w": format_perm(w), "r": r})
             for ratio in range(1, r + 2):
-                if enhanced_tau_invariant(w, ratio) != enhanced_tau_of_tableau(q, ratio):
+                if xis[ratio - 1] != enhanced_tau_of_tableau(q, ratio):
                     report.fail({"kind": "xi", "w": format_perm(w), "r": r,
                                  "ratio": ratio})
-        report.bump("elements")
-    # step-wise dichotomy on partial insertions
-    for w in elems:
-        for r in range(n + 1):
-            states = insertion_states(w, r)
+            # step-wise dichotomy on partial insertions
             for k in range(1, min(r + 1, n) + 1):
                 pk, qk = states[k].left, states[k].right
                 for j in range(1, k + 1):
@@ -173,17 +170,16 @@ def verify_tau(n: int) -> Report:
                     if not (a == b == (w[j - 1] > 0)):
                         report.fail({"kind": "stepwise", "w": format_perm(w),
                                      "r": r, "k": k, "j": j})
-    # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to n
-    # reach every ratio up to n + 1
-    for w in elems:
-        for ratio in range(1, n + 2):
-            xi = enhanced_tau_invariant(w, ratio)
+        # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to
+        # n reach every ratio up to n + 1
+        for ratio, xi in enumerate(xis, start=1):
             for j in range(1, min(ratio, n) + 1):
                 name = "t" if j == 1 else f"t{j}"
                 present = name in xi.simple or name in xi.extended
                 if present == (w[j - 1] > 0):
                     report.fail({"kind": "stepwise-xi", "w": format_perm(w),
                                  "j": j, "ratio": ratio})
+        report.bump("elements")
     # cycle moves preserve the descent set
     moves = 0
     for r in range(n + 1):
@@ -272,7 +268,9 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         raise ValueError("needs n >= 2")
     report = Report("intermediate", {"n": n})
     elems = group_elements(n)
-    split = {w for w in elems if split_rank(w) < n - 1}
+    # split_rank(w) < n - 1, read through `insert` because the cells below
+    # read the rank n-2 pairs again
+    split = {w for w in elems if any(insert(w, r).is_split() for r in range(n - 1))}
     nonsplit = set(elems) - split
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
     asym = asymptotic_cells(n, "L")

@@ -5,6 +5,7 @@ import pytest
 
 import dominocells.cycles as cycles_mod
 from dominocells.cli import main
+from dominocells.insertion import insert
 from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
@@ -42,6 +43,12 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch):
 
 def test_verify_tau_small():
     assert verify_tau(2).status == "pass"
+
+
+def test_verify_tau_reads_insertions_without_the_memo():
+    before = insert.cache_info()
+    assert verify_tau(3).status == "pass"
+    assert insert.cache_info() == before
 
 
 def test_verify_classes_small():
