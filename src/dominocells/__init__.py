@@ -17,7 +17,7 @@ from .tableaux import (
 )
 from .cycles import (
     REGULAR, OPPOSITE, Cycle, ExtendedCycles, cycle_partition,
-    move_through, extended_cycles, raise_rank, lower_rank,
+    move_through, noncore_orbit, extended_cycles, raise_rank, lower_rank,
 )
 from .insertion import (
     insert, insertion_states, uninsert, asymptotic_bitableaux, split_rank,

@@ -11,13 +11,12 @@ be compared and serialized deterministically.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Tuple
 
-from .cycles import REGULAR, components, cycle_partition, move_through
+from .cycles import REGULAR, components, noncore_orbit
 from .insertion import insert, recording_classes
 from .tableaux import DominoTableau
 from .wgroup import SignedPerm, group_elements
@@ -74,15 +73,7 @@ def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:
 def cell_fingerprint(t: DominoTableau) -> Tuple[Tuple[int, ...], ...]:
     """Canonical representative of t modulo moving through subsets of its
     non-core open cycles: the lexicographically least grid in the orbit."""
-    ncc = [c.labels for c in cycle_partition(t, REGULAR) if c.kind == "noncore-open"]
-    best = t.rows
-    for size in range(1, len(ncc) + 1):
-        for subset in itertools.combinations(ncc, size):
-            labels = frozenset().union(*subset)
-            moved = move_through(t, labels, REGULAR)
-            if moved.rows < best:
-                best = moved.rows
-    return best
+    return min(moved.rows for _, moved in noncore_orbit(t, REGULAR))
 
 
 def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:

@@ -106,6 +106,16 @@ def main(argv=None) -> int:
         parser.error("verify intermediate needs --n >= 2")
     uses_kl = (args.suite in ("conjecture", "intermediate") if args.command == "verify"
                else args.command == "cells" and args.kind == "kl")
+    if args.command != "insert":
+        verify = args.command == "verify"
+        unused = {
+            "rank": verify and args.suite not in ("insertion", "classes"),
+            "ratio": not uses_kl or verify and args.suite == "intermediate",
+            "cache": not uses_kl,
+        }
+        for option in (o for o, u in unused.items() if u and getattr(args, o) is not None):
+            what = f"verify {args.suite}" if verify else f"cells --kind {args.kind}"
+            parser.error(f"{what} does not use --{option}")
     if uses_kl and args.n > KL_MAX_N:
         order = 2 ** args.n * math.factorial(args.n)
         parser.error(

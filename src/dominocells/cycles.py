@@ -27,8 +27,10 @@ off the top or left edge count as 0, squares beyond the shape as infinity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 from .shapes import Square, cells_of_shape, staircase
 from .tableaux import DominoTableau, TableauError, TableauPair
@@ -36,7 +38,7 @@ from .tableaux import DominoTableau, TableauError, TableauPair
 __all__ = [
     "REGULAR", "OPPOSITE", "Cycle", "ExtendedCycles",
     "fixed_square", "moved_domino", "cycle_partition", "move_through",
-    "extended_cycles", "raise_rank", "lower_rank",
+    "noncore_orbit", "extended_cycles", "raise_rank", "lower_rank",
 ]
 
 REGULAR = "regular"
@@ -133,25 +135,36 @@ def components(nodes: Iterable, links: Iterable[Tuple]) -> list:
 
 class _Relocation(NamedTuple):
     """One relocation pass over a tableau: its square -> label map, every
-    label's relocated domino, computed once, and the label partition into
-    cycles."""
+    label's relocated domino, computed once, and each cycle as (labels,
+    kind, squares its move adds or removes)."""
     t: DominoTableau
     cells: Dict[Square, int]
     moved: Dict[int, FrozenSet[Square]]
-    cycles: Tuple[FrozenSet[int], ...]
+    cycles: Tuple[Tuple[FrozenSet[int], str, FrozenSet[Square]], ...]
 
 
+# Two passes are held, and callers only read them: every caller partitions
+# a tableau before it moves it, and the class check alternates T with its
+# core-raised partner T'.
+@lru_cache(maxsize=2)
 def _relocate(t: DominoTableau, convention: str) -> _Relocation:
     """j and k share a cycle when the relocated position of one overlaps
-    the current position of the other."""
+    the current position of the other; a cycle's kind is what moving
+    through it does to the shape."""
     cells = t.cells()
     moved = {k: moved_domino(t, k, convention) for k in t.labels}
     links = (
         (k, cells[sq]) for k, squares in moved.items()
         for sq in squares if cells.get(sq, 0) not in (0, k)
     )
-    cycles = sorted((frozenset(b) for b in components(t.labels, links)), key=sorted)
-    return _Relocation(t, cells, moved, tuple(cycles))
+    rel = _Relocation(t, cells, moved, ())
+    cycles = []
+    for labels in sorted((frozenset(b) for b in components(t.labels, links)), key=sorted):
+        after = _apply_moves(rel, labels).keys()
+        kind = ("closed" if after == cells.keys() else
+                "core-open" if len(after) != len(cells) else "noncore-open")
+        cycles.append((labels, kind, frozenset(cells.keys() ^ after)))
+    return rel._replace(cycles=tuple(cycles))
 
 
 def _drop_trailing(cells: Dict[Square, int], removable) -> None:
@@ -193,24 +206,10 @@ def _apply_moves(rel: _Relocation, labels: Iterable[int]) -> Dict[Square, int]:
     return placed
 
 
-def _classify(rel: _Relocation):
-    """(labels, kind, squares the move adds or removes) for each cycle."""
-    base = rel.cells.keys()
-    for labels in rel.cycles:
-        after = _apply_moves(rel, labels).keys()
-        if after == base:
-            kind = "closed"
-        elif len(after) != len(base):
-            kind = "core-open"
-        else:
-            kind = "noncore-open"
-        yield labels, kind, base ^ after
-
-
 def cycle_partition(t: DominoTableau, convention: str) -> Tuple[Cycle, ...]:
     """The cycles of t under the given convention, classified."""
     return tuple(
-        Cycle(labels, kind) for labels, kind, _ in _classify(_relocate(t, convention))
+        Cycle(labels, kind) for labels, kind, _ in _relocate(t, convention).cycles
     )
 
 
@@ -224,15 +223,27 @@ def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> Do
     if not labels:
         return t
     rel = _relocate(t, convention)
-    touched = [g for g in rel.cycles if g & labels]
+    touched = [g for g, _, _ in rel.cycles if g & labels]
     if frozenset().union(*touched) != labels:
         raise TableauError(
             f"labels {sorted(labels)} are not a union of cycles"
-            f" (cycles: {[sorted(g) for g in rel.cycles]})"
+            f" (cycles: {[sorted(g) for g, _, _ in rel.cycles]})"
         )
     out = DominoTableau.from_cells(t.rank, _apply_moves(rel, labels))
     out.check_structure()
     return out
+
+
+def noncore_orbit(
+    t: DominoTableau, convention: str
+) -> Iterator[Tuple[FrozenSet[int], DominoTableau]]:
+    """(labels, moved tableau) for every union of the non-core open cycles
+    of t, the empty union first."""
+    ncc = [c.labels for c in cycle_partition(t, convention) if c.kind == "noncore-open"]
+    for size in range(len(ncc) + 1):
+        for subset in itertools.combinations(ncc, size):
+            labels = frozenset().union(frozenset(), *subset)
+            yield labels, move_through(t, labels, convention)
 
 
 @dataclass(frozen=True)
@@ -269,37 +280,39 @@ def extended_cycles(
     """
     if left.shape != right.shape:
         raise TableauError("pair shapes differ")
-    return _extend(_relocate(left, convention), _relocate(right, convention))[0]
+    groups, _ = _extend(_relocate(left, convention), _relocate(right, convention))
+    return ExtendedCycles(*groups)
 
 
-def _extend(left: _Relocation, right: _Relocation):
-    """extended_cycles of a same-shape pair of passes, with the two moved
-    cell maps."""
+def _extend(*rels: _Relocation):
+    """The extended cycles of one pass or a same-shape pair of passes, as
+    sorted label groups per pass, with the moved cell maps.  A lone pass
+    has no cross-side links, so its groups are its core cycles."""
     nodes = [  # (side, labels, is_core, shape-delta) per open cycle
         (side, labels, kind == "core-open", delta)
-        for side, rel in enumerate((left, right))
-        for labels, kind, delta in _classify(rel) if kind != "closed"
+        for side, rel in enumerate(rels)
+        for labels, kind, delta in rel.cycles if kind != "closed"
     ]
     links = (
         (a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))
         if nodes[a][0] != nodes[b][0] and nodes[a][3] & nodes[b][3]
     )
-    groups = ([], [])
+    groups = [[] for _ in rels]
     for comp in components(range(len(nodes)), links):
         if not any(nodes[i][2] for i in comp):
             continue
-        for side in (0, 1):
+        for side, found in enumerate(groups):
             g = frozenset().union(
                 frozenset(), *(nodes[i][1] for i in comp if nodes[i][0] == side)
             )
             if g:
-                groups[side].append(g)
-    ext = ExtendedCycles(*(tuple(sorted(g, key=sorted)) for g in groups))
-    moved_l = _apply_moves(left, ext.left_labels)
-    moved_r = _apply_moves(right, ext.right_labels)
-    if moved_l.keys() != moved_r.keys():
+                found.append(g)
+    groups = [tuple(sorted(g, key=sorted)) for g in groups]
+    moved = [_apply_moves(rel, frozenset().union(frozenset(), *g))
+             for rel, g in zip(rels, groups)]
+    if any(m.keys() != moved[0].keys() for m in moved):
         raise TableauError("extended cycles failed to match the moved shapes")
-    return ext, moved_l, moved_r
+    return groups, moved
 
 
 def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
@@ -318,43 +331,32 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
     return out
 
 
-def _core_shift(t: DominoTableau, convention: str, rank: int) -> DominoTableau:
-    """Move one tableau through all its core cycles and re-cut to `rank`."""
-    rel = _relocate(t, convention)
-    core = frozenset().union(
-        frozenset(),
-        *(labels for labels, kind, _ in _classify(rel) if kind == "core-open"),
-    )
-    return _normalized(_apply_moves(rel, core), rank)
+def _shift(tableaux: Tuple[DominoTableau, ...], convention: str, rank: int) -> list:
+    """Move one tableau through its core cycles, or a pair through its
+    extended cycles, and re-cut each to `rank`."""
+    _, moved = _extend(*(_relocate(t, convention) for t in tableaux))
+    return [_normalized(cells, rank) for cells in moved]
 
 
 def core_raise(t: DominoTableau) -> DominoTableau:
     """Move one tableau through all its regular core cycles: rank r+1."""
-    return _core_shift(t, REGULAR, t.rank + 1)
+    return _shift((t,), REGULAR, t.rank + 1)[0]
 
 
 def core_lower(t: DominoTableau) -> DominoTableau:
     """Move one tableau through all its opposite core cycles: rank r-1."""
     if t.rank < 1:
         raise TableauError("cannot lower the rank of a rank-0 tableau")
-    return _core_shift(t, OPPOSITE, t.rank - 1)
-
-
-def _shift_rank(pair: TableauPair, convention: str, rank: int) -> TableauPair:
-    """Move a pair through its extended cycles and re-cut to `rank`."""
-    _, left, right = _extend(
-        _relocate(pair.left, convention), _relocate(pair.right, convention)
-    )
-    return TableauPair(_normalized(left, rank), _normalized(right, rank))
+    return _shift((t,), OPPOSITE, t.rank - 1)[0]
 
 
 def raise_rank(pair: TableauPair) -> TableauPair:
     """Move a rank-r pair through its regular extended cycles: rank r+1."""
-    return _shift_rank(pair, REGULAR, pair.rank + 1)
+    return TableauPair(*_shift((pair.left, pair.right), REGULAR, pair.rank + 1))
 
 
 def lower_rank(pair: TableauPair) -> TableauPair:
     """Move a rank-(r+1) pair through its opposite extended cycles: rank r."""
     if pair.rank < 1:
         raise TableauError("cannot lower the rank of a rank-0 pair")
-    return _shift_rank(pair, OPPOSITE, pair.rank - 1)
+    return TableauPair(*_shift((pair.left, pair.right), OPPOSITE, pair.rank - 1))

@@ -19,7 +19,8 @@ from .cells import (
     CellPartition, asymptotic_cells, class_of_tableau, combinatorial_cells,
 )
 from .cycles import (
-    OPPOSITE, REGULAR, core_raise, cycle_partition, move_through, raise_rank,
+    OPPOSITE, REGULAR, core_raise, cycle_partition, move_through, noncore_orbit,
+    raise_rank,
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
@@ -104,9 +105,12 @@ def verify_insertion(n: int, rmax: int) -> Report:
     for r in range(rmax + 1):
         seen = {}
         for w in elems:
-            pair = insert(w, r)
-            if pair.left.shape != pair.right.shape:
-                report.fail({"kind": "shape", "w": format_perm(w), "r": r})
+            try:
+                pair = insert(w, r)
+            except Exception as exc:
+                report.fail({"kind": "insert", "w": format_perm(w), "r": r,
+                             "error": str(exc)})
+                continue
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
@@ -210,27 +214,16 @@ def verify_class_decomposition(n: int, rank: int) -> Report:
     report = Report("classes", {"n": n, "rank": rank})
     for t in enumerate_sdt(n, rank):
         report.bump("tableaux")
-        ncc = [c.labels for c in cycle_partition(t, REGULAR)
-               if c.kind == "noncore-open"]
         t_up = core_raise(t)
         opp = [c.labels for c in cycle_partition(t_up, OPPOSITE)]
-        for labels in ncc:
-            covered = frozenset().union(
-                frozenset(), *(g for g in opp if g & labels)
-            )
-            if covered != labels:
+        union_low, union_high = set(), set()
+        for labels, t_u in noncore_orbit(t, REGULAR):
+            union_low |= class_of_tableau(t_u, n)
+            if frozenset().union(frozenset(), *(g for g in opp if g & labels)) != labels:
                 report.fail({"kind": "transport", "rows": [list(x) for x in t.rows],
                              "labels": sorted(labels)})
-        union_low = set()
-        union_high = set()
-        for mask in range(1 << len(ncc)):
-            labels = frozenset().union(
-                frozenset(), *(ncc[i] for i in range(len(ncc)) if mask >> i & 1)
-            )
-            t_u = move_through(t, labels, REGULAR)
-            t_up_u = move_through(t_up, labels, OPPOSITE)
-            union_low |= class_of_tableau(t_u, n)
-            union_high |= class_of_tableau(t_up_u, n)
+                continue
+            union_high |= class_of_tableau(move_through(t_up, labels, OPPOSITE), n)
         if union_low != union_high:
             report.fail({"kind": "class-union", "rows": [list(x) for x in t.rows],
                          "low": len(union_low), "high": len(union_high)})
@@ -305,14 +298,11 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     for tau, ws in tau_classes.items():
         tabs = [insert(w, n - 1).right for w in ws]
         reps = {t.rows for t in tabs}
-        base = tabs[0]
-        opp_ncc = [c for c in cycle_partition(base, OPPOSITE)
-                   if c.kind == "noncore-open"]
-        if len(opp_ncc) != 1 or opp_ncc[0].labels != frozenset({n}):
+        orbit = list(noncore_orbit(tabs[0], OPPOSITE))
+        if [labels for labels, _ in orbit] != [frozenset(), frozenset({n})]:
             report.fail({"kind": "opp-ncc", "tau": str(tau)})
             continue
-        partner = move_through(base, {n}, OPPOSITE)
-        if reps != {base.rows, partner.rows}:
+        if reps != {moved.rows for _, moved in orbit}:
             report.fail({"kind": "two-tableaux", "tau": str(tau), "count": len(reps)})
     # (v) the closing equivalence at rank n-2
     comb = combinatorial_cells(n, n - 2, "L")

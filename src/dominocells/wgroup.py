@@ -52,12 +52,6 @@ class Generator:
         if self.index < 1:
             raise ValueError("generator index must be positive")
 
-    @property
-    def name(self) -> str:
-        if self.kind == "t":
-            return "t"
-        return f"{'s' if self.kind == 's' else 't'}{self.index}"
-
 
 @dataclass(frozen=True)
 class DescentSet:

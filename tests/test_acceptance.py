@@ -149,7 +149,7 @@ def test_c03_rank_raising_theorem():
 def test_c04_bijectivity_and_counting():
     t0 = time.perf_counter()
     failures = []
-    kinds = {"shape", "collision", "roundtrip", "bitableaux", "counting",
+    kinds = {"insert", "collision", "roundtrip", "bitableaux", "counting",
              "image-size"}
     for n in (1, 2, 3, 4, 5):
         report = _insertion_report(n)

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.cycles import (
-    OPPOSITE, REGULAR, core_lower, core_raise, cycle_partition,
-    extended_cycles, fixed_square, lower_rank, move_through, raise_rank,
+    OPPOSITE, REGULAR, _relocate, core_lower, core_raise, cycle_partition,
+    extended_cycles, fixed_square, lower_rank, move_through, noncore_orbit,
+    raise_rank,
 )
 from dominocells.insertion import insert
 from dominocells.tableaux import (
@@ -207,6 +210,35 @@ def test_classification_matches_shape_behaviour():
                             assert sum(moved.shape) != cells
                         else:
                             assert moved.shape != t.shape and sum(moved.shape) == cells
+
+
+def test_noncore_orbit_walks_every_union_of_noncore_cycles():
+    # the walk by combinations of the classified cycles, one move per union
+    for n in range(1, 5):
+        for r in range(4):
+            for t in enumerate_sdt(n, r):
+                for conv in (REGULAR, OPPOSITE):
+                    ncc = [c.labels for c in cycle_partition(t, conv)
+                           if c.kind == "noncore-open"]
+                    expected = [
+                        (labels, move_through(t, labels, conv).rows)
+                        for size in range(len(ncc) + 1)
+                        for subset in itertools.combinations(ncc, size)
+                        for labels in [frozenset().union(frozenset(), *subset)]
+                    ]
+                    got = [(labels, moved.rows)
+                           for labels, moved in noncore_orbit(t, conv)]
+                    assert got == expected
+                    assert got[0] == (frozenset(), t.rows)
+
+
+def test_one_relocation_pass_serves_partition_moves_and_core_raise():
+    t = S41
+    _relocate.cache_clear()
+    for cyc in cycle_partition(t, REGULAR):
+        move_through(t, cyc.labels, REGULAR)
+    core_raise(t)
+    assert _relocate.cache_info().misses == 1
 
 
 def test_core_raise_and_lower_are_mutually_inverse():

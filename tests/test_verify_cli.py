@@ -4,12 +4,24 @@ import shlex
 import pytest
 
 import dominocells.cycles as cycles_mod
-from dominocells.cli import main
+import dominocells.insertion as insertion_mod
+import dominocells.verify as verify_mod
+from dominocells.cli import _build_parser, main
 from dominocells.insertion import insert
+from dominocells.tableaux import DominoTableau
 from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
+from dominocells.wgroup import format_perm
+
+
+@pytest.fixture
+def fresh_relocations():
+    """Keep relocation passes made under a patched rule out of other tests."""
+    cycles_mod._relocate.cache_clear()
+    yield
+    cycles_mod._relocate.cache_clear()
 
 
 def test_verify_insertion_passes_small():
@@ -20,7 +32,7 @@ def test_verify_insertion_passes_small():
     assert set(data) >= {"check", "params", "status", "counts", "counterexamples", "ms"}
 
 
-def test_verify_insertion_reports_an_injected_fault(monkeypatch):
+def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocations):
     healthy = cycles_mod.moved_domino
 
     def corrupted(t, k, convention):
@@ -39,6 +51,41 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch):
     assert report.status == "fail"
     assert report.counterexamples
     assert any(c.get("kind") == "rank-raise" for c in report.counterexamples)
+
+
+def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
+    healthy = insertion_mod._run_insertion
+
+    def short(w, rank):
+        states = list(healthy(w, rank))
+        if tuple(w) == (1, 2, 3):
+            left, right = states[-1]
+            right = dict(right)
+            del right[max(right)]  # the right tableau one square short
+            states[-1] = (left, right)
+        yield from states
+
+    insert.cache_clear()
+    monkeypatch.setattr(insertion_mod, "_run_insertion", short)
+    try:
+        report = verify_insertion(3, 1)
+    finally:
+        insert.cache_clear()
+    assert report.status == "fail"
+    failed = [c for c in report.counterexamples if c["kind"] == "insert"]
+    assert failed and failed[0]["w"] == format_perm((1, 2, 3))
+    assert failed[0]["error"]
+
+
+def test_verify_classes_reports_a_failed_transport(monkeypatch):
+    # a rank-1 stand-in for T' whose one opposite cycle {1, 2} does not
+    # cover the non-core cycle {2} of T = [[1,1],[2,2]]
+    stand_in = DominoTableau(1, ((0, 1, 1, 2, 2),))
+    monkeypatch.setattr(verify_mod, "core_raise", lambda t: stand_in)
+    report = verify_class_decomposition(2, 0)
+    assert report.status == "fail"
+    assert {"kind": "transport", "rows": [[1, 1], [2, 2]], "labels": [2]} \
+        in report.counterexamples
 
 
 def test_verify_tau_small():
@@ -128,6 +175,56 @@ def test_cli_rejects_out_of_range_numbers_at_the_parser(argv, capsys):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith("dominocells")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify tau --n 2 --ratio 3 --rank 7 --cache DIR",
+    "verify tau --n 2 --rank 0",
+    "verify conjecture --n 2 --rank 1",
+    "verify intermediate --n 3 --rank 2",
+    "verify intermediate --n 3 --ratio 2",
+    "verify insertion --n 2 --ratio 1",
+    "verify classes --n 2 --ratio all",
+    "cells --n 2 --rank 0 --kind comb --ratio 5",
+    "verify insertion --n 2 --cache DIR",
+    "verify classes --n 2 --cache DIR",
+    "cells --n 2 --rank 0 --cache DIR",
+])
+def test_cli_rejects_options_the_command_ignores(argv, capsys, monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("_run_verify", "kl_cells", "combinatorial_cells"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", ran)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("dominocells")
+    assert "does not use" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify insertion --n 4 --rank 4 --json P",
+    "verify classes --n 5 --json P",
+    "verify conjecture --n 4 --ratio all --cache D --json P",
+    "verify intermediate --n 3 --cache D",
+    "cells --n 2 --rank 1 --kind kl --ratio 2 --cache D",
+])
+def test_cli_accepts_the_options_a_command_uses(argv, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    _build_parser().parse_args(shlex.split(argv))
+    for name in ("_run_verify", "kl_cells", "combinatorial_cells"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", reached)
+    with pytest.raises(Reached):
+        main(shlex.split(argv))
 
 
 @pytest.mark.parametrize("argv", [
