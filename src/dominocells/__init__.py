@@ -13,11 +13,11 @@ from .wgroup import (
 from .shapes import staircase, removable_dominos, diagonal
 from .tableaux import (
     DominoTableau, TableauPair, TableauError, tau_of_tableau,
-    enhanced_tau_of_tableau, enumerate_sdt, core_tableau,
+    enhanced_tau_of_tableau, enumerate_sdt,
 )
 from .cycles import (
     REGULAR, OPPOSITE, Cycle, ExtendedCycles, cycle_partition,
-    move_through, noncore_orbit, extended_cycles, raise_rank, lower_rank,
+    move_through, noncore_orbit, extended_cycles, raise_rank,
 )
 from .insertion import (
     insert, insertion_states, uninsert, asymptotic_bitableaux, split_rank,

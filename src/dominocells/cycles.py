@@ -15,7 +15,8 @@ tableau, and the partition refines into
 Moving through all regular core cycles raises the rank by one, all
 opposite core cycles lower it by one; matching the two sides of a
 same-shape pair through extended cycles gives the rank-raising and
-rank-lowering bijections on pairs.
+rank-lowering bijections on pairs.  Only the raising maps are computed
+here; the tests hold the lowering ones, which no computation needs.
 
 The square-level relocation rule: a domino labeled k whose variable
 square sits below or left of its fixed square (i, j) pivots to the square
@@ -38,7 +39,7 @@ from .tableaux import DominoTableau, TableauError, TableauPair
 __all__ = [
     "REGULAR", "OPPOSITE", "Cycle", "ExtendedCycles",
     "fixed_square", "moved_domino", "cycle_partition", "move_through",
-    "noncore_orbit", "extended_cycles", "raise_rank", "lower_rank",
+    "noncore_orbit", "extended_cycles", "raise_rank",
 ]
 
 REGULAR = "regular"
@@ -229,8 +230,9 @@ def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> Do
             f"labels {sorted(labels)} are not a union of cycles"
             f" (cycles: {[sorted(g) for g, _, _ in rel.cycles]})"
         )
-    out = DominoTableau.from_cells(t.rank, _apply_moves(rel, labels))
-    out.check_structure()
+    cells = _apply_moves(rel, labels)
+    out = DominoTableau.from_cells(t.rank, cells)
+    _check_tiling(cells)
     return out
 
 
@@ -325,10 +327,31 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
         cells[sq] = 0
     _drop_trailing(cells, {sq for sq, lbl in cells.items() if lbl == 0} - want)
     out = DominoTableau.from_cells(rank, cells)
-    out.check_structure()
-    if out.core_squares != want:
-        raise TableauError(f"core is not the rank-{rank} staircase")
+    _check_tiling(cells, want)
     return out
+
+
+def _check_tiling(cells: Dict[Square, int], core=None) -> None:
+    """One pass over a moved cell map that `from_cells` has accepted as a
+    Young diagram: the labels are 1..n, each on two adjacent squares, and
+    the 0 squares are exactly `core` when it is given."""
+    dominos: Dict[int, list] = {}
+    zeros = set()
+    for sq, k in cells.items():
+        if k != 0:
+            dominos.setdefault(k, []).append(sq)
+        else:
+            zeros.add(sq)
+    if dominos.keys() != set(range(1, len(dominos) + 1)):
+        raise TableauError(f"labels {sorted(dominos)} are not 1..n")
+    for k, squares in dominos.items():
+        if len(squares) != 2:
+            raise TableauError(f"label {k} covers {len(squares)} squares, not 2")
+        (i1, j1), (i2, j2) = squares
+        if abs(i1 - i2) + abs(j1 - j2) != 1:
+            raise TableauError(f"label {k} squares {sorted(squares)} not adjacent")
+    if core is not None and zeros != core:
+        raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
 
 
 def _shift(tableaux: Tuple[DominoTableau, ...], convention: str, rank: int) -> list:
@@ -343,20 +366,7 @@ def core_raise(t: DominoTableau) -> DominoTableau:
     return _shift((t,), REGULAR, t.rank + 1)[0]
 
 
-def core_lower(t: DominoTableau) -> DominoTableau:
-    """Move one tableau through all its opposite core cycles: rank r-1."""
-    if t.rank < 1:
-        raise TableauError("cannot lower the rank of a rank-0 tableau")
-    return _shift((t,), OPPOSITE, t.rank - 1)[0]
-
-
 def raise_rank(pair: TableauPair) -> TableauPair:
     """Move a rank-r pair through its regular extended cycles: rank r+1."""
     return TableauPair(*_shift((pair.left, pair.right), REGULAR, pair.rank + 1))
 
-
-def lower_rank(pair: TableauPair) -> TableauPair:
-    """Move a rank-(r+1) pair through its opposite extended cycles: rank r."""
-    if pair.rank < 1:
-        raise TableauError("cannot lower the rank of a rank-0 pair")
-    return TableauPair(*_shift((pair.left, pair.right), OPPOSITE, pair.rank - 1))

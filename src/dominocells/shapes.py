@@ -40,17 +40,37 @@ def cells_of_shape(shape: Shape) -> Iterator[Square]:
 
 def shape_from_cells(cells) -> Shape:
     """Shape of a collection of distinct cells; raises if they do not form a
-    Young diagram."""
-    rows: dict = {}
+    Young diagram.
+
+    One pass keeps, per row, the count, the least and the largest column:
+    distinct columns fill 1..m exactly when the least is 1 and the largest
+    is the count m.
+
+    >>> shape_from_cells([(2, 1), (1, 1), (1, 2)])
+    (2, 1)
+    >>> shape_from_cells([(1, 1), (1, 3)])
+    Traceback (most recent call last):
+    ...
+    ValueError: cells do not form a Young diagram
+    """
+    rows: dict = {}  # row -> [count, least column, largest column]
     for (i, j) in cells:
-        rows[i] = rows.get(i, 0) + 1
-    if not rows:
-        return ()
-    shape = tuple(rows.get(i, 0) for i in range(1, max(rows) + 1))
-    if (not is_young(shape) or len(cells) != sum(shape)
-            or any(not 1 <= j <= shape[i - 1] for (i, j) in cells)):
-        raise ValueError("cells do not form a Young diagram")
-    return shape
+        row = rows.get(i)
+        if row is None:
+            rows[i] = [1, j, j]
+        else:
+            row[0] += 1
+            if j < row[1]:
+                row[1] = j
+            elif j > row[2]:
+                row[2] = j
+    shape = []
+    for i in range(1, len(rows) + 1):
+        count, least, largest = rows.get(i, (0, 0, 0))
+        if least != 1 or largest != count or (shape and count > shape[-1]):
+            raise ValueError("cells do not form a Young diagram")
+        shape.append(count)
+    return tuple(shape)
 
 
 def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:

@@ -8,6 +8,16 @@ staircase [r, ..., 1] and labels increase along rows and columns; we also
 work with "loose" tableaux whose 0 squares form an arbitrary order ideal,
 which arise midway through cycle moves.
 
+Where the checks run.  Input from outside is validated at the edges:
+`DominoTableau(...)` stores the rows it is given, and `check_standard`
+validates them (`uninsert` runs it on its argument); signed permutations
+from the command line, JSON included, go through `parse_perm`.  A tableau
+that the library builds is checked once, where it is built, by one pass
+over the square -> label map that built it: `from_cells` reads the rows
+and rejects a map that is not a Young diagram, and the cycle layer's
+`_check_tiling` checks the labels, the dominos and the core of a moved
+map.
+
 >>> t = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
 >>> t.shape
 (4, 3, 3, 1)
@@ -22,14 +32,13 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .shapes import (
-    Square, Shape, cells_of_shape, diagonal, is_young, shape_from_cells, staircase,
+    Square, Shape, cells_of_shape, diagonal, is_young, staircase,
 )
 from .wgroup import DescentSet
 
 __all__ = [
     "DominoTableau", "TableauPair", "TableauError",
     "tau_of_tableau", "enhanced_tau_of_tableau", "enumerate_sdt",
-    "core_tableau",
 ]
 
 
@@ -80,6 +89,10 @@ class DominoTableau:
         """The tableau with the square -> label map `cells`; raises
         ValueError when the squares do not form a Young diagram.
 
+        One scan reads each row from column 1 until a square is missing;
+        the squares form a diagram exactly when no row is longer than the
+        one above and the rows read hold every square.
+
         >>> t = DominoTableau(1, ((0, 1, 1), (2,), (2,)))
         >>> DominoTableau.from_cells(1, t.cells()) == t
         True
@@ -88,18 +101,34 @@ class DominoTableau:
         ...
         ValueError: cells do not form a Young diagram
         """
-        return cls(rank, tuple(
-            tuple(cells[(i, j)] for j in range(1, row_len + 1))
-            for i, row_len in enumerate(shape_from_cells(cells.keys()), start=1)
-        ))
+        rows = []
+        longest = len(cells)  # bound on the length of the next row
+        i = 1
+        while True:
+            row = []
+            j = 1
+            while (i, j) in cells:
+                row.append(cells[(i, j)])
+                j += 1
+            if not row:
+                break
+            if len(row) > longest:
+                raise ValueError("cells do not form a Young diagram")
+            longest = len(row)
+            rows.append(tuple(row))
+            i += 1
+        if sum(map(len, rows)) != len(cells):
+            raise ValueError("cells do not form a Young diagram")
+        return cls(rank, tuple(rows))
 
     @cached_property
     def dominos(self) -> Dict[int, FrozenSet[Square]]:
         """Map label -> the two squares it occupies."""
         positions: Dict[int, list] = {}
-        for sq, x in self.cells().items():
-            if x != 0:
-                positions.setdefault(x, []).append(sq)
+        for i, row in enumerate(self.rows, start=1):
+            for j, x in enumerate(row, start=1):
+                if x != 0:
+                    positions.setdefault(x, []).append((i, j))
         return {k: frozenset(v) for k, v in positions.items()}
 
     def domino(self, k: int) -> FrozenSet[Square]:
@@ -114,7 +143,11 @@ class DominoTableau:
 
     @cached_property
     def core_squares(self) -> FrozenSet[Square]:
-        return frozenset(sq for sq, x in self.cells().items() if x == 0)
+        return frozenset(
+            (i, j)
+            for i, row in enumerate(self.rows, start=1)
+            for j, x in enumerate(row, start=1) if x == 0
+        )
 
     # -- validation ------------------------------------------------------
 
@@ -213,11 +246,6 @@ class DominoTableau:
         for y in range(ymax + 1):
             lines.append("".join(canvas.get((y, x), " ") for x in range(xmax + 1)).rstrip())
         return "\n".join(lines)
-
-
-def core_tableau(rank: int) -> DominoTableau:
-    """The rank-r tableau with no dominos."""
-    return DominoTableau(rank, tuple((0,) * k for k in staircase(rank)))
 
 
 @dataclass(frozen=True)

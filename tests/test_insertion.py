@@ -5,7 +5,7 @@ from dominocells.insertion import (
     _undo_step, asymptotic_bitableaux, insert, insertion_states,
     recording_classes, split_rank, uninsert,
 )
-from dominocells.tableaux import DominoTableau, TableauError, TableauPair, core_tableau
+from dominocells.tableaux import DominoTableau, TableauError, TableauPair
 from dominocells.wgroup import enumerate_group, is_nonsplit
 
 W = (4, 1, -3, -2)
@@ -32,7 +32,7 @@ def test_insertion_fixtures(rank):
 
 def test_empty_insertion():
     pair = insert((), 2)
-    assert pair.left == core_tableau(2) and pair.n == 0
+    assert pair.left == DominoTableau(2, ((0, 0), (0,))) and pair.n == 0
     assert uninsert(pair) == ()
 
 

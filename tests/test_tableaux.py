@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dominocells.tableaux import (
-    DominoTableau, TableauError, TableauPair, core_tableau,
+    DominoTableau, TableauError, TableauPair,
     enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
 )
 
@@ -38,7 +38,7 @@ def test_validate_reports_coordinates():
 def test_split_predicate():
     assert not Q2.is_split()  # every square of the fourth diagonal is filled
     assert Q3.is_split()  # (3, 3) is outside the shape
-    assert core_tableau(2).is_split()
+    assert DominoTableau(2, ((0, 0), (0,))).is_split()  # no dominos
 
 
 def test_tau_of_tableau():
@@ -75,7 +75,7 @@ def test_enumeration_satisfies_counting_identity(n, rank):
 
 
 def test_pretty_draws_domino_walls():
-    art = core_tableau(1).pretty()
+    art = DominoTableau(1, ((0,),)).pretty()
     assert art == "+---+\n| 0 |\n+---+"
     art2 = DominoTableau(0, ((1, 1),)).pretty()
     assert "1   1" in art2
