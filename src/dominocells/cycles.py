@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 from .shapes import Square, cells_of_shape, staircase
-from .tableaux import DominoTableau, TableauError, TableauPair
+from .tableaux import DominoTableau, TableauError, TableauPair, _check_tiling
 
 __all__ = [
     "REGULAR", "OPPOSITE", "Cycle", "ExtendedCycles",
@@ -329,29 +329,6 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
     out = DominoTableau.from_cells(rank, cells)
     _check_tiling(cells, want)
     return out
-
-
-def _check_tiling(cells: Dict[Square, int], core=None) -> None:
-    """One pass over a moved cell map that `from_cells` has accepted as a
-    Young diagram: the labels are 1..n, each on two adjacent squares, and
-    the 0 squares are exactly `core` when it is given."""
-    dominos: Dict[int, list] = {}
-    zeros = set()
-    for sq, k in cells.items():
-        if k != 0:
-            dominos.setdefault(k, []).append(sq)
-        else:
-            zeros.add(sq)
-    if dominos.keys() != set(range(1, len(dominos) + 1)):
-        raise TableauError(f"labels {sorted(dominos)} are not 1..n")
-    for k, squares in dominos.items():
-        if len(squares) != 2:
-            raise TableauError(f"label {k} covers {len(squares)} squares, not 2")
-        (i1, j1), (i2, j2) = squares
-        if abs(i1 - i2) + abs(j1 - j2) != 1:
-            raise TableauError(f"label {k} squares {sorted(squares)} not adjacent")
-    if core is not None and zeros != core:
-        raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
 
 
 def _shift(tableaux: Tuple[DominoTableau, ...], convention: str, rank: int) -> list:

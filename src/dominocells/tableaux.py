@@ -14,9 +14,10 @@ validates them (`uninsert` runs it on its argument); signed permutations
 from the command line, JSON included, go through `parse_perm`.  A tableau
 that the library builds is checked once, where it is built, by one pass
 over the square -> label map that built it: `from_cells` reads the rows
-and rejects a map that is not a Young diagram, and the cycle layer's
-`_check_tiling` checks the labels, the dominos and the core of a moved
-map.
+and rejects a map that is not a Young diagram, and `_check_tiling`
+checks the labels, the dominos and the core.  `_check_tiling` is the one
+statement of those rules: the cycle layer runs it on each moved map, and
+`check_structure` runs it on the grid of a tableau from outside.
 
 >>> t = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
 >>> t.shape
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .shapes import (
     Square, Shape, cells_of_shape, diagonal, is_young, staircase,
@@ -44,6 +45,29 @@ __all__ = [
 
 class TableauError(ValueError):
     pass
+
+
+def _check_tiling(cells: Dict[Square, int], core=None) -> None:
+    """One pass over a square -> label map whose squares form a Young
+    diagram: the labels are 1..n, each on two adjacent squares, and the 0
+    squares are exactly `core` when it is given."""
+    dominos: Dict[int, list] = {}
+    zeros = set()
+    for sq, k in cells.items():
+        if k != 0:
+            dominos.setdefault(k, []).append(sq)
+        else:
+            zeros.add(sq)
+    if dominos.keys() != set(range(1, len(dominos) + 1)):
+        raise TableauError(f"labels {sorted(dominos)} are not 1..n")
+    for k, squares in dominos.items():
+        if len(squares) != 2:
+            raise TableauError(f"label {k} covers {len(squares)} squares, not 2")
+        (i1, j1), (i2, j2) = squares
+        if abs(i1 - i2) + abs(j1 - j2) != 1:
+            raise TableauError(f"label {k} squares {sorted(squares)} not adjacent")
+    if core is not None and zeros != core:
+        raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
 
 
 @dataclass(frozen=True)
@@ -106,10 +130,10 @@ class DominoTableau:
         i = 1
         while True:
             row = []
-            j = 1
-            while (i, j) in cells:
-                row.append(cells[(i, j)])
-                j += 1
+            x = cells.get((i, 1))
+            while x is not None:
+                row.append(x)
+                x = cells.get((i, len(row) + 1))
             if not row:
                 break
             if len(row) > longest:
@@ -151,20 +175,12 @@ class DominoTableau:
 
     # -- validation ------------------------------------------------------
 
-    def check_structure(self) -> None:
-        """Shape and tiling sanity, without the standardness conditions."""
-        if not self.rows and self.rank == 0:
-            return
-        if self.rows and not is_young(self.shape):
+    def check_structure(self, core: Optional[FrozenSet[Square]] = None) -> None:
+        """Shape and tiling sanity, without the ordering conditions; with
+        `core` the 0 squares must be exactly those squares."""
+        if not is_young(self.shape):
             raise TableauError(f"rows {self.shape} are not weakly decreasing")
-        if self.labels != tuple(range(1, len(self.labels) + 1)):
-            raise TableauError(f"labels {self.labels} are not 1..n")
-        for k, cells in self.dominos.items():
-            if len(cells) != 2:
-                raise TableauError(f"label {k} covers {len(cells)} squares, not 2")
-            (i1, j1), (i2, j2) = sorted(cells)
-            if abs(i1 - i2) + abs(j1 - j2) != 1:
-                raise TableauError(f"label {k} squares {sorted(cells)} not adjacent")
+        _check_tiling(self.cells(), core)
 
     def check_standard(self, strict_core: bool = True) -> None:
         """Full validation; reports the first violated invariant.
@@ -172,14 +188,9 @@ class DominoTableau:
         With strict_core the 0 squares must form the staircase of the rank;
         otherwise any top-left-justified 0 region (order ideal) is accepted.
         """
-        self.check_structure()
-        if strict_core and self.core_squares != frozenset(
-            cells_of_shape(staircase(self.rank))
-        ):
-            raise TableauError(
-                f"core squares {sorted(self.core_squares)} do not form the"
-                f" rank-{self.rank} staircase"
-            )
+        self.check_structure(
+            frozenset(cells_of_shape(staircase(self.rank))) if strict_core else None
+        )
         # Weak increase along rows and columns, ties only inside one domino
         # (adjacency of the two squares of each label is already checked),
         # is equivalent to: core plus the dominos labeled <= k is a Young

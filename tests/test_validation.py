@@ -7,12 +7,12 @@ import random
 import pytest
 
 from dominocells.cycles import (
-    OPPOSITE, REGULAR, _check_tiling, core_raise, cycle_partition,
+    OPPOSITE, REGULAR, core_raise, cycle_partition,
     move_through, noncore_orbit, raise_rank,
 )
 from dominocells.insertion import insert
 from dominocells.shapes import cells_of_shape, shape_from_cells, staircase
-from dominocells.tableaux import DominoTableau, TableauError
+from dominocells.tableaux import DominoTableau, TableauError, _check_tiling
 from dominocells.wgroup import enumerate_group
 
 
