@@ -6,9 +6,8 @@ Kazhdan-Lusztig oracle, with exhaustive verification suites.
 
 from .wgroup import (
     Generator, DescentSet, compose, inverse, identity, length,
-    right_descends, tau_invariant, enhanced_tau_invariant, is_nonsplit,
-    enumerate_group, group_elements, parse_perm, format_perm,
-    simple_generators, generator_perm,
+    tau_invariant, enhanced_tau_invariant, enumerate_group, group_elements,
+    parse_perm, format_perm, simple_generators, generator_perm,
 )
 from .shapes import staircase, removable_dominos, diagonal
 from .tableaux import (

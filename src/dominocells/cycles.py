@@ -24,6 +24,13 @@ right of (i, j) when k exceeds the label at (i-1, j+1) and otherwise to
 the square above; the mirrored rule (compare against (i+1, j-1)) applies
 when the variable square sits above or right.  Labels at core squares and
 off the top or left edge count as 0, squares beyond the shape as infinity.
+One pass reads every label from the tableau's square -> label map.
+
+>>> T2 = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
+>>> sorted(moved_domino(T2, 3, OPPOSITE))
+[(3, 1), (3, 2)]
+>>> [(sorted(c.labels), c.kind) for c in cycle_partition(T2, OPPOSITE)]
+[([1], 'core-open'), ([2, 3, 4], 'core-open')]
 """
 
 from __future__ import annotations
@@ -34,11 +41,13 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 from .shapes import Square, cells_of_shape, staircase
-from .tableaux import DominoTableau, TableauError, TableauPair, _check_tiling
+from .tableaux import (
+    DominoTableau, TableauError, TableauPair, _check_tiling, _dominos,
+)
 
 __all__ = [
     "REGULAR", "OPPOSITE", "Cycle", "ExtendedCycles",
-    "fixed_square", "moved_domino", "cycle_partition", "move_through",
+    "moved_domino", "cycle_partition", "move_through",
     "noncore_orbit", "extended_cycles", "raise_rank",
 ]
 
@@ -48,68 +57,52 @@ OPPOSITE = "opposite"
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     labels: FrozenSet[int]
     kind: str  # closed | core-open | noncore-open
-
-    @property
-    def is_core(self) -> bool:
-        return self.kind == "core-open"
-
-    def to_dict(self) -> dict:
-        return {"labels": sorted(self.labels), "kind": self.kind}
+    squares: FrozenSet[Square]  # the squares its move adds or removes
 
 
-def _is_fixed(sq: Square, rank: int, convention: str) -> bool:
-    i, j = sq
+def _fixed_parity(rank: int, convention: str) -> int:
+    """The parity of i + j on the fixed squares (i, j)."""
     if convention == REGULAR:
-        return (i + j) % 2 != rank % 2
+        return (rank + 1) % 2
     if convention == OPPOSITE:
-        return (i + j) % 2 == rank % 2
+        return rank % 2
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def fixed_square(t: DominoTableau, k: int, convention: str) -> Square:
-    a, b = sorted(t.domino(k))
-    return a if _is_fixed(a, t.rank, convention) else b
+def _pivot(cells: Dict[Square, int], k: int, squares: FrozenSet[Square],
+           parity: int) -> FrozenSet[Square]:
+    """The relocated position of domino k, on `squares` of the square ->
+    label map `cells`, about its fixed square: the one whose i + j has
+    `parity`."""
+    a, b = squares
+    fix, var = (a, b) if sum(a) % 2 == parity else (b, a)
+    i, j = fix
 
+    def label(sq):
+        return 0 if sq[0] < 1 or sq[1] < 1 else cells.get(sq, _INF)
 
-def _cmp_label(t: DominoTableau, sq: Square):
-    """Label for the relocation comparisons: 0 off the top/left edge and on
-    core squares, infinity beyond the shape."""
-    i, j = sq
-    if i < 1 or j < 1:
-        return 0
-    lbl = t.label_at(sq)
-    if lbl == -1:
-        return _INF
-    return lbl
+    # the second test of each pair holds on every standard tableau
+    step = (var[0] - i, var[1] - j)
+    if step in ((1, 0), (0, -1)):  # variable below or left
+        up = k < label((i - 1, j + 1)) and label((i - 1, j)) < k
+        new = (i - 1, j) if up else (i, j + 1)
+    elif step in ((-1, 0), (0, 1)):  # variable above or right
+        down = k > label((i + 1, j - 1)) and label((i + 1, j)) > k
+        new = (i + 1, j) if down else (i, j - 1)
+    else:
+        raise TableauError(f"domino {k} squares are not adjacent")
+    return frozenset({fix, new})
 
 
 def moved_domino(t: DominoTableau, k: int, convention: str) -> FrozenSet[Square]:
     """The relocated position of domino k about its fixed square."""
-    fix = fixed_square(t, k, convention)
-    (var,) = t.domino(k) - {fix}
-    i, j = fix
-    di, dj = var[0] - i, var[1] - j
-    if (di, dj) in ((1, 0), (0, -1)):  # variable below or left
-        if k > _cmp_label(t, (i - 1, j + 1)):
-            new = (i, j + 1)
-        elif _cmp_label(t, (i - 1, j)) < k:
-            new = (i - 1, j)
-        else:  # unreachable on standard tableaux
-            new = (i, j + 1)
-    elif (di, dj) in ((-1, 0), (0, 1)):  # variable above or right
-        if k < _cmp_label(t, (i + 1, j - 1)):
-            new = (i, j - 1)
-        elif _cmp_label(t, (i + 1, j)) > k:
-            new = (i + 1, j)
-        else:  # unreachable on standard tableaux
-            new = (i, j - 1)
-    else:
-        raise TableauError(f"domino {k} squares are not adjacent")
-    return frozenset({fix, new})
+    try:
+        return _relocate(t, convention).moved[k]
+    except KeyError:
+        raise TableauError(f"no domino labeled {k}") from None
 
 
 def components(nodes: Iterable, links: Iterable[Tuple]) -> list:
@@ -135,13 +128,12 @@ def components(nodes: Iterable, links: Iterable[Tuple]) -> list:
 
 
 class _Relocation(NamedTuple):
-    """One relocation pass over a tableau: its square -> label map, every
-    label's relocated domino, computed once, and each cycle as (labels,
-    kind, squares its move adds or removes)."""
-    t: DominoTableau
+    """One relocation pass over a tableau: its square -> label map, each
+    label's domino and relocated domino, computed once, and its cycles."""
     cells: Dict[Square, int]
+    dominos: Dict[int, FrozenSet[Square]]
     moved: Dict[int, FrozenSet[Square]]
-    cycles: Tuple[Tuple[FrozenSet[int], str, FrozenSet[Square]], ...]
+    cycles: Tuple[Cycle, ...]
 
 
 # Two passes are held, and callers only read them: every caller partitions
@@ -152,19 +144,21 @@ def _relocate(t: DominoTableau, convention: str) -> _Relocation:
     """j and k share a cycle when the relocated position of one overlaps
     the current position of the other; a cycle's kind is what moving
     through it does to the shape."""
+    parity = _fixed_parity(t.rank, convention)
     cells = t.cells()
-    moved = {k: moved_domino(t, k, convention) for k in t.labels}
+    dominos = _dominos(cells)
+    moved = {k: _pivot(cells, k, squares, parity) for k, squares in dominos.items()}
     links = (
         (k, cells[sq]) for k, squares in moved.items()
         for sq in squares if cells.get(sq, 0) not in (0, k)
     )
-    rel = _Relocation(t, cells, moved, ())
+    rel = _Relocation(cells, dominos, moved, ())
     cycles = []
-    for labels in sorted((frozenset(b) for b in components(t.labels, links)), key=sorted):
+    for labels in sorted((frozenset(b) for b in components(dominos, links)), key=sorted):
         after = _apply_moves(rel, labels).keys()
         kind = ("closed" if after == cells.keys() else
                 "core-open" if len(after) != len(cells) else "noncore-open")
-        cycles.append((labels, kind, frozenset(cells.keys() ^ after)))
+        cycles.append(Cycle(labels, kind, frozenset(cells.keys() ^ after)))
     return rel._replace(cycles=tuple(cycles))
 
 
@@ -189,8 +183,8 @@ def _apply_moves(rel: _Relocation, labels: Iterable[int]) -> Dict[Square, int]:
     core squares leave the shape only by being claimed."""
     labels = set(labels)
     placed: Dict[Square, int] = {}
-    for k in rel.t.labels:
-        for sq in rel.moved[k] if k in labels else rel.t.domino(k):
+    for k, squares in rel.dominos.items():
+        for sq in rel.moved[k] if k in labels else squares:
             if sq in placed:
                 raise TableauError(
                     f"labels {sorted(labels)} are not a union of cycles:"
@@ -209,9 +203,7 @@ def _apply_moves(rel: _Relocation, labels: Iterable[int]) -> Dict[Square, int]:
 
 def cycle_partition(t: DominoTableau, convention: str) -> Tuple[Cycle, ...]:
     """The cycles of t under the given convention, classified."""
-    return tuple(
-        Cycle(labels, kind) for labels, kind, _ in _relocate(t, convention).cycles
-    )
+    return _relocate(t, convention).cycles
 
 
 def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> DominoTableau:
@@ -224,11 +216,11 @@ def move_through(t: DominoTableau, labels: Iterable[int], convention: str) -> Do
     if not labels:
         return t
     rel = _relocate(t, convention)
-    touched = [g for g, _, _ in rel.cycles if g & labels]
+    touched = [c.labels for c in rel.cycles if c.labels & labels]
     if frozenset().union(*touched) != labels:
         raise TableauError(
             f"labels {sorted(labels)} are not a union of cycles"
-            f" (cycles: {[sorted(g) for g, _, _ in rel.cycles]})"
+            f" (cycles: {[sorted(c.labels) for c in rel.cycles]})"
         )
     cells = _apply_moves(rel, labels)
     out = DominoTableau.from_cells(t.rank, cells)
@@ -255,20 +247,6 @@ class ExtendedCycles:
     left_groups: Tuple[FrozenSet[int], ...]
     right_groups: Tuple[FrozenSet[int], ...]
 
-    @property
-    def left_labels(self) -> FrozenSet[int]:
-        return frozenset().union(frozenset(), *self.left_groups)
-
-    @property
-    def right_labels(self) -> FrozenSet[int]:
-        return frozenset().union(frozenset(), *self.right_groups)
-
-    def to_dict(self) -> dict:
-        return {
-            "left": [sorted(g) for g in self.left_groups],
-            "right": [sorted(g) for g in self.right_groups],
-        }
-
 
 def extended_cycles(
     left: DominoTableau, right: DominoTableau, convention: str = REGULAR
@@ -291,9 +269,9 @@ def _extend(*rels: _Relocation):
     sorted label groups per pass, with the moved cell maps.  A lone pass
     has no cross-side links, so its groups are its core cycles."""
     nodes = [  # (side, labels, is_core, shape-delta) per open cycle
-        (side, labels, kind == "core-open", delta)
+        (side, c.labels, c.kind == "core-open", c.squares)
         for side, rel in enumerate(rels)
-        for labels, kind, delta in rel.cycles if kind != "closed"
+        for c in rel.cycles if c.kind != "closed"
     ]
     links = (
         (a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))

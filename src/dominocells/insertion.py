@@ -32,9 +32,9 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .shapes import (
-    Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
+    Shape, Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
 )
-from .tableaux import DominoTableau, TableauError, TableauPair
+from .tableaux import DominoTableau, TableauError, TableauPair, _dominos
 from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
@@ -229,10 +229,12 @@ def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauP
     )
 
 
-def _undo_step(cells: Dict[Square, int], added) -> Tuple[int, Dict[Square, int]]:
+def _undo_step(cells: Dict[Square, int], shape: Shape,
+               added) -> Tuple[int, Dict[Square, int], Shape]:
     """Undo the insertion step that added the domino `added` to the left
-    tableau `cells` (square -> label, 0 on the core); returns the inserted
-    value and the cells before the step.
+    tableau `cells` (square -> label, 0 on the core) of shape `shape`;
+    returns the inserted value, the cells before the step and their shape,
+    which is `shape` less `added`.
 
     Labels are undone largest first, while `loose` holds the two squares
     that the labels not yet undone gained in the step.  A label whose
@@ -242,12 +244,9 @@ def _undo_step(cells: Dict[Square, int], added) -> Tuple[int, Dict[Square, int]]
     domino of "core plus labels up to it, less `loose`" that re-enters onto
     its current squares.
     """
-    if frozenset(added) not in removable_dominos(shape_from_cells(cells.keys())):
+    if frozenset(added) not in removable_dominos(shape):
         raise TableauError(f"squares {sorted(added)} are not a removable domino")
-    dominos: Dict[int, Set[Square]] = {}
-    for sq, lbl in cells.items():
-        if lbl:
-            dominos.setdefault(lbl, set()).add(sq)
+    dominos = _dominos(cells)
     loose = set(added)
     moved: Dict[int, FrozenSet[Square]] = {}
     for lbl in sorted(dominos, reverse=True):
@@ -261,7 +260,10 @@ def _undo_step(cells: Dict[Square, int], added) -> Tuple[int, Dict[Square, int]]
             before = {sq: x for sq, x in cells.items() if x not in moved and x != lbl}
             for k, d in moved.items():
                 before.update(dict.fromkeys(d, k))
-            return (lbl if i1 == i2 else -lbl), before
+            rows = list(shape)
+            for i, _ in added:
+                rows[i - 1] -= 1
+            return (lbl if i1 == i2 else -lbl), before, tuple(x for x in rows if x)
         region = shape_from_cells(
             [sq for sq, x in cells.items() if x <= lbl and sq not in loose]
         )
@@ -288,12 +290,12 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     (4, 1, -3, -2)
     """
     pair.left.check_standard(strict_core=False)
-    cells = pair.left.cells()
+    cells, shape = pair.left.cells(), pair.shape
     w: List[int] = []
     for k in range(pair.right.n, 0, -1):
-        value, cells = _undo_step(cells, pair.right.domino(k))
+        value, cells, shape = _undo_step(cells, shape, pair.right.domino(k))
         w.append(value)
-    if shape_from_cells(cells.keys()) != staircase(pair.rank):
+    if shape != staircase(pair.rank):
         raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")
     return tuple(reversed(w))
 

@@ -17,7 +17,9 @@ over the square -> label map that built it: `from_cells` reads the rows
 and rejects a map that is not a Young diagram, and `_check_tiling`
 checks the labels, the dominos and the core.  `_check_tiling` is the one
 statement of those rules: the cycle layer runs it on each moved map, and
-`check_structure` runs it on the grid of a tableau from outside.
+`check_structure` runs it on the grid of a tableau from outside.  It
+groups the squares by label with `_dominos`, the one label -> squares
+scan, which `dominos`, the cycle layer and `uninsert` share.
 
 >>> t = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
 >>> t.shape
@@ -47,17 +49,21 @@ class TableauError(ValueError):
     pass
 
 
+def _dominos(cells: Dict[Square, int]) -> Dict[int, FrozenSet[Square]]:
+    """Map each nonzero label of a square -> label map to the squares it
+    covers."""
+    squares: Dict[int, list] = {}
+    for sq, k in cells.items():
+        if k:
+            squares.setdefault(k, []).append(sq)
+    return {k: frozenset(v) for k, v in squares.items()}
+
+
 def _check_tiling(cells: Dict[Square, int], core=None) -> None:
     """One pass over a square -> label map whose squares form a Young
     diagram: the labels are 1..n, each on two adjacent squares, and the 0
     squares are exactly `core` when it is given."""
-    dominos: Dict[int, list] = {}
-    zeros = set()
-    for sq, k in cells.items():
-        if k != 0:
-            dominos.setdefault(k, []).append(sq)
-        else:
-            zeros.add(sq)
+    dominos = _dominos(cells)
     if dominos.keys() != set(range(1, len(dominos) + 1)):
         raise TableauError(f"labels {sorted(dominos)} are not 1..n")
     for k, squares in dominos.items():
@@ -66,8 +72,10 @@ def _check_tiling(cells: Dict[Square, int], core=None) -> None:
         (i1, j1), (i2, j2) = squares
         if abs(i1 - i2) + abs(j1 - j2) != 1:
             raise TableauError(f"label {k} squares {sorted(squares)} not adjacent")
-    if core is not None and zeros != core:
-        raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
+    if core is not None:
+        zeros = {sq for sq, k in cells.items() if k == 0}
+        if zeros != core:
+            raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
 
 
 @dataclass(frozen=True)
@@ -148,12 +156,7 @@ class DominoTableau:
     @cached_property
     def dominos(self) -> Dict[int, FrozenSet[Square]]:
         """Map label -> the two squares it occupies."""
-        positions: Dict[int, list] = {}
-        for i, row in enumerate(self.rows, start=1):
-            for j, x in enumerate(row, start=1):
-                if x != 0:
-                    positions.setdefault(x, []).append((i, j))
-        return {k: frozenset(v) for k, v in positions.items()}
+        return _dominos(self.cells())
 
     def domino(self, k: int) -> FrozenSet[Square]:
         try:
@@ -164,14 +167,6 @@ class DominoTableau:
     def is_vertical(self, k: int) -> bool:
         (i1, _), (i2, _) = sorted(self.domino(k))
         return i1 != i2
-
-    @cached_property
-    def core_squares(self) -> FrozenSet[Square]:
-        return frozenset(
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, x in enumerate(row, start=1) if x == 0
-        )
 
     # -- validation ------------------------------------------------------
 
@@ -279,10 +274,6 @@ class TableauPair:
     @property
     def shape(self) -> Shape:
         return self.left.shape
-
-    @property
-    def n(self) -> int:
-        return self.left.n
 
     def is_split(self) -> bool:
         return self.left.is_split()

@@ -30,8 +30,8 @@ __all__ = [
     "SignedPerm", "Generator", "DescentSet",
     "validate_signed_perm", "identity", "compose", "inverse",
     "generator_perm", "simple_generators", "length",
-    "right_descends", "tau_invariant", "enhanced_tau_invariant",
-    "is_nonsplit", "enumerate_group", "parse_perm", "format_perm",
+    "tau_invariant", "enhanced_tau_invariant",
+    "enumerate_group", "parse_perm", "format_perm",
 ]
 
 # One-line notation; index i (0-based) holds w(i+1).
@@ -40,12 +40,12 @@ SignedPerm = tuple  # tuple[int, ...]
 
 @dataclass(frozen=True)
 class Generator:
-    """A generating reflection: kind 't' (= t_1), 's' (s_index) or 'tk' (t_index)."""
+    """A Coxeter generator: kind 't' (= t_1) or 's' (s_index)."""
     kind: str
     index: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("t", "s", "tk"):
+        if self.kind not in ("t", "s"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "t" and self.index != 1:
             raise ValueError("t is t_1")
@@ -102,14 +102,10 @@ def generator_perm(g: Generator, n: int) -> SignedPerm:
         if n < 1:
             raise ValueError("t out of range for W_0")
         w[0] = -1
-    elif g.kind == "s":
+    else:
         if not 1 <= g.index <= n - 1:
             raise ValueError(f"s_{g.index} out of range for W_{n}")
         w[g.index - 1], w[g.index] = w[g.index], w[g.index - 1]
-    else:
-        if not 1 <= g.index <= n:
-            raise ValueError(f"t_{g.index} out of range for W_{n}")
-        w[g.index - 1] = -g.index
     return tuple(w)
 
 
@@ -131,20 +127,6 @@ def length(w: SignedPerm) -> int:
     n = len(w)
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
     return inv + sum(-x for x in w if x < 0)
-
-
-def right_descends(w: SignedPerm, g: Generator) -> bool:
-    """Whether l(w g) < l(w), by the positional criteria.
-
-    For s_i this is w(i+1) < w(i); for t_j it is w(j) < 0.
-    """
-    if g.kind == "s":
-        if not 1 <= g.index <= len(w) - 1:
-            raise IndexError(f"s_{g.index} out of range")
-        return w[g.index] < w[g.index - 1]
-    if not 1 <= g.index <= len(w):
-        raise IndexError(f"t_{g.index} out of range")
-    return w[g.index - 1] < 0
 
 
 def tau_invariant(w: SignedPerm) -> DescentSet:
@@ -171,16 +153,6 @@ def enhanced_tau_invariant(w: SignedPerm, ratio: int) -> DescentSet:
         f"t{j}" for j in range(2, len(w) + 1) if j - 1 < ratio and w[j - 1] < 0
     )
     return DescentSet(base.simple, ext)
-
-
-def is_nonsplit(w: SignedPerm) -> bool:
-    """True iff the positive entries decrease and the negative entries
-    decrease in absolute value, read left to right."""
-    pos = [x for x in w if x > 0]
-    neg = [-x for x in w if x < 0]
-    return all(a > b for a, b in zip(pos, pos[1:])) and all(
-        a > b for a, b in zip(neg, neg[1:])
-    )
 
 
 def enumerate_group(n: int) -> Iterator[SignedPerm]:

@@ -20,8 +20,9 @@ from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
-from dominocells.wgroup import enumerate_group, is_nonsplit
+from dominocells.wgroup import enumerate_group
 from hecke_oracles import bar, t_multiply_left_word
+from wgroup_oracles import is_nonsplit
 
 W = (4, 1, -3, -2)
 
@@ -127,10 +128,10 @@ def test_c02_cycle_fixtures():
     check("n=5 extension right", set(ext5.right_groups),
           {frozenset({1}), frozenset({2, 5}), frozenset({3, 4})})
     check("n=5 raised left",
-          move_through(s41, ext5.left_labels, REGULAR).rows,
+          move_through(s41, frozenset().union(*ext5.left_groups), REGULAR).rows,
           ((0, 0, 0, 1, 1, 4, 4), (0, 0, 3, 3, 5, 5), (0,), (2,), (2,)))
     check("n=5 raised right",
-          move_through(t41, ext5.right_labels, REGULAR).rows,
+          move_through(t41, frozenset().union(*ext5.right_groups), REGULAR).rows,
           ((0, 0, 0, 3, 3, 4, 4), (0, 0, 2, 2, 5, 5), (0,), (1,), (1,)))
     _finish(2, "cycle fixtures", failures, t0, budget=1.0)
 

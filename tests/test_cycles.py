@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from dominocells.cycles import (
     OPPOSITE, REGULAR, _relocate, _shift, core_raise, cycle_partition,
-    extended_cycles, fixed_square, move_through, noncore_orbit, raise_rank,
+    extended_cycles, move_through, moved_domino, noncore_orbit, raise_rank,
 )
 from dominocells.insertion import insert
 from dominocells.tableaux import (
@@ -27,6 +27,18 @@ def core_lower(t):
 def lower_rank(pair):
     """Move a rank-(r+1) pair through its opposite extended cycles: rank r."""
     return TableauPair(*_shift((pair.left, pair.right), OPPOSITE, pair.rank - 1))
+
+
+def fixed_square(t, label, conv):
+    """The square of domino `label` whose i + j has the rank's parity under
+    the opposite convention, and the other parity under the regular one."""
+    parity = t.rank % 2 if conv == OPPOSITE else (t.rank + 1) % 2
+    (fix,) = (sq for sq in t.domino(label) if sum(sq) % 2 == parity)
+    return fix
+
+
+def union(groups):
+    return frozenset().union(frozenset(), *groups)
 
 
 def partition_sets(t, conv):
@@ -73,7 +85,7 @@ def _singleton_relocations(t, label, conv):
         base = {sq: lbl for k in t.labels if k != label
                 for sq, lbl in zip(sorted(t.domino(k)), [k, k])}
         base.update({sq: label for sq in pos})
-        zeros = t.core_squares - pos
+        zeros = {sq for sq, x in t.cells().items() if x == 0} - pos
         (vacated,) = current - pos - {fix} if fix in pos else (None,)
         for keep_vacated in (False, True):
             cells = dict(base)
@@ -119,6 +131,15 @@ def test_opposite_cycles_of_the_right_tableau():
     assert k[(1,)] == "core-open" and k[(2, 3, 4)] == "core-open"
 
 
+def test_relocation_rejects_what_it_cannot_relocate():
+    with pytest.raises(ValueError, match="unknown convention"):
+        moved_domino(T2, 3, "sideways")
+    with pytest.raises(TableauError, match="no domino labeled 9"):
+        moved_domino(T2, 9, OPPOSITE)
+    with pytest.raises(TableauError, match="not adjacent"):
+        cycle_partition(DominoTableau(0, ((1, 2, 1), (2,))), REGULAR)
+
+
 def test_move_through_fixtures():
     assert move_through(S2, set(), REGULAR) == S2
     got = move_through(S2, {1, 2, 3}, REGULAR)
@@ -162,8 +183,8 @@ def test_extended_cycles_of_the_rank2_n5_pair():
     assert set(ext.right_groups) == {
         frozenset({1}), frozenset({2, 5}), frozenset({3, 4})
     }
-    left = move_through(S41, ext.left_labels, REGULAR)
-    right = move_through(T41, ext.right_labels, REGULAR)
+    left = move_through(S41, union(ext.left_groups), REGULAR)
+    right = move_through(T41, union(ext.right_groups), REGULAR)
     assert left.rows == (
         (0, 0, 0, 1, 1, 4, 4), (0, 0, 3, 3, 5, 5), (0,), (2,), (2,))
     assert right.rows == (
@@ -176,7 +197,8 @@ def test_split_pair_extends_by_nothing():
     pair = insert(w, 2)
     assert pair.is_split()
     ext = extended_cycles(pair.left, pair.right, REGULAR)
-    core_left = {c.labels for c in cycle_partition(pair.left, REGULAR) if c.is_core}
+    core_left = {c.labels for c in cycle_partition(pair.left, REGULAR)
+                 if c.kind == "core-open"}
     noncore_left = [c for c in cycle_partition(pair.left, REGULAR)
                     if c.kind == "noncore-open"]
     assert noncore_left == []
@@ -243,6 +265,28 @@ def test_noncore_orbit_walks_every_union_of_noncore_cycles():
                     assert got[0] == (frozenset(), t.rows)
 
 
+def test_cycle_squares_are_what_its_move_adds_or_removes():
+    for n in range(1, 5):
+        for r in range(4):
+            for t in enumerate_sdt(n, r):
+                for conv in (REGULAR, OPPOSITE):
+                    for c in cycle_partition(t, conv):
+                        moved = move_through(t, c.labels, conv)
+                        assert c.squares == t.cells().keys() ^ moved.cells().keys()
+
+
+def test_raise_rank_reads_the_grid_not_the_memoized_dominos():
+    # the relocation pass reads only the square -> label map, so tableaux
+    # held by the insert memo keep no label -> squares dict
+    insert.cache_clear()
+    for w in enumerate_group(3):
+        for r in range(3):
+            pair = insert(w, r)
+            raise_rank(pair)
+            assert "dominos" not in pair.left.__dict__
+            assert "dominos" not in pair.right.__dict__
+
+
 def test_one_relocation_pass_serves_partition_moves_and_core_raise():
     t = S41
     _relocate.cache_clear()
@@ -270,10 +314,8 @@ def test_minimality_of_extension_by_brute_force():
             ext = extended_cycles(pair.left, pair.right, REGULAR)
             cl = cycle_partition(pair.left, REGULAR)
             cr = cycle_partition(pair.right, REGULAR)
-            core_l = frozenset().union(
-                frozenset(), *(c.labels for c in cl if c.is_core))
-            core_r = frozenset().union(
-                frozenset(), *(c.labels for c in cr if c.is_core))
+            core_l = union(c.labels for c in cl if c.kind == "core-open")
+            core_r = union(c.labels for c in cr if c.kind == "core-open")
             open_l = [c.labels for c in cl if c.kind == "noncore-open"]
             open_r = [c.labels for c in cr if c.kind == "noncore-open"]
             best = None
@@ -290,8 +332,8 @@ def test_minimality_of_extension_by_brute_force():
                         if best is None or size < best[0]:
                             best = (size, core_l | add_l, core_r | add_r)
             assert best is not None
-            assert ext.left_labels == best[1]
-            assert ext.right_labels == best[2]
+            assert union(ext.left_groups) == best[1]
+            assert union(ext.right_groups) == best[2]
 
 
 def test_rank_round_trip_on_insertion_images():
@@ -312,17 +354,11 @@ def test_lower_rank_of_the_printed_rank3_pair():
 
 def test_cycle_serialization():
     cycles = cycle_partition(S2, OPPOSITE)
-    dumped = sorted((c.to_dict() for c in cycles), key=lambda d: d["labels"])
-    assert dumped == [
-        {"labels": [1], "kind": "core-open"},
-        {"labels": [2], "kind": "core-open"},
-        {"labels": [3, 4], "kind": "closed"},
-    ]
+    dumped = sorted((sorted(c.labels), c.kind) for c in cycles)
+    assert dumped == [([1], "core-open"), ([2], "core-open"), ([3, 4], "closed")]
     ext = extended_cycles(S2, T2, REGULAR)
-    assert ext.to_dict() == {
-        "left": [[1], [2], [3, 4]],
-        "right": [[1], [2, 4], [3]],
-    }
+    assert [sorted(g) for g in ext.left_groups] == [[1], [2], [3, 4]]
+    assert [sorted(g) for g in ext.right_groups] == [[1], [2, 4], [3]]
 
 
 def test_tau_preserved_by_eligible_cycle_moves():

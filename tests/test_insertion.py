@@ -6,7 +6,8 @@ from dominocells.insertion import (
     recording_classes, split_rank, uninsert,
 )
 from dominocells.tableaux import DominoTableau, TableauError, TableauPair
-from dominocells.wgroup import enumerate_group, is_nonsplit
+from dominocells.wgroup import enumerate_group
+from wgroup_oracles import is_nonsplit
 
 W = (4, 1, -3, -2)
 
@@ -32,7 +33,7 @@ def test_insertion_fixtures(rank):
 
 def test_empty_insertion():
     pair = insert((), 2)
-    assert pair.left == DominoTableau(2, ((0, 0), (0,))) and pair.n == 0
+    assert pair.left == DominoTableau(2, ((0, 0), (0,))) and pair.left.n == 0
     assert uninsert(pair) == ()
 
 
@@ -65,24 +66,25 @@ def test_undo_step_inverts_each_insertion_step(n):
         for r in range(n + 1):
             states = insertion_states(w, r)
             for k in range(1, n + 1):
-                value, before = _undo_step(
-                    states[k].left.cells(), states[k].right.domino(k)
+                value, before, shape = _undo_step(
+                    states[k].left.cells(), states[k].shape, states[k].right.domino(k)
                 )
                 assert value == w[k - 1]
                 assert before == states[k - 1].left.cells()
+                assert shape == states[k - 1].shape
             assert states[-1] == insert(w, r)
 
 
 def test_undo_step_fails_loudly():
-    cells = insert(W, 2).left.cells()
+    left = insert(W, 2).left
     with pytest.raises(TableauError, match="not a removable domino"):
-        _undo_step(cells, {(1, 3), (1, 4)})
+        _undo_step(left.cells(), left.shape, {(1, 3), (1, 4)})
     # labels 1 and 2 of the rank-0 tableau ((1, 1), (2, 2)) swapped
     swapped = {(1, 1): 2, (1, 2): 2, (2, 1): 1, (2, 2): 1}
     with pytest.raises(TableauError, match="0 ways back"):
-        _undo_step(swapped, {(2, 1), (2, 2)})
+        _undo_step(swapped, (2, 2), {(2, 1), (2, 2)})
     with pytest.raises(TableauError, match="entry domino 2"):
-        _undo_step(swapped, {(1, 2), (2, 2)})
+        _undo_step(swapped, (2, 2), {(1, 2), (2, 2)})
 
 
 def test_uninsert_rejects_invalid_pairs():
@@ -156,7 +158,7 @@ def test_one_shot_insertions_bypass_the_insert_memo():
 def test_partial_states_track_shapes():
     states = insertion_states(W, 2)
     assert len(states) == 5
-    assert states[0].n == 0 and states[-1].right == insert(W, 2).right
+    assert states[0].left.n == 0 and states[-1].right == insert(W, 2).right
     for k in range(1, 5):
         assert states[k].left.shape == states[k].right.shape
         assert set(states[k].right.labels) == set(range(1, k + 1))

@@ -33,20 +33,20 @@ def test_verify_insertion_passes_small():
 
 
 def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocations):
-    healthy = cycles_mod.moved_domino
+    healthy = cycles_mod._pivot
 
-    def corrupted(t, k, convention):
-        cells = healthy(t, k, convention)
-        if k == 2 and convention == cycles_mod.REGULAR:
-            fix = cycles_mod.fixed_square(t, k, convention)
-            (var,) = cells - {fix}
+    def corrupted(cells, k, squares, parity):
+        moved = healthy(cells, k, squares, parity)
+        if k == 2:
+            (fix,) = (sq for sq in squares if sum(sq) % 2 == parity)
+            (var,) = moved - {fix}
             i, j = fix
             for alt in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
                 if alt != var and alt[0] >= 1 and alt[1] >= 1:
                     return frozenset({fix, alt})
-        return cells
+        return moved
 
-    monkeypatch.setattr(cycles_mod, "moved_domino", corrupted)
+    monkeypatch.setattr(cycles_mod, "_pivot", corrupted)
     report = verify_insertion(2, 1)
     assert report.status == "fail"
     assert report.counterexamples

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from dominocells.wgroup import (
     DescentSet, Generator, compose, enhanced_tau_invariant, enumerate_group,
     format_perm, generator_perm, group_elements, identity, inverse,
-    is_nonsplit, length, parse_perm, right_descends, simple_generators,
-    tau_invariant, validate_signed_perm,
+    length, parse_perm, simple_generators, tau_invariant, validate_signed_perm,
 )
+from wgroup_oracles import is_nonsplit, reflection_t, right_descends
 
 
 def signed_perms(n):
@@ -28,7 +28,7 @@ def test_t_conjugates_to_position_flips():
     t = generator_perm(Generator("t"), n)
     s1 = generator_perm(Generator("s", 1), n)
     assert compose(compose(s1, t), s1) == (1, -2, 3)
-    assert (1, -2, 3) == generator_perm(Generator("tk", 2), n)
+    assert (1, -2, 3) == reflection_t(2, n)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(signed_perms(n), signed_perms(n))))
@@ -72,11 +72,12 @@ def test_length_fixtures():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_descent_criterion_agrees_with_length(n):
-    gens = simple_generators(n) + [Generator("tk", j) for j in range(2, n + 1)]
+    gens = [(g.kind, g.index, generator_perm(g, n)) for g in simple_generators(n)]
+    gens += [("t", j, reflection_t(j, n)) for j in range(2, n + 1)]
     for w in enumerate_group(n):
-        for g in gens:
-            expected = length(compose(w, generator_perm(g, n))) < length(w)
-            assert right_descends(w, g) == expected
+        for kind, index, g in gens:
+            expected = length(compose(w, g)) < length(w)
+            assert right_descends(w, kind, index) == expected
 
 
 def test_tau_fixtures():
@@ -89,9 +90,13 @@ def test_tau_fixtures():
 def test_the_trivial_group_has_no_generators():
     assert simple_generators(0) == []
     assert tau_invariant(()) == DescentSet(frozenset())
-    for g in (Generator("t"), Generator("s", 1), Generator("tk", 1)):
+    for g in (Generator("t"), Generator("s", 1)):
         with pytest.raises(ValueError):
             generator_perm(g, 0)
+    with pytest.raises(ValueError):
+        reflection_t(1, 0)
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        Generator("tk", 1)
 
 
 def test_xi_fixtures():

@@ -1,0 +1,27 @@
+"""Test oracles on signed permutations that no computation in the library
+needs."""
+
+
+def is_nonsplit(w):
+    """True iff the positive entries decrease and the negative entries
+    decrease in absolute value, read left to right."""
+    pos = [x for x in w if x > 0]
+    neg = [-x for x in w if x < 0]
+    return all(a > b for a, b in zip(pos, pos[1:])) and all(
+        a > b for a, b in zip(neg, neg[1:])
+    )
+
+
+def reflection_t(k, n):
+    """The one-line form of t_k = s_{k-1} ... s_1 t s_1 ... s_{k-1} inside
+    W_n: it negates position k."""
+    if not 1 <= k <= n:
+        raise ValueError(f"t_{k} out of range for W_{n}")
+    return tuple(-x if x == k else x for x in range(1, n + 1))
+
+
+def right_descends(w, kind, index):
+    """Whether l(w g) < l(w) for g = s_index (kind "s") or t_index (kind
+    "t"), by the positional criteria: w(i+1) < w(i) for s_i, w(j) < 0 for
+    t_j."""
+    return w[index] < w[index - 1] if kind == "s" else w[index - 1] < 0
