@@ -7,6 +7,16 @@ cells use the left tableaux, and two-sided cells are the transitive
 closure of both.  For r >= n - 1 the partitions stabilize ("asymptotic"
 cells).  Partitions are stored with canonically sorted blocks so they can
 be compared and serialized deterministically.
+
+W_2 has 4 left cells at rank 0 and 6 at rank 1; W_3 has 10 asymptotic
+two-sided cells:
+
+>>> len(combinatorial_cells(2, 0, "L").blocks)
+4
+>>> len(combinatorial_cells(2, 1, "L").blocks)
+6
+>>> len(asymptotic_cells(3, "LR").blocks)
+10
 """
 
 from __future__ import annotations

@@ -164,15 +164,13 @@ def _relocate(t: DominoTableau, convention: str) -> _Relocation:
 
 def _drop_trailing(cells: Dict[Square, int], removable) -> None:
     """Delete squares of `removable` with nothing right of or below them,
-    until no such square remains."""
-    changed = True
-    while changed:
-        changed = False
-        for sq in sorted(removable & cells.keys(), reverse=True):
-            i, j = sq
-            if (i, j + 1) not in cells and (i + 1, j) not in cells:
-                del cells[sq]
-                changed = True
+    until no such square remains.  One pass in reverse row-major order
+    does it: deleting a square can only make a square left of it or above
+    it trailing, and those come later in that order."""
+    for sq in sorted(removable & cells.keys(), reverse=True):
+        i, j = sq
+        if (i, j + 1) not in cells and (i + 1, j) not in cells:
+            del cells[sq]
 
 
 def _apply_moves(rel: _Relocation, labels: Iterable[int]) -> Dict[Square, int]:

@@ -291,9 +291,12 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     """
     pair.left.check_standard(strict_core=False)
     cells, shape = pair.left.cells(), pair.shape
+    recorded = pair.right.dominos
     w: List[int] = []
-    for k in range(pair.right.n, 0, -1):
-        value, cells, shape = _undo_step(cells, shape, pair.right.domino(k))
+    for k in range(len(recorded), 0, -1):
+        if k not in recorded:
+            raise TableauError(f"no domino labeled {k}")
+        value, cells, shape = _undo_step(cells, shape, recorded[k])
         w.append(value)
     if shape != staircase(pair.rank):
         raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")

@@ -17,9 +17,12 @@ over the square -> label map that built it: `from_cells` reads the rows
 and rejects a map that is not a Young diagram, and `_check_tiling`
 checks the labels, the dominos and the core.  `_check_tiling` is the one
 statement of those rules: the cycle layer runs it on each moved map, and
-`check_structure` runs it on the grid of a tableau from outside.  It
+`check_standard` runs it on the grid of a tableau from outside.  It
 groups the squares by label with `_dominos`, the one label -> squares
 scan, which `dominos`, the cycle layer and `uninsert` share.
+
+Tableaux and pairs are slotted records that hold only their fields;
+`shape`, `n` and `dominos` are computed on each read.
 
 >>> t = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
 >>> t.shape
@@ -31,8 +34,7 @@ False
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .shapes import (
     Square, Shape, cells_of_shape, diagonal, is_young, staircase,
@@ -78,7 +80,13 @@ def _check_tiling(cells: Dict[Square, int], core=None) -> None:
             raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
 
 
-@dataclass(frozen=True)
+def _vertical(squares: FrozenSet[Square]) -> bool:
+    """True when the two squares of a domino lie in different rows."""
+    (i1, _), (i2, _) = squares
+    return i1 != i2
+
+
+@dataclass(frozen=True, slots=True)
 class DominoTableau:
     rank: int
     rows: Tuple[Tuple[int, ...], ...]
@@ -88,18 +96,14 @@ class DominoTableau:
 
     # -- basic geometry -------------------------------------------------
 
-    @cached_property
+    @property
     def shape(self) -> Shape:
         return tuple(len(r) for r in self.rows)
 
-    @cached_property
-    def labels(self) -> Tuple[int, ...]:
-        seen = sorted({x for row in self.rows for x in row if x != 0})
-        return tuple(seen)
-
     @property
     def n(self) -> int:
-        return len(self.labels)
+        """The number of dominos: half the nonzero squares."""
+        return sum(x != 0 for row in self.rows for x in row) // 2
 
     def label_at(self, sq: Square) -> int:
         """Label at a square; -1 when the square is outside the shape."""
@@ -153,29 +157,12 @@ class DominoTableau:
             raise ValueError("cells do not form a Young diagram")
         return cls(rank, tuple(rows))
 
-    @cached_property
+    @property
     def dominos(self) -> Dict[int, FrozenSet[Square]]:
-        """Map label -> the two squares it occupies."""
+        """Map label -> the two squares it occupies, built on each read."""
         return _dominos(self.cells())
 
-    def domino(self, k: int) -> FrozenSet[Square]:
-        try:
-            return self.dominos[k]
-        except KeyError:
-            raise TableauError(f"no domino labeled {k}") from None
-
-    def is_vertical(self, k: int) -> bool:
-        (i1, _), (i2, _) = sorted(self.domino(k))
-        return i1 != i2
-
     # -- validation ------------------------------------------------------
-
-    def check_structure(self, core: Optional[FrozenSet[Square]] = None) -> None:
-        """Shape and tiling sanity, without the ordering conditions; with
-        `core` the 0 squares must be exactly those squares."""
-        if not is_young(self.shape):
-            raise TableauError(f"rows {self.shape} are not weakly decreasing")
-        _check_tiling(self.cells(), core)
 
     def check_standard(self, strict_core: bool = True) -> None:
         """Full validation; reports the first violated invariant.
@@ -183,9 +170,10 @@ class DominoTableau:
         With strict_core the 0 squares must form the staircase of the rank;
         otherwise any top-left-justified 0 region (order ideal) is accepted.
         """
-        self.check_structure(
-            frozenset(cells_of_shape(staircase(self.rank))) if strict_core else None
-        )
+        if not is_young(self.shape):
+            raise TableauError(f"rows {self.shape} are not weakly decreasing")
+        core = set(cells_of_shape(staircase(self.rank))) if strict_core else None
+        _check_tiling(self.cells(), core)
         # Weak increase along rows and columns, ties only inside one domino
         # (adjacency of the two squares of each label is already checked),
         # is equivalent to: core plus the dominos labeled <= k is a Young
@@ -254,7 +242,7 @@ class DominoTableau:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableauPair:
     left: DominoTableau
     right: DominoTableau
@@ -262,10 +250,9 @@ class TableauPair:
     def __post_init__(self):
         if self.left.rank != self.right.rank:
             raise TableauError("pair ranks differ")
-        if self.left.shape != self.right.shape:
-            raise TableauError(
-                f"pair shapes differ: {self.left.shape} vs {self.right.shape}"
-            )
+        left, right = self.left.shape, self.right.shape
+        if left != right:
+            raise TableauError(f"pair shapes differ: {left} vs {right}")
 
     @property
     def rank(self) -> int:
@@ -282,17 +269,17 @@ class TableauPair:
 def tau_of_tableau(q: DominoTableau) -> DescentSet:
     """Tableau descent set: t when domino 1 is vertical, s_i when domino i
     lies strictly above domino i+1 (every row of i above every row of i+1)."""
-    if q.n < 1:
-        return DescentSet(frozenset())
+    return DescentSet(_simple_descents(q.dominos))
+
+
+def _simple_descents(dominos: Dict[int, FrozenSet[Square]]) -> FrozenSet[str]:
     names = set()
-    if q.is_vertical(1):
+    if dominos and _vertical(dominos[1]):
         names.add("t")
-    for i in range(1, q.n):
-        rows_i = {r for r, _ in q.domino(i)}
-        rows_next = {r for r, _ in q.domino(i + 1)}
-        if max(rows_i) < min(rows_next):
+    for i in range(1, len(dominos)):
+        if max(r for r, _ in dominos[i]) < min(r for r, _ in dominos[i + 1]):
             names.add(f"s{i}")
-    return DescentSet(frozenset(names))
+    return frozenset(names)
 
 
 def enhanced_tau_of_tableau(q: DominoTableau, ratio: int) -> DescentSet:
@@ -304,13 +291,13 @@ def enhanced_tau_of_tableau(q: DominoTableau, ratio: int) -> DescentSet:
         raise ValueError("ratio must be a positive integer")
     if q.rank < ratio - 1:
         raise TableauError(f"rank {q.rank} too small for ratio {ratio}")
-    base = tau_of_tableau(q)
+    dominos = q.dominos
     ext = frozenset(
         f"t{j}"
-        for j in range(2, min(q.rank + 1, q.n) + 1)
-        if j - 1 < ratio and q.is_vertical(j)
+        for j in range(2, min(q.rank + 1, len(dominos)) + 1)
+        if j - 1 < ratio and _vertical(dominos[j])
     )
-    return DescentSet(base.simple, ext)
+    return DescentSet(_simple_descents(dominos), ext)
 
 
 def enumerate_sdt(n: int, rank: int) -> Iterator[DominoTableau]:

@@ -27,7 +27,7 @@ from .insertion import (
     asymptotic_bitableaux, insert, insertion_states, uninsert,
 )
 from .tableaux import (
-    enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
+    _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
 )
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
@@ -167,10 +167,10 @@ def verify_tau(n: int) -> Report:
                                  "ratio": ratio})
             # step-wise dichotomy on partial insertions
             for k in range(1, min(r + 1, n) + 1):
-                pk, qk = states[k].left, states[k].right
+                pk, qk = states[k].left.dominos, states[k].right.dominos
                 for j in range(1, k + 1):
-                    a = not pk.is_vertical(abs(w[j - 1]))
-                    b = not qk.is_vertical(j)
+                    a = not _vertical(pk[abs(w[j - 1])])
+                    b = not _vertical(qk[j])
                     if not (a == b == (w[j - 1] > 0)):
                         report.fail({"kind": "stepwise", "w": format_perm(w),
                                      "r": r, "k": k, "j": j})

@@ -7,7 +7,7 @@ from dominocells.cycles import (
     OPPOSITE, REGULAR, _relocate, _shift, core_raise, cycle_partition,
     extended_cycles, move_through, moved_domino, noncore_orbit, raise_rank,
 )
-from dominocells.insertion import insert
+from dominocells.insertion import insert, uninsert
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, enumerate_sdt, tau_of_tableau,
 )
@@ -33,7 +33,7 @@ def fixed_square(t, label, conv):
     """The square of domino `label` whose i + j has the rank's parity under
     the opposite convention, and the other parity under the regular one."""
     parity = t.rank % 2 if conv == OPPOSITE else (t.rank + 1) % 2
-    (fix,) = (sq for sq in t.domino(label) if sum(sq) % 2 == parity)
+    (fix,) = (sq for sq in t.dominos[label] if sum(sq) % 2 == parity)
     return fix
 
 
@@ -72,8 +72,9 @@ def _singleton_relocations(t, label, conv):
     """Independent oracle: all loose-standard single-domino relocations of
     `label` about its fixed square that avoid every other domino."""
     fix = fixed_square(t, label, conv)
-    others = {sq for k in t.labels if k != label for sq in t.domino(k)}
-    current = t.domino(label)
+    dominos = t.dominos
+    others = {sq for k, d in dominos.items() if k != label for sq in d}
+    current = dominos[label]
     results = []
     i, j = fix
     for cand in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
@@ -82,8 +83,7 @@ def _singleton_relocations(t, label, conv):
         pos = frozenset({fix, cand})
         if pos == current:
             continue
-        base = {sq: lbl for k in t.labels if k != label
-                for sq, lbl in zip(sorted(t.domino(k)), [k, k])}
+        base = {sq: k for k, d in dominos.items() if k != label for sq in d}
         base.update({sq: label for sq in pos})
         zeros = {sq for sq, x in t.cells().items() if x == 0} - pos
         (vacated,) = current - pos - {fix} if fix in pos else (None,)
@@ -226,7 +226,7 @@ def test_move_through_is_an_involution(t, conv):
 def test_cycles_partition_the_labels(t):
     for conv in (REGULAR, OPPOSITE):
         labels = [x for c in cycle_partition(t, conv) for x in c.labels]
-        assert sorted(labels) == list(t.labels)
+        assert sorted(labels) == sorted(t.dominos)
 
 
 def test_classification_matches_shape_behaviour():
@@ -275,16 +275,17 @@ def test_cycle_squares_are_what_its_move_adds_or_removes():
                         assert c.squares == t.cells().keys() ^ moved.cells().keys()
 
 
-def test_raise_rank_reads_the_grid_not_the_memoized_dominos():
-    # the relocation pass reads only the square -> label map, so tableaux
-    # held by the insert memo keep no label -> squares dict
+def test_memoized_pairs_hold_only_their_fields():
+    # tableaux and pairs are slotted values: whatever reads a pair held by
+    # the insert memo, nothing is written into it
     insert.cache_clear()
     for w in enumerate_group(3):
         for r in range(3):
             pair = insert(w, r)
             raise_rank(pair)
-            assert "dominos" not in pair.left.__dict__
-            assert "dominos" not in pair.right.__dict__
+            assert uninsert(pair) == w
+            for value in (pair, pair.left, pair.right):
+                assert not hasattr(value, "__dict__")
 
 
 def test_one_relocation_pass_serves_partition_moves_and_core_raise():

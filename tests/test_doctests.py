@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from dominocells import cycles, hecke, insertion, shapes, tableaux, wgroup
+from dominocells import cells, cycles, hecke, insertion, shapes, tableaux, wgroup
 
 
 @pytest.mark.parametrize(
-    "module", [wgroup, shapes, tableaux, cycles, insertion, hecke], ids=lambda m: m.__name__
+    "module", [wgroup, shapes, tableaux, cycles, insertion, cells, hecke], ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

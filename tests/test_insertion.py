@@ -5,7 +5,7 @@ from dominocells.insertion import (
     _undo_step, asymptotic_bitableaux, insert, insertion_states,
     recording_classes, split_rank, uninsert,
 )
-from dominocells.tableaux import DominoTableau, TableauError, TableauPair
+from dominocells.tableaux import DominoTableau, TableauError, TableauPair, _vertical
 from dominocells.wgroup import enumerate_group
 from wgroup_oracles import is_nonsplit
 
@@ -67,7 +67,7 @@ def test_undo_step_inverts_each_insertion_step(n):
             states = insertion_states(w, r)
             for k in range(1, n + 1):
                 value, before, shape = _undo_step(
-                    states[k].left.cells(), states[k].shape, states[k].right.domino(k)
+                    states[k].left.cells(), states[k].shape, states[k].right.dominos[k]
                 )
                 assert value == w[k - 1]
                 assert before == states[k - 1].left.cells()
@@ -99,6 +99,9 @@ def test_uninsert_rejects_invalid_pairs():
         uninsert(TableauPair(swapped, standard))
     with pytest.raises(TableauError, match="not a removable domino"):
         uninsert(TableauPair(standard, swapped))
+    # the right tableau comes from outside too: labels {1, 3}, no 2
+    with pytest.raises(TableauError, match="no domino labeled 2"):
+        uninsert(TableauPair(standard, DominoTableau(0, ((1, 1), (3, 3)))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -120,9 +123,10 @@ def test_bitableau_rejects_low_rank():
 def test_identity_inserts_as_one_row():
     pair = asymptotic_bitableaux((1, 2, 3))
     assert pair.left == pair.right
-    assert all(not pair.left.is_vertical(k) for k in (1, 2, 3))
+    dominos = pair.left.dominos
+    assert not any(_vertical(dominos[k]) for k in (1, 2, 3))
     single = asymptotic_bitableaux((-1,))
-    assert single.left.is_vertical(1)
+    assert _vertical(single.left.dominos[1])
 
 
 def test_split_rank_fixtures():
@@ -161,7 +165,7 @@ def test_partial_states_track_shapes():
     assert states[0].left.n == 0 and states[-1].right == insert(W, 2).right
     for k in range(1, 5):
         assert states[k].left.shape == states[k].right.shape
-        assert set(states[k].right.labels) == set(range(1, k + 1))
+        assert set(states[k].right.dominos) == set(range(1, k + 1))
 
 
 def test_recording_restriction_is_split():
@@ -175,6 +179,6 @@ def test_recording_restriction_is_split():
                 for row in q.rows:
                     rows.append(tuple(x for x in row if x in keep))
                 cut = DominoTableau(r, tuple(t for t in rows if t))
-                # restriction keeps a left-justified diagram
-                cut.check_structure()
+                # restriction keeps a standard tableau of the same rank
+                cut.check_standard()
                 assert cut.is_split()
