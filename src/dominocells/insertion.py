@@ -13,6 +13,13 @@ horizontal, a horizontal that lost just its left square re-enters the
 next column as a vertical.  Evictions are resolved smallest label first.
 The right tableau records which two squares each step added.
 
+Elements that share a prefix share its insertion state, so a pass over
+all of W_n walks the signed prefixes depth first: each child copies its
+parent's live maps and inserts one value, and each element carries the
+squares its steps added.  Equal step records give equal recording
+tableaux, so `recording_classes` groups W_n by them and freezes each
+distinct recording tableau once.
+
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
 a step, the labels largest first, finding each moved domino's old place
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .shapes import (
     Shape, Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
@@ -66,10 +73,12 @@ def _target(cells: Dict[Square, int], label: int, mode: str, idx: int):
     return (c + 1, idx), (c + 2, idx)
 
 
-def _insert_value(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Square]],
-                  value: int) -> None:
-    """Insert one value into the live square -> label map `cells`; `where`
-    maps each label to the domino it was last placed on."""
+def _step(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Square]],
+          value: int, step: int) -> Tuple[Square, Square]:
+    """Insert one value, as step `step`, into the live square -> label map
+    `cells`; `where` maps each label to the domino it was last placed on.
+    Returns the two squares the step added, sorted."""
+    before = set(cells)
     m = abs(value)
     losses: Dict[int, Set[Square]] = {}  # evicted label -> squares it lost
     heap = [m]
@@ -93,6 +102,11 @@ def _insert_value(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Squar
                     heapq.heappush(heap, old)
                 losses[old].add(sq)
             cells[sq] = u
+    added = cells.keys() - before
+    if len(added) != 2:
+        raise AssertionError(f"step {step} added squares {sorted(added)}")
+    a, b = added
+    return (a, b) if a < b else (b, a)
 
 
 def _run_insertion(w: SignedPerm, rank: int):
@@ -106,13 +120,34 @@ def _run_insertion(w: SignedPerm, rank: int):
     where: Dict[int, Tuple[Square, Square]] = {}
     yield cells, recording
     for step, value in enumerate(w, start=1):
-        before = set(cells)
-        _insert_value(cells, where, value)
-        added = sorted(cells.keys() - before)
-        if len(added) != 2:
-            raise AssertionError(f"step {step} added squares {added}")
-        recording.update(dict.fromkeys(added, step))
+        recording.update(dict.fromkeys(_step(cells, where, value, step), step))
         yield cells, recording
+
+
+def _walk(n: int, rank: int) -> Iterator[Tuple[SignedPerm, Dict[Square, int], tuple]]:
+    """Rank-`rank` insertion of all of W_n, depth first over the signed
+    prefixes: yield (w, left, steps) for each w, where `left` is the live
+    square -> label map of its insertion tableau and `steps` holds the
+    squares each step added, so equal `steps` give equal recording
+    tableaux.  A child copies its parent's state and inserts one value, so
+    each prefix is inserted once."""
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+
+    def grow(w, cells, where, steps):
+        if len(w) == n:
+            yield w, cells, steps
+            return
+        used = {abs(x) for x in w}
+        for m in range(1, n + 1):
+            if m in used:
+                continue
+            for value in (m, -m):
+                child, child_where = dict(cells), dict(where)
+                added = _step(child, child_where, value, len(w) + 1)
+                yield from grow(w + (value,), child, child_where, steps + (added,))
+
+    yield from grow((), dict.fromkeys(cells_of_shape(staircase(rank)), 0), {}, ())
 
 
 def _insert(w: SignedPerm, rank: int) -> TableauPair:
@@ -139,11 +174,31 @@ def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
 @lru_cache(maxsize=2)
 def recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
     """Recording tableau -> its class, for all of W_n at one rank.  Two
-    ranks are held because the class check compares rank r with r+1."""
-    classes: Dict[DominoTableau, set] = {}
-    for w in group_elements(n):
-        classes.setdefault(_insert(w, rank).right, set()).add(w)
-    return {t: frozenset(ws) for t, ws in classes.items()}
+    ranks are held because the class check compares rank r with r+1.
+
+    One walk over the signed prefixes groups W_n by the squares each step
+    added, and each distinct recording tableau is frozen once.  The classes
+    hold the tuples of `group_elements(n)`.  At rank 1 there is one class
+    per standard domino tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for
+    n = 3 (I(k) counts the involutions of k letters), and they cover
+    |W_3| = 48:
+
+    >>> classes = recording_classes(3, 1)
+    >>> len(classes), sum(map(len, classes.values()))
+    (20, 48)
+    """
+    elements = {w: w for w in group_elements(n)}
+    by_steps: Dict[tuple, List[SignedPerm]] = {}
+    for w, _, steps in _walk(n, rank):
+        by_steps.setdefault(steps, []).append(elements[w])
+    core = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
+    classes = {}
+    for steps, ws in by_steps.items():
+        recording = dict(core)
+        for step, added in enumerate(steps, start=1):
+            recording.update(dict.fromkeys(added, step))
+        classes[DominoTableau.from_cells(rank, recording)] = frozenset(ws)
+    return classes
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------
@@ -229,12 +284,14 @@ def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauP
     )
 
 
-def _undo_step(cells: Dict[Square, int], shape: Shape,
-               added) -> Tuple[int, Dict[Square, int], Shape]:
+def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
+               shape: Shape, added) -> Tuple[int, Shape]:
     """Undo the insertion step that added the domino `added` to the left
-    tableau `cells` (square -> label, 0 on the core) of shape `shape`;
-    returns the inserted value, the cells before the step and their shape,
-    which is `shape` less `added`.
+    tableau `cells` (square -> label, 0 on the core) of shape `shape`, whose
+    label -> squares map is `dominos`; returns the inserted value and the
+    shape before the step, which is `shape` less `added`.  `cells` and
+    `dominos` are updated in place, on the labels the step moved only, once
+    the whole step has been undone.
 
     Labels are undone largest first, while `loose` holds the two squares
     that the labels not yet undone gained in the step.  A label whose
@@ -246,7 +303,6 @@ def _undo_step(cells: Dict[Square, int], shape: Shape,
     """
     if frozenset(added) not in removable_dominos(shape):
         raise TableauError(f"squares {sorted(added)} are not a removable domino")
-    dominos = _dominos(cells)
     loose = set(added)
     moved: Dict[int, FrozenSet[Square]] = {}
     for lbl in sorted(dominos, reverse=True):
@@ -257,13 +313,17 @@ def _undo_step(cells: Dict[Square, int], shape: Shape,
         if i1 == i2 == 1 or j1 == j2 == 1:
             if now != loose:
                 raise TableauError(f"entry domino {lbl} is not the step's squares")
-            before = {sq: x for sq, x in cells.items() if x not in moved and x != lbl}
+            for k in (lbl, *moved):
+                for sq in dominos[k]:
+                    del cells[sq]
+            del dominos[lbl]
             for k, d in moved.items():
-                before.update(dict.fromkeys(d, k))
+                cells.update(dict.fromkeys(d, k))
+                dominos[k] = d
             rows = list(shape)
             for i, _ in added:
                 rows[i - 1] -= 1
-            return (lbl if i1 == i2 else -lbl), before, tuple(x for x in rows if x)
+            return (lbl if i1 == i2 else -lbl), tuple(x for x in rows if x)
         region = shape_from_cells(
             [sq for sq, x in cells.items() if x <= lbl and sq not in loose]
         )
@@ -284,19 +344,21 @@ def _undo_step(cells: Dict[Square, int], shape: Shape,
 def uninsert(pair: TableauPair) -> SignedPerm:
     """The signed permutation mapping to `pair` under rank-`pair.rank`
     insertion, by reverse bumping: the steps the right tableau records are
-    undone last first.
+    undone last first, on one square -> label map and one label -> squares
+    map of the left tableau.
 
     >>> uninsert(insert((4, 1, -3, -2), 2))
     (4, 1, -3, -2)
     """
     pair.left.check_standard(strict_core=False)
     cells, shape = pair.left.cells(), pair.shape
+    dominos = _dominos(cells)
     recorded = pair.right.dominos
     w: List[int] = []
     for k in range(len(recorded), 0, -1):
         if k not in recorded:
             raise TableauError(f"no domino labeled {k}")
-        value, cells, shape = _undo_step(cells, shape, recorded[k])
+        value, shape = _undo_step(cells, dominos, shape, recorded[k])
         w.append(value)
     if shape != staircase(pair.rank):
         raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")

@@ -1,12 +1,15 @@
 import pytest
 
+from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _undo_step, asymptotic_bitableaux, insert, insertion_states,
+    _insert, _undo_step, _walk, asymptotic_bitableaux, insert, insertion_states,
     recording_classes, split_rank, uninsert,
 )
-from dominocells.tableaux import DominoTableau, TableauError, TableauPair, _vertical
-from dominocells.wgroup import enumerate_group
+from dominocells.tableaux import (
+    DominoTableau, TableauError, TableauPair, _dominos, _vertical,
+)
+from dominocells.wgroup import enumerate_group, group_elements
 from wgroup_oracles import is_nonsplit
 
 W = (4, 1, -3, -2)
@@ -66,11 +69,13 @@ def test_undo_step_inverts_each_insertion_step(n):
         for r in range(n + 1):
             states = insertion_states(w, r)
             for k in range(1, n + 1):
-                value, before, shape = _undo_step(
-                    states[k].left.cells(), states[k].shape, states[k].right.dominos[k]
+                cells, dominos = states[k].left.cells(), states[k].left.dominos
+                value, shape = _undo_step(
+                    cells, dominos, states[k].shape, states[k].right.dominos[k]
                 )
                 assert value == w[k - 1]
-                assert before == states[k - 1].left.cells()
+                assert cells == states[k - 1].left.cells()
+                assert dominos == states[k - 1].left.dominos
                 assert shape == states[k - 1].shape
             assert states[-1] == insert(w, r)
 
@@ -78,13 +83,13 @@ def test_undo_step_inverts_each_insertion_step(n):
 def test_undo_step_fails_loudly():
     left = insert(W, 2).left
     with pytest.raises(TableauError, match="not a removable domino"):
-        _undo_step(left.cells(), left.shape, {(1, 3), (1, 4)})
+        _undo_step(left.cells(), left.dominos, left.shape, {(1, 3), (1, 4)})
     # labels 1 and 2 of the rank-0 tableau ((1, 1), (2, 2)) swapped
     swapped = {(1, 1): 2, (1, 2): 2, (2, 1): 1, (2, 2): 1}
     with pytest.raises(TableauError, match="0 ways back"):
-        _undo_step(swapped, (2, 2), {(2, 1), (2, 2)})
+        _undo_step(swapped, _dominos(swapped), (2, 2), {(2, 1), (2, 2)})
     with pytest.raises(TableauError, match="entry domino 2"):
-        _undo_step(swapped, (2, 2), {(1, 2), (2, 2)})
+        _undo_step(swapped, _dominos(swapped), (2, 2), {(1, 2), (2, 2)})
 
 
 def test_uninsert_rejects_invalid_pairs():
@@ -157,6 +162,41 @@ def test_one_shot_insertions_bypass_the_insert_memo():
         split_rank(v)
     assert w in class_of_tableau(t, 5)
     assert insert.cache_info() == before
+
+
+@pytest.mark.parametrize("n, ranks", [(n, range(n + 2)) for n in range(5)] + [(5, [2])])
+def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
+    for r in ranks:
+        walked = {}
+        for w, left, _ in _walk(n, r):
+            assert w not in walked
+            walked[w] = left
+        assert walked.keys() == set(group_elements(n))
+        expected = {}
+        for w in group_elements(n):
+            pair = _insert(w, r)
+            assert walked[w] == pair.left.cells()
+            expected.setdefault(pair.right, set()).add(w)
+        assert recording_classes(n, r) == {t: frozenset(ws) for t, ws in expected.items()}
+
+
+@pytest.mark.parametrize("target, rank, message", [
+    (((1, 1), (1, 2)), 1, "insertion target \\(1, 1\\) is a core square"),
+    (((1, 1), (1, 2), (1, 3)), 0, "step 1 added squares"),
+])
+def test_both_insertion_paths_run_the_step_assertions(monkeypatch, target, rank, message):
+    monkeypatch.setattr(insertion_mod, "_target", lambda *args: target)
+    with pytest.raises(AssertionError, match=message):
+        _insert((1, 2), rank)
+    with pytest.raises(AssertionError, match=message):
+        next(_walk(2, rank))
+
+
+def test_recording_classes_hold_the_group_elements_themselves():
+    held = {id(w) for w in group_elements(4)}
+    for r in range(6):
+        for ws in recording_classes(4, r).values():
+            assert all(id(w) in held for w in ws)
 
 
 def test_partial_states_track_shapes():
