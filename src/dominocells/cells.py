@@ -94,11 +94,13 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
         raise ValueError("rank must be >= 0")
     elems = group_elements(n)
     if side in ("L", "R"):
-        groups: Dict[Tuple, list] = {}
-        for w in elems:
-            pair = insert(w, rank)
-            t = pair.right if side == "L" else pair.left
-            groups.setdefault(cell_fingerprint(t), []).append(w)
+        groups: Dict[Tuple, set] = {}
+        if side == "L":  # one fingerprint per class of equal recording tableau
+            for t, ws in recording_classes(n, rank).items():
+                groups.setdefault(cell_fingerprint(t), set()).update(ws)
+        else:
+            for w in elems:
+                groups.setdefault(cell_fingerprint(insert(w, rank).left), set()).add(w)
         blocks = tuple(frozenset(g) for g in groups.values())
         return CellPartition(n, f"comb r={rank} {side}", blocks)
     links = []

@@ -26,16 +26,28 @@ since c_s = T_s + v_s^{-1}, a term T_y of c_w gives T_{sy} + v_s^{-1} T_y
 when sy > y and T_{sy} + v_s T_y otherwise.  Right cells are the inverses
 of left cells, since y <=_R w exactly when y^{-1} <=_L w^{-1}.
 
-Internally a Laurent polynomial is a dict {exponent: integer coefficient}
-with no zero values.  Inside a table an element is its index 0..N-1 in
-(length, one-line form) order, and a Hecke algebra element is a dict from
-indices to such dicts.  The left action of each generator on indices, and
-whether it raises the length, is one table per n shared by the tables of
-every weight function, so the pass never composes permutations.  In the
-finished c_w, equal coefficients are one shared dict: at n = 5 there are
-millions of coefficients but only thousands of distinct ones.  Signed
-permutations appear only at the boundary: `kl_basis`, `c_expand` and the
-blocks of `cells`.
+At the boundary a Laurent polynomial is a dict {exponent: integer
+coefficient} with no zero values.  Inside a table it is one int, its code:
+the polynomial's value at v^{-1} = 2^32, times 2^{32 top}, where top is the
+table's largest weight.  Each coefficient is then one balanced base-2^32
+digit (exponent e sits at digit top - e), so negative coefficients are
+exact, multiplying by v^{-L} or v^{L} is a shift by 32 L bits, a product of
+codes is one multiplication and a shift, and "has an exponent >= 0" is a
+test of the low top + 1 digits.  Every product the pass forms has its
+exponents at most top, since each c_w has them at most 0, so every digit
+index is non-negative.  Codes are decoded to dicts only where a
+bar-symmetric part is taken, and at the boundary; each decode and encode
+checks that every coefficient is far inside the digit range.
+
+Inside a table an element is its index 0..N-1 in (length, one-line form)
+order, and a Hecke algebra element is a dict from indices to codes.  The
+left action of each generator on indices, and whether it raises the
+length, is one table per n shared by the tables of every weight function,
+so the pass never composes permutations.  In the finished c_w, equal
+coefficients are one shared int: at n = 5 there are millions of
+coefficients but only thousands of distinct ones.  Dicts and signed
+permutations appear only at the boundary: `kl_basis`, `c_expand`, the
+blocks of `cells` and the cache file.
 """
 
 from __future__ import annotations
@@ -54,21 +66,18 @@ from .wgroup import (
     inverse, length, simple_generators,
 )
 
-__all__ = [
-    "WeightFunction", "poly_is_strictly_negative",
-    "poly_symmetric_part", "kl_cells", "KLTable",
-]
+__all__ = ["WeightFunction", "poly_symmetric_part", "kl_cells", "KLTable"]
 
 
-# -- Laurent polynomials as sparse dicts ---------------------------------
+# -- Laurent polynomials: dicts at the boundary, codes inside a table -----
 
 Poly = Dict[int, int]
 
-P_ONE: Poly = {0: 1}
-
-
-def poly_is_strictly_negative(a: Poly) -> bool:
-    return all(e < 0 for e in a)
+_K = 32  # bits per digit of a code
+# The largest |coefficient| at n = 5 is 35.  A coefficient of 2^31 or more
+# would spill into the next digit and decode as another polynomial, so
+# decoding and encoding refuse anything from 2^16 on, far below that.
+_LIMIT = 1 << 16
 
 
 def poly_symmetric_part(a: Poly) -> Poly:
@@ -83,6 +92,42 @@ def poly_symmetric_part(a: Poly) -> Poly:
             if not out[-e]:
                 del out[-e]
     return out
+
+
+def _check_digit(k: int) -> None:
+    if not -_LIMIT < k < _LIMIT:
+        raise ValueError(f"coefficient {k} is outside the digit range of a code")
+
+
+def _encode(p: Poly, top: int) -> int:
+    """The code of p, whose exponents are at most `top`."""
+    x = 0
+    for e, k in p.items():
+        _check_digit(k)
+        x += k << _K * (top - e)
+    return x
+
+
+def _decode(x: int, top: int) -> Poly:
+    """The polynomial whose code at `top` is x, one balanced digit at a time."""
+    out: Poly = {}
+    e = top
+    while x:
+        k = x & ((1 << _K) - 1)
+        if k >> (_K - 1):
+            k -= 1 << _K
+        if k:
+            _check_digit(k)
+            out[e] = k
+        x = (x - k) >> _K
+        e -= 1
+    return out
+
+
+def _low_digits(top: int) -> int:
+    """The mask of the digits of exponents top..0: a code and'ed with it is
+    nonzero exactly when the polynomial has an exponent >= 0."""
+    return (1 << _K * (top + 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -130,7 +175,7 @@ def _indexed_group(n: int) -> _IndexedGroup:
 # -- the algebra ----------------------------------------------------------
 
 HeckeDict = Dict[SignedPerm, Poly]
-IndexedDict = Dict[int, Poly]
+IndexedDict = Dict[int, int]  # index -> code
 
 
 class KLTable:
@@ -147,6 +192,7 @@ class KLTable:
         self.gens = [  # (s, L(s)) for each Coxeter generator s
             (generator_perm(g, n), weights.of_generator(g)) for g in simple_generators(n)
         ]
+        self._top = max(weights.a, weights.b)  # the codes' offset: top - e is a digit
         self._c: List[IndexedDict] = []
         self._edges: Optional[List[FrozenSet[int]]] = None
         self._left_cells: Optional[List[FrozenSet[int]]] = None
@@ -161,12 +207,12 @@ class KLTable:
         {(-1,): {0: 1}, (1,): {-2: 1}}
         """
         cw = self.all_kl_basis()[self._group.index[w]]
-        return {self.elements[y]: p for y, p in cw.items()}
+        return {self.elements[y]: _decode(x, self._top) for y, x in cw.items()}
 
     def all_kl_basis(self) -> List[IndexedDict]:
-        """c_w for the whole group, by index, read from the cache file when
-        it passes its checks, otherwise computed by one pass and written
-        once."""
+        """c_w for the whole group, by index, with each coefficient as its
+        code; read from the cache file when it passes its checks, otherwise
+        computed by one pass and written once."""
         if self._edges is None and not self._load_cache():
             self._pass()
             if self.cache_dir:
@@ -177,10 +223,11 @@ class KLTable:
         """For w in length order and each s with sw > w, strip c_s c_w of
         the bar-symmetric part of every coefficient below sw.  The first
         product that reaches sw sets c_{sw}; every later one must agree."""
-        group, elements = self._group, self.elements
-        shared: Dict[FrozenSet, Poly] = {}
+        group, elements, top = self._group, self.elements, self._top
+        one, low = _encode({0: 1}, top), _low_digits(top)
+        shared: Dict[int, int] = {}
         c: List[Optional[IndexedDict]] = [None] * len(elements)
-        c[0] = _shared({0: dict(P_ONE)}, shared)  # the identity comes first
+        c[0] = _shared({0: one}, shared, top)  # the identity comes first
         edges: List[FrozenSet[int]] = []
         actions = [(lmul, up, ls) for lmul, up, (_, ls) in zip(group.lmul, group.up, self.gens)]
         for w, cw in enumerate(c):
@@ -191,18 +238,18 @@ class KLTable:
                 sw = lmul[w]
                 m = self._c_s_times(lmul, up, ls, cw)
                 # M^s_{z,w} is what is stripped at z; what is left is c_sw
-                targets.update(self._strip(m, c, poly_symmetric_part, keep=sw))
+                targets.update(self._strip(m, c, top, poly_symmetric_part, low, keep=sw))
                 targets.add(sw)
                 known = c[sw]
                 if known is None:
-                    assert m.get(sw) == P_ONE, f"c_{elements[sw]} is not unitriangular"
-                    for z, coef in m.items():
-                        if z != sw and not poly_is_strictly_negative(coef):
+                    assert m.get(sw) == one, f"c_{elements[sw]} is not unitriangular"
+                    for z, x in m.items():
+                        if z != sw and x & low:
                             raise AssertionError(
                                 f"c_{elements[sw]} coefficient at {elements[z]} "
-                                f"not negative: {coef}"
+                                f"not negative: {_decode(x, top)}"
                             )
-                    c[sw] = _shared(m, shared)
+                    c[sw] = _shared(m, shared, top)
                 elif known != m:
                     raise AssertionError(
                         f"c_s c_{elements[w]} gives another c_{elements[sw]}")
@@ -214,62 +261,49 @@ class KLTable:
                    h: IndexedDict) -> IndexedDict:
         """c_s h where s acts by `lmul` and `up` and L(s) = ls, by
         c_s = T_s + v_s^{-1}: a term T_y goes to T_{sy} + v_s^{-1} T_y when
-        sy > y, to T_{sy} + v_s T_y otherwise.  The coefficients of h are
-        only read: each key of the result starts as a copy."""
-        out: IndexedDict = {lmul[y]: dict(coef) for y, coef in h.items()}
-        for y, coef in h.items():
-            shift = -ls if up[y] else ls
-            cur = out.get(y)
-            if cur is None:
-                out[y] = {e + shift: k for e, k in coef.items()}
-                continue
-            for e, k in coef.items():
-                e += shift
-                s = cur.get(e, 0) + k
-                if s:
-                    cur[e] = s
-                else:
-                    del cur[e]
-            if not cur:
+        sy > y, to T_{sy} + v_s T_y otherwise.  Every exponent of h is at
+        most top - ls, so the shift for v_s drops only zero digits."""
+        shift = _K * ls
+        out: IndexedDict = {lmul[y]: x for y, x in h.items()}
+        for y, x in h.items():
+            s = out.get(y, 0) + (x << shift if up[y] else x >> shift)
+            if s:
+                out[y] = s
+            else:
                 del out[y]
         return out
 
-    @staticmethod
-    def _strip(m: IndexedDict, c: List[IndexedDict], part,
+    def _strip(self, m: IndexedDict, c: List[IndexedDict], top: int, part, mask: int,
                keep: Optional[int] = None) -> Dict[int, Poly]:
-        """For every z but `keep`, longest first, subtract part(m[z]) c_z
-        from m in place; return z -> part(m[z]) where it is nonzero.
-        Subtracting a multiple of c_z only reaches elements shorter than z,
-        which come earlier in the index order, so one heap-ordered sweep
-        visits each z once.  The c_z are only read."""
-        heap = [-z for z in m if z != keep]
+        """For every z but `keep` whose code in m has a digit in `mask`,
+        longest first, subtract part(m[z]) c_z from m in place, where m holds
+        codes at `top` and `part` is nonzero exactly where `mask` is; return
+        z -> part(m[z]) where it is nonzero.  Subtracting a multiple of c_z
+        only reaches elements shorter than z, which come earlier in the
+        index order, so one heap-ordered sweep visits each z once, and only
+        the z whose code passes the mask are queued.  The c_z are codes at
+        the table's top and are only read."""
+        shift = _K * self._top
+        heap = [-z for z, x in m.items() if x & mask and z != keep]
         heapq.heapify(heap)
-        queued = set(m)
+        queued = {-z for z in heap}
         out: Dict[int, Poly] = {}
         while heap:
             z = -heapq.heappop(heap)
-            p = part(m.get(z, {}))
-            if not p:
+            x = m.get(z, 0)
+            if not x & mask:
                 continue
-            out[z] = p
-            terms = p.items()
-            for y, coef in c[z].items():
-                cur = m.get(y)
-                if cur is None:
-                    cur = m[y] = {}
-                    if y not in queued:
-                        queued.add(y)
-                        heapq.heappush(heap, -y)
-                for ep, kp in terms:  # m[y] -= p coef
-                    for ec, kc in coef.items():
-                        e = ep + ec
-                        s = cur.get(e, 0) - kp * kc
-                        if s:
-                            cur[e] = s
-                        else:
-                            del cur[e]
-                if not cur:
+            p = out[z] = part(_decode(x, top))
+            px = _encode(p, top)
+            for y, coef in c[z].items():  # m[y] -= p c_z[y]
+                s = m.get(y, 0) - (px * coef >> shift)
+                if not s:
                     del m[y]
+                    continue
+                m[y] = s
+                if s & mask and y not in queued:
+                    queued.add(y)
+                    heapq.heappush(heap, -y)
         return out
 
     def left_edges(self) -> List[FrozenSet[int]]:
@@ -280,10 +314,12 @@ class KLTable:
     # ---- cells
 
     def c_expand(self, h: HeckeDict) -> Dict[SignedPerm, Poly]:
-        """Coefficients of h in the Kazhdan-Lusztig basis."""
+        """Coefficients of h in the Kazhdan-Lusztig basis, stripped whole
+        by the pass's own strip, with h coded at its own largest exponent."""
         index, elements = self._group.index, self.elements
-        m = {index[y]: dict(p) for y, p in h.items()}
-        out = self._strip(m, self.all_kl_basis(), dict)
+        top = max((e for p in h.values() for e in p), default=0)
+        m = {index[y]: _encode(p, top) for y, p in h.items()}
+        out = self._strip(m, self.all_kl_basis(), top, dict, -1)
         return {elements[z]: p for z, p in out.items()}
 
     def cells(self, side: str = "L") -> CellPartition:
@@ -339,15 +375,16 @@ class KLTable:
                     fh.write(line)
 
                 write(json.dumps(self._header()))
-                # Each shared coefficient is encoded once; the table holds
+                # Each shared coefficient is decoded once; the table holds
                 # every coefficient, so no id is reused while this runs.
                 texts: Dict[int, str] = {}
                 for cw, edges in zip(self._c, self._edges):
                     terms = []
-                    for y, p in sorted(cw.items()):
-                        text = texts.get(id(p))
+                    for y, x in sorted(cw.items()):
+                        text = texts.get(id(x))
                         if text is None:
-                            text = texts[id(p)] = json.dumps(sorted(p.items()))
+                            p = _decode(x, self._top)
+                            text = texts[id(x)] = json.dumps(sorted(p.items()))
                         terms.append(f"[{y}, {text}]")
                     write(f'{{"c": [{", ".join(terms)}], "edges": {json.dumps(sorted(edges))}}}')
                 fh.write(json.dumps({"sha256": digest.hexdigest()}).encode() + b"\n")
@@ -368,7 +405,8 @@ class KLTable:
         except FileNotFoundError:
             return False
         with fh:
-            digest, shared = _sha256(), {}
+            digest, top = _sha256(), self._top
+            codes: Dict[Tuple, int] = {}  # the record's [[e, k], ...] -> code
             keys = list(range(len(self.elements)))  # one int object per index
             c: List[IndexedDict] = []
             edges: List[FrozenSet[int]] = []
@@ -381,7 +419,14 @@ class KLTable:
                     line = fh.readline()
                     digest.update(line)
                     rec = json.loads(line)
-                    c.append(_shared({keys[y]: dict(p) for y, p in rec["c"]}, shared))
+                    cw = {}
+                    for y, pairs in rec["c"]:
+                        key = tuple(map(tuple, pairs))
+                        x = codes.get(key)
+                        if x is None:
+                            x = codes[key] = _encode(dict(pairs), top)
+                        cw[keys[y]] = x
+                    c.append(cw)
                     edges.append(frozenset(rec["edges"]))
                 trailer = json.loads(fh.readline())
             except (ValueError, TypeError, KeyError, IndexError):
@@ -399,13 +444,16 @@ def _sha256():
     return hashlib.sha256()
 
 
-def _shared(h: IndexedDict, pool: Dict[FrozenSet, Poly]) -> IndexedDict:
-    """h with each coefficient replaced, in place, by the one dict that
-    `pool` keeps for its value.  Safe because a finished c_w is never
-    written: `_c_s_times` copies a coefficient before its first write, and
-    `_strip` only reads the c_z it subtracts."""
-    for y, p in h.items():
-        h[y] = pool.setdefault(frozenset(p.items()), p)
+def _shared(h: IndexedDict, pool: Dict[int, int], top: int) -> IndexedDict:
+    """h with each code replaced, in place, by the one int that `pool`
+    keeps for its value.  Each new value is decoded once, so every stored
+    coefficient passes the digit check."""
+    for y, x in h.items():
+        shared = pool.get(x)
+        if shared is None:
+            _decode(x, top)
+            shared = pool[x] = x
+        h[y] = shared
     return h
 
 

@@ -2,8 +2,9 @@
 Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
 definition), Laurent-polynomial sums and products and the bar map on
-coefficients, multiplication on the T basis (by T_s, and by T_u along a
-reduced word), and the bar involution.  No pipeline in `dominocells` needs them, so they
+coefficients, the strictly-negative test on coefficients, multiplication on
+the T basis (by T_s, and by T_u along a reduced word), and the bar
+involution.  No pipeline in `dominocells` needs them, so they
 live beside the tests; the T-basis product here shares no code with the
 c_s product that builds the Kazhdan-Lusztig basis.
 """
@@ -12,7 +13,6 @@ import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
-from dominocells.hecke import P_ONE
 from dominocells.wgroup import (
     SignedPerm, compose, generator_perm, group_elements, identity, inverse,
     length, simple_generators,
@@ -45,6 +45,10 @@ def poly_mul(a, b):
 
 def poly_bar(a):
     return {-e: c for e, c in a.items()}
+
+
+def poly_is_strictly_negative(a):
+    return all(e < 0 for e in a)
 
 
 def add_term(h, y, p):
@@ -171,7 +175,7 @@ def bar_t(table, y: SignedPerm):
     if cached is not None:
         return cached
     if y == identity(table.n):
-        out = {y: dict(P_ONE)}
+        out = {y: {0: 1}}
     else:
         for gp, ls in table.gens:
             sy = compose(gp, y)

@@ -11,9 +11,7 @@ from dominocells.cycles import (
     OPPOSITE, REGULAR, cycle_partition, extended_cycles, move_through,
     moved_domino, raise_rank,
 )
-from dominocells.hecke import (
-    KLTable, WeightFunction, kl_cells, poly_is_strictly_negative,
-)
+from dominocells.hecke import KLTable, WeightFunction, kl_cells
 from dominocells.insertion import insert, split_rank
 from dominocells.tableaux import DominoTableau, enumerate_sdt
 from dominocells.verify import (
@@ -21,7 +19,7 @@ from dominocells.verify import (
     verify_intermediate_structure, verify_tau,
 )
 from dominocells.wgroup import enumerate_group
-from hecke_oracles import bar, t_multiply_left_word
+from hecke_oracles import bar, poly_is_strictly_negative, t_multiply_left_word
 from wgroup_oracles import is_nonsplit
 
 W = (4, 1, -3, -2)

@@ -7,16 +7,16 @@ from hypothesis import given, strategies as st
 
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
-    KLTable, WeightFunction, _indexed_group, kl_cells, poly_is_strictly_negative,
-    poly_symmetric_part,
+    _K, _LIMIT, KLTable, WeightFunction, _decode, _encode, _indexed_group,
+    _low_digits, kl_cells, poly_symmetric_part,
 )
 from dominocells.wgroup import (
     compose, generator_perm, group_elements, identity, inverse, length,
     simple_generators,
 )
 from hecke_oracles import (
-    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar, poly_mul,
-    t_multiply_left, t_multiply_left_word,
+    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar,
+    poly_is_strictly_negative, poly_mul, t_multiply_left, t_multiply_left_word,
 )
 
 
@@ -37,6 +37,42 @@ def test_symmetric_part_properties(d):
     assert sym == poly_bar(sym)
     rest = poly_add(d, {e: -c for e, c in sym.items()})
     assert poly_is_strictly_negative(rest)
+
+
+def _polys(low, high):
+    return st.dictionaries(st.integers(low, high), st.integers(-60, 60).filter(bool),
+                           max_size=6)
+
+
+@given(st.integers(1, 6), st.integers(-5, 8), st.data())
+def test_codes_follow_the_dict_oracles(top, offset, data):
+    # `top` is a table's largest weight and `offset` the top of a strip's
+    # codes, which c_expand sets from its input
+    a, b = data.draw(_polys(-40, top)), data.draw(_polys(-40, top))
+    ls = data.draw(st.integers(1, top))
+    low = data.draw(_polys(-40, top - ls))  # a coefficient that v_s may raise
+    cz = data.draw(_polys(-40, 0))  # a coefficient of some c_z
+    p = data.draw(_polys(-40, offset))
+    assert _decode(_encode(a, top), top) == a
+    assert _decode(_encode(a, top) + _encode(b, top), top) == poly_add(a, b)
+    assert _decode(_encode(low, top) << _K * ls, top) == poly_mul(low, {-ls: 1})
+    assert _decode(_encode(low, top) >> _K * ls, top) == poly_mul(low, {ls: 1})
+    sym = poly_symmetric_part(a)
+    product = _encode(sym, top) * _encode(cz, top) >> _K * top
+    assert _decode(product, top) == poly_mul(sym, cz)
+    product = _encode(p, offset) * _encode(cz, top) >> _K * top
+    assert _decode(product, offset) == poly_mul(p, cz)
+    assert bool(_encode(a, top) & _low_digits(top)) == (not poly_is_strictly_negative(a))
+
+
+def test_a_coefficient_outside_the_digit_range_is_refused():
+    for k in (_LIMIT - 1, 1 - _LIMIT):
+        assert _decode(_encode({-3: k}, 2), 2) == {-3: k}
+    for k in (_LIMIT, -_LIMIT):
+        with pytest.raises(ValueError, match="digit range"):
+            _decode(k << _K * 5, 2)
+        with pytest.raises(ValueError, match="digit range"):
+            _encode({-3: k}, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -239,6 +275,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_c_expand_takes_exponents_above_the_table_weights(n):
+    # the input's codes sit at its own largest exponent, here above every
+    # weight of the table, and go down to -40
+    table = KLTable(n, WeightFunction(1, 2))
+    rng = random.Random(n)
+    for _ in range(5):
+        h = {w: {rng.randint(3, 12): rng.choice((-3, -1, 2)), rng.randint(-40, -20): 5}
+             for w in rng.sample(table.elements, min(3, len(table.elements)))}
+        total = {}
+        for z, coef in table.c_expand(h).items():
+            for y, c2 in table.kl_basis(z).items():
+                add_term(total, y, poly_mul(coef, c2))
+        assert total == h
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     L = WeightFunction(1, 2)
     products = _count_calls(monkeypatch, "_c_s_times")
@@ -329,9 +381,21 @@ def test_equal_coefficients_are_one_object(tmp_path, warm):
     if warm:
         KLTable(3, L, cache_dir=str(tmp_path)).all_kl_basis()
     table = KLTable(3, L, cache_dir=str(tmp_path))
-    coefs = [p for cw in table.all_kl_basis() for p in cw.values()]
-    values = {frozenset(p.items()) for p in coefs}
-    assert len({id(p) for p in coefs}) == len(values) < len(coefs)
+    coefs = [x for cw in table.all_kl_basis() for x in cw.values()]
+    assert len({id(x) for x in coefs}) == len(set(coefs)) < len(coefs)
+
+
+@pytest.mark.parametrize("n,ratio,digest", [
+    (3, 1, "98bfbb8a7027c9f5dc015861bb0ef62de051c5a0e4aaae8d3e93aee40aad5796"),
+    (3, 2, "ad5574771d5b0a7b1a4244fe441219d20fe387d1084b8e0838c6a57487c40a85"),
+    (3, 3, "91b7fc51312946260788b2f144a56dbb0a588e997442b40f44449a066f4b10a3"),
+    (4, 4, "96b0522da0a8a14f537b80b94aa344e03237c6e49e4408e696a8c05e30b2ae02"),
+])
+def test_a_cold_cache_file_matches_its_golden_digest(tmp_path, n, ratio, digest):
+    # the digests of files written by the dict-coefficient pass
+    KLTable(n, WeightFunction(1, ratio), cache_dir=str(tmp_path)).all_kl_basis()
+    data = (tmp_path / f"kl_v3_n{n}_a1_b{ratio}.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
