@@ -13,12 +13,13 @@ horizontal, a horizontal that lost just its left square re-enters the
 next column as a vertical.  Evictions are resolved smallest label first.
 The right tableau records which two squares each step added.
 
-Elements that share a prefix share its insertion state, so a pass over
-all of W_n walks the signed prefixes depth first: each child copies its
-parent's live maps and inserts one value, and each element carries the
-squares its steps added.  Equal step records give equal recording
-tableaux, so `recording_classes` groups W_n by them and freezes each
-distinct recording tableau once.
+Every insertion runs through `_walk`.  It inserts a run of signed
+permutations in order, and each element restarts from the state of the
+prefix it shares with the element before it, so on sorted input each
+signed prefix is inserted once; one element is a walk of length one.  A
+state holds the squares each step added, and equal step records give
+equal recording tableaux, so `recording_classes` groups W_n by them and
+freezes each distinct recording tableau once.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .shapes import (
     Shape, Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
@@ -109,53 +110,53 @@ def _step(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Square]],
     return (a, b) if a < b else (b, a)
 
 
-def _run_insertion(w: SignedPerm, rank: int):
-    """Yield the live (left, right) square -> label maps, 0 on the core,
-    before the first step and after each step."""
+def _walk(ws: Iterable[SignedPerm], rank: int) -> Iterator[Tuple[SignedPerm, tuple]]:
+    """Rank-`rank` insertion of each w in `ws`, in order: yield (w, states),
+    where states[k] = (left, where, steps) holds, after k values, the live
+    square -> label map, each label's domino and the squares each step
+    added.  Each w restarts from the state of the prefix it shares with the
+    w before it, and each step copies the state it starts from, so a
+    yielded state never changes.  Sorted input inserts each prefix once."""
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+    states = [(dict.fromkeys(cells_of_shape(staircase(rank)), 0), {}, ())]
+    prev: SignedPerm = ()
+    for w in ws:
+        k = 0
+        while k < len(prev) and k < len(w) and prev[k] == w[k]:
+            k += 1
+        del states[k + 1:]
+        for step in range(k + 1, len(w) + 1):
+            left, where, steps = states[-1]
+            left, where = dict(left), dict(where)
+            added = _step(left, where, w[step - 1], step)
+            states.append((left, where, steps + (added,)))
+        prev = w
+        yield w, tuple(states)
+
+
+def _states(w: SignedPerm, rank: int) -> tuple:
+    """The states of the rank-`rank` insertion of one signed permutation,
+    after 0, 1, ..., n values."""
+    w = tuple(w)
     validate_signed_perm(w)
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
+    ((_, states),) = _walk((w,), rank)
+    return states
+
+
+def _recording(rank: int, steps: tuple) -> DominoTableau:
+    """The recording tableau of `steps`: the rank-`rank` core, and label k
+    on the two squares that step k added."""
     cells = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
-    recording = dict(cells)
-    where: Dict[int, Tuple[Square, Square]] = {}
-    yield cells, recording
-    for step, value in enumerate(w, start=1):
-        recording.update(dict.fromkeys(_step(cells, where, value, step), step))
-        yield cells, recording
-
-
-def _walk(n: int, rank: int) -> Iterator[Tuple[SignedPerm, Dict[Square, int], tuple]]:
-    """Rank-`rank` insertion of all of W_n, depth first over the signed
-    prefixes: yield (w, left, steps) for each w, where `left` is the live
-    square -> label map of its insertion tableau and `steps` holds the
-    squares each step added, so equal `steps` give equal recording
-    tableaux.  A child copies its parent's state and inserts one value, so
-    each prefix is inserted once."""
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-
-    def grow(w, cells, where, steps):
-        if len(w) == n:
-            yield w, cells, steps
-            return
-        used = {abs(x) for x in w}
-        for m in range(1, n + 1):
-            if m in used:
-                continue
-            for value in (m, -m):
-                child, child_where = dict(cells), dict(where)
-                added = _step(child, child_where, value, len(w) + 1)
-                yield from grow(w + (value,), child, child_where, steps + (added,))
-
-    yield from grow((), dict.fromkeys(cells_of_shape(staircase(rank)), 0), {}, ())
+    for step, added in enumerate(steps, start=1):
+        cells.update(dict.fromkeys(added, step))
+    return DominoTableau.from_cells(rank, cells)
 
 
 def _insert(w: SignedPerm, rank: int) -> TableauPair:
     """The image of w under rank-`rank` domino insertion."""
-    *_, (left, right) = _run_insertion(tuple(w), rank)
-    return TableauPair(
-        DominoTableau.from_cells(rank, left), DominoTableau.from_cells(rank, right)
-    )
+    left, _, steps = _states(w, rank)[-1]
+    return TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, steps))
 
 
 # callers that read each insertion once call `_insert` and leave this memo be
@@ -165,9 +166,8 @@ insert = lru_cache(maxsize=1 << 18)(_insert)
 def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     """The partial pairs after 0, 1, ..., n insertion steps."""
     return [
-        TableauPair(DominoTableau.from_cells(rank, left),
-                    DominoTableau.from_cells(rank, right))
-        for left, right in _run_insertion(tuple(w), rank)
+        TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, steps))
+        for left, _, steps in _states(w, rank)
     ]
 
 
@@ -176,29 +176,21 @@ def recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[Signed
     """Recording tableau -> its class, for all of W_n at one rank.  Two
     ranks are held because the class check compares rank r with r+1.
 
-    One walk over the signed prefixes groups W_n by the squares each step
-    added, and each distinct recording tableau is frozen once.  The classes
-    hold the tuples of `group_elements(n)`.  At rank 1 there is one class
-    per standard domino tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for
-    n = 3 (I(k) counts the involutions of k letters), and they cover
-    |W_3| = 48:
+    One walk over the sorted elements, which inserts each signed prefix
+    once, groups W_n by the squares each step added, and each distinct
+    recording tableau is frozen once.  The classes hold the tuples of
+    `group_elements(n)`.  At rank 1 there is one class per standard domino
+    tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3 (I(k) counts
+    the involutions of k letters), and they cover |W_3| = 48:
 
     >>> classes = recording_classes(3, 1)
     >>> len(classes), sum(map(len, classes.values()))
     (20, 48)
     """
-    elements = {w: w for w in group_elements(n)}
     by_steps: Dict[tuple, List[SignedPerm]] = {}
-    for w, _, steps in _walk(n, rank):
-        by_steps.setdefault(steps, []).append(elements[w])
-    core = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
-    classes = {}
-    for steps, ws in by_steps.items():
-        recording = dict(core)
-        for step, added in enumerate(steps, start=1):
-            recording.update(dict.fromkeys(added, step))
-        classes[DominoTableau.from_cells(rank, recording)] = frozenset(ws)
-    return classes
+    for w, states in _walk(sorted(group_elements(n)), rank):
+        by_steps.setdefault(states[-1][2], []).append(w)
+    return {_recording(rank, steps): frozenset(ws) for steps, ws in by_steps.items()}
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------
@@ -370,9 +362,8 @@ def split_rank(w: SignedPerm) -> int:
     insertion is read once, so it bypasses `insert`; it freezes only the
     left tableau, the one that decides splitness, which takes a quarter off
     the time of a pass over W_6."""
-    w = tuple(w)
     for r in range(max(len(w), 1)):
-        *_, (left, _) = _run_insertion(w, r)
+        left, _, _ = _states(w, r)[-1]
         if DominoTableau.from_cells(r, left).is_split():
             return r
-    raise AssertionError(f"no split rank below n for {w}")
+    raise AssertionError(f"no split rank below n for {tuple(w)}")

@@ -24,10 +24,10 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    asymptotic_bitableaux, insert, insertion_states, uninsert,
+    _walk, asymptotic_bitableaux, insert, recording_classes, split_rank, uninsert,
 )
 from .tableaux import (
-    _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
+    _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
 )
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
@@ -153,30 +153,12 @@ def verify_tau(n: int) -> Report:
     tableau descent set under eligible cycle moves, and the step-wise
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
-    for w in group_elements(n):
-        tau = tau_invariant(w)
-        xis = [enhanced_tau_invariant(w, ratio) for ratio in range(1, n + 2)]
-        for r in range(n + 1):
-            states = insertion_states(w, r)
-            q = states[-1].right
-            if tau != tau_of_tableau(q):
-                report.fail({"kind": "tau", "w": format_perm(w), "r": r})
-            for ratio in range(1, r + 2):
-                if xis[ratio - 1] != enhanced_tau_of_tableau(q, ratio):
-                    report.fail({"kind": "xi", "w": format_perm(w), "r": r,
-                                 "ratio": ratio})
-            # step-wise dichotomy on partial insertions
-            for k in range(1, min(r + 1, n) + 1):
-                pk, qk = states[k].left.dominos, states[k].right.dominos
-                for j in range(1, k + 1):
-                    a = not _vertical(pk[abs(w[j - 1])])
-                    b = not _vertical(qk[j])
-                    if not (a == b == (w[j - 1] > 0)):
-                        report.fail({"kind": "stepwise", "w": format_perm(w),
-                                     "r": r, "k": k, "j": j})
+    elems = sorted(group_elements(n))
+    for w in elems:
         # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to
         # n reach every ratio up to n + 1
-        for ratio, xi in enumerate(xis, start=1):
+        for ratio in range(1, n + 2):
+            xi = enhanced_tau_invariant(w, ratio)
             for j in range(1, min(ratio, n) + 1):
                 name = "t" if j == 1 else f"t{j}"
                 present = name in xi.simple or name in xi.extended
@@ -184,10 +166,38 @@ def verify_tau(n: int) -> Report:
                     report.fail({"kind": "stepwise-xi", "w": format_perm(w),
                                  "j": j, "ratio": ratio})
         report.bump("elements")
+    for r in range(n + 1):
+        for q, ws in recording_classes(n, r).items():
+            tau = tau_of_tableau(q)
+            xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
+            for w in ws:
+                if tau_invariant(w) != tau:
+                    report.fail({"kind": "tau", "w": format_perm(w), "r": r})
+                for ratio, xi in enumerate(xis, start=1):
+                    if enhanced_tau_invariant(w, ratio) != xi:
+                        report.fail({"kind": "xi", "w": format_perm(w), "r": r,
+                                     "ratio": ratio})
+        # step-wise dichotomy on the partial insertions of up to r + 1 values,
+        # read from the walk's live states; elements share their prefix states
+        before: tuple = ()
+        for w, states in _walk(elems, r):
+            for k in range(1, min(r + 1, n) + 1):
+                if k < len(before) and states[k] is before[k]:
+                    continue  # a prefix checked with an earlier element
+                left, _, steps = states[k]
+                dominos = _dominos(left)
+                for j in range(1, k + 1):
+                    a = not _vertical(dominos[abs(w[j - 1])])
+                    b = not _vertical(steps[j - 1])
+                    if not (a == b == (w[j - 1] > 0)):
+                        report.fail({"kind": "stepwise", "w": format_perm(w),
+                                     "r": r, "k": k, "j": j})
+            before = states
     # cycle moves preserve the descent set
     moves = 0
     for r in range(n + 1):
         for t in enumerate_sdt(n, r):
+            tau = tau_of_tableau(t)
             for conv in (REGULAR, OPPOSITE):
                 if conv == OPPOSITE and r == 0:
                     continue
@@ -198,7 +208,7 @@ def verify_tau(n: int) -> Report:
                             continue
                     moves += 1
                     moved = move_through(t, cyc.labels, conv)
-                    if tau_of_tableau(moved) != tau_of_tableau(t):
+                    if tau_of_tableau(moved) != tau:
                         report.fail({"kind": "cycle-tau",
                                      "rows": [list(x) for x in t.rows],
                                      "labels": sorted(cyc.labels), "conv": conv})
@@ -261,9 +271,7 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         raise ValueError("needs n >= 2")
     report = Report("intermediate", {"n": n})
     elems = group_elements(n)
-    # split_rank(w) < n - 1, read through `insert` because the cells below
-    # read the rank n-2 pairs again
-    split = {w for w in elems if any(insert(w, r).is_split() for r in range(n - 1))}
+    split = {w for w in elems if split_rank(w) < n - 1}
     nonsplit = set(elems) - split
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
     asym = asymptotic_cells(n, "L")

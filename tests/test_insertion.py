@@ -3,8 +3,8 @@ import pytest
 from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _insert, _undo_step, _walk, asymptotic_bitableaux, insert, insertion_states,
-    recording_classes, split_rank, uninsert,
+    _insert, _recording, _states, _undo_step, _walk, asymptotic_bitableaux, insert,
+    insertion_states, recording_classes, split_rank, uninsert,
 )
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical,
@@ -166,18 +166,32 @@ def test_one_shot_insertions_bypass_the_insert_memo():
 
 @pytest.mark.parametrize("n, ranks", [(n, range(n + 2)) for n in range(5)] + [(5, [2])])
 def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
+    # sorted input shares each prefix; the other two orders restart often
+    orders = [sorted(group_elements(n)), group_elements(n),
+              sorted(group_elements(n), reverse=True)]
     for r in ranks:
-        walked = {}
-        for w, left, _ in _walk(n, r):
-            assert w not in walked
-            walked[w] = left
-        assert walked.keys() == set(group_elements(n))
         expected = {}
         for w in group_elements(n):
-            pair = _insert(w, r)
-            assert walked[w] == pair.left.cells()
-            expected.setdefault(pair.right, set()).add(w)
+            expected.setdefault(_insert(w, r).right, set()).add(w)
         assert recording_classes(n, r) == {t: frozenset(ws) for t, ws in expected.items()}
+        for elems in orders:
+            walked = {}
+            for w, states in _walk(elems, r):
+                assert w not in walked and len(states) == n + 1
+                walked[w] = states[-1]
+            assert walked.keys() == set(group_elements(n))
+            for w, (left, _, steps) in walked.items():
+                pair = _insert(w, r)
+                assert left == pair.left.cells()
+                assert _recording(r, steps) == pair.right
+
+
+def test_walk_never_changes_a_yielded_state():
+    for r in range(4):
+        held = list(_walk(sorted(group_elements(3)), r))
+        assert len(held) == 48
+        for w, states in held:
+            assert states == _states(w, r)
 
 
 @pytest.mark.parametrize("target, rank, message", [
@@ -189,7 +203,7 @@ def test_both_insertion_paths_run_the_step_assertions(monkeypatch, target, rank,
     with pytest.raises(AssertionError, match=message):
         _insert((1, 2), rank)
     with pytest.raises(AssertionError, match=message):
-        next(_walk(2, rank))
+        list(_walk(sorted(group_elements(2)), rank))
 
 
 def test_recording_classes_hold_the_group_elements_themselves():

@@ -13,7 +13,7 @@ from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
-from dominocells.wgroup import format_perm
+from dominocells.wgroup import DescentSet, format_perm
 
 
 @pytest.fixture
@@ -54,19 +54,18 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocatio
 
 
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
-    healthy = insertion_mod._run_insertion
+    healthy = insertion_mod._walk
 
-    def short(w, rank):
-        states = list(healthy(w, rank))
-        if tuple(w) == (1, 2, 3):
-            left, right = states[-1]
-            right = dict(right)
-            del right[max(right)]  # the right tableau one square short
-            states[-1] = (left, right)
-        yield from states
+    def short(ws, rank):
+        for w, states in healthy(ws, rank):
+            if tuple(w) == (1, 2, 3):
+                left, where, steps = states[-1]
+                # the right tableau one square short
+                states = (*states[:-1], (left, where, (*steps[:-1], steps[-1][:1])))
+            yield w, states
 
     insert.cache_clear()
-    monkeypatch.setattr(insertion_mod, "_run_insertion", short)
+    monkeypatch.setattr(insertion_mod, "_walk", short)
     try:
         report = verify_insertion(3, 1)
     finally:
@@ -90,6 +89,21 @@ def test_verify_classes_reports_a_failed_transport(monkeypatch):
 
 def test_verify_tau_small():
     assert verify_tau(2).status == "pass"
+
+
+@pytest.mark.parametrize("name, fault, kind", [
+    ("tau_invariant", lambda w: DescentSet(frozenset({"s9"})), "tau"),
+    ("enhanced_tau_of_tableau", lambda q, ratio: DescentSet(frozenset({"s9"})), "xi"),
+    ("_vertical", lambda squares: False, "stepwise"),
+    ("enhanced_tau_invariant", lambda w, ratio: DescentSet(frozenset()), "stepwise-xi"),
+    ("move_through", lambda t, labels, conv: DominoTableau(0, ((1, 1), (2, 2))),
+     "cycle-tau"),
+])
+def test_verify_tau_reports_each_kind_of_failure(monkeypatch, name, fault, kind):
+    monkeypatch.setattr(verify_mod, name, fault)
+    report = verify_tau(2)
+    assert report.status == "fail"
+    assert kind in {c["kind"] for c in report.counterexamples}
 
 
 def test_verify_tau_reads_insertions_without_the_memo():
