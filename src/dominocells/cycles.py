@@ -12,6 +12,12 @@ tableau, and the partition refines into
     core-open     moving through changes the total number of squares,
     noncore-open  moving through changes the shape but not the count.
 
+A cycle's kind needs no whole-map move: moving through it adds the
+relocated squares that lie outside the shape and drops the vacated
+squares left with nothing right of or below them, so it is closed when
+both sets are empty, core-open when their sizes differ, and noncore-open
+otherwise.
+
 Moving through all regular core cycles raises the rank by one, all
 opposite core cycles lower it by one; matching the two sides of a
 same-shape pair through extended cycles gives the rank-raising and
@@ -142,8 +148,10 @@ class _Relocation(NamedTuple):
 @lru_cache(maxsize=2)
 def _relocate(t: DominoTableau, convention: str) -> _Relocation:
     """j and k share a cycle when the relocated position of one overlaps
-    the current position of the other; a cycle's kind is what moving
-    through it does to the shape."""
+    the current position of the other.  A cycle's kind is what moving
+    through it does to the shape, read from the cycle's own squares: the
+    relocated squares outside the shape join it, and the vacated squares
+    that then trail leave it."""
     parity = _fixed_parity(t.rank, convention)
     cells = t.cells()
     dominos = _dominos(cells)
@@ -152,14 +160,28 @@ def _relocate(t: DominoTableau, convention: str) -> _Relocation:
         (k, cells[sq]) for k, squares in moved.items()
         for sq in squares if cells.get(sq, 0) not in (0, k)
     )
-    rel = _Relocation(cells, dominos, moved, ())
     cycles = []
     for labels in sorted((frozenset(b) for b in components(dominos, links)), key=sorted):
-        after = _apply_moves(rel, labels).keys()
-        kind = ("closed" if after == cells.keys() else
-                "core-open" if len(after) != len(cells) else "noncore-open")
-        cycles.append(Cycle(labels, kind, frozenset(cells.keys() ^ after)))
-    return rel._replace(cycles=tuple(cycles))
+        new, vacated = set(), []
+        for k in labels:
+            new |= moved[k]
+            vacated += dominos[k]
+        if len(new) != 2 * len(labels):
+            raise TableauError(f"cycle {sorted(labels)}: relocated dominos overlap")
+        added = new - cells.keys()
+        # A vacated square stays as a core square unless it trails after the
+        # move.  A relocated domino is its fixed square and one square of the
+        # other parity, so vacated and added squares have that other parity
+        # and the squares right of and below a vacated square do not: a
+        # vacated square trails exactly when it is a corner of the shape.
+        dropped = set()
+        for i, j in vacated:
+            if (i, j) not in new and (i, j + 1) not in cells and (i + 1, j) not in cells:
+                dropped.add((i, j))
+        kind = ("closed" if not added and not dropped else
+                "core-open" if len(added) != len(dropped) else "noncore-open")
+        cycles.append(Cycle(labels, kind, frozenset(added | dropped)))
+    return _Relocation(cells, dominos, moved, tuple(cycles))
 
 
 def _drop_trailing(cells: Dict[Square, int], removable) -> None:

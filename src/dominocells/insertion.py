@@ -19,7 +19,11 @@ prefix it shares with the element before it, so on sorted input each
 signed prefix is inserted once; one element is a walk of length one.  A
 state holds the squares each step added, and equal step records give
 equal recording tableaux, so `recording_classes` groups W_n by them and
-freezes each distinct recording tableau once.
+freezes each distinct recording tableau once.  The exhaustive suites
+read the walk over sorted W_n: `verify tau` its live states and its
+classes, `verify insertion` every rank's pairs through `_rank_pairs`,
+grouped by recording tableau, and `verify classes` the classes.  The
+memo on `insert` serves the cell partitions' R and LR sides.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -144,10 +148,10 @@ def _states(w: SignedPerm, rank: int) -> tuple:
     return states
 
 
-def _recording(rank: int, steps: tuple) -> DominoTableau:
-    """The recording tableau of `steps`: the rank-`rank` core, and label k
-    on the two squares that step k added."""
-    cells = dict.fromkeys(cells_of_shape(staircase(rank)), 0)
+def _recording(rank: int, core: Dict[Square, int], steps: tuple) -> DominoTableau:
+    """The recording tableau of `steps`: a copy of the walk's rank-`rank`
+    core map `core`, and label k on the two squares that step k added."""
+    cells = dict(core)
     for step, added in enumerate(steps, start=1):
         cells.update(dict.fromkeys(added, step))
     return DominoTableau.from_cells(rank, cells)
@@ -155,8 +159,10 @@ def _recording(rank: int, steps: tuple) -> DominoTableau:
 
 def _insert(w: SignedPerm, rank: int) -> TableauPair:
     """The image of w under rank-`rank` domino insertion."""
-    left, _, steps = _states(w, rank)[-1]
-    return TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, steps))
+    states = _states(w, rank)
+    left, _, steps = states[-1]
+    return TableauPair(DominoTableau.from_cells(rank, left),
+                       _recording(rank, states[0][0], steps))
 
 
 # callers that read each insertion once call `_insert` and leave this memo be
@@ -165,16 +171,16 @@ insert = lru_cache(maxsize=1 << 18)(_insert)
 
 def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     """The partial pairs after 0, 1, ..., n insertion steps."""
+    states = _states(w, rank)
+    core = states[0][0]
     return [
-        TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, steps))
-        for left, _, steps in _states(w, rank)
+        TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, core, steps))
+        for left, _, steps in states
     ]
 
 
-@lru_cache(maxsize=2)
-def recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
-    """Recording tableau -> its class, for all of W_n at one rank.  Two
-    ranks are held because the class check compares rank r with r+1.
+def _recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+    """Recording tableau -> its class, for all of W_n at one rank.
 
     One walk over the sorted elements, which inserts each signed prefix
     once, groups W_n by the squares each step added, and each distinct
@@ -190,7 +196,50 @@ def recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[Signed
     by_steps: Dict[tuple, List[SignedPerm]] = {}
     for w, states in _walk(sorted(group_elements(n)), rank):
         by_steps.setdefault(states[-1][2], []).append(w)
-    return {_recording(rank, steps): frozenset(ws) for steps, ws in by_steps.items()}
+    core = states[0][0]
+    return {_recording(rank, core, steps): frozenset(ws) for steps, ws in by_steps.items()}
+
+
+# Two ranks are held because the class check compares rank r with r+1;
+# `verify_tau`, which reads each rank once, calls the body.
+recording_classes = lru_cache(maxsize=2)(_recording_classes)
+
+
+def _rank_pairs(
+    ws: Iterable[SignedPerm], rank: int
+) -> Tuple[List[Tuple[SignedPerm, TableauPair]], Dict[SignedPerm, Exception]]:
+    """The rank-`rank` pairs of `ws` from one walk: a list of (w, pair)
+    grouped by recording tableau, and w -> error for each w whose insertion
+    failed.  A failure restarts the walk after its element, so the rest
+    are still inserted.  Each distinct recording tableau is frozen once."""
+    ws = list(ws)
+    by_steps: Dict[tuple, List[Tuple[SignedPerm, DominoTableau]]] = {}
+    failed: Dict[SignedPerm, Exception] = {}
+    done = 0
+    while done < len(ws):
+        try:
+            for w, states in _walk(ws[done:], rank):
+                left, _, steps = states[-1]
+                core = states[0][0]
+                by_steps.setdefault(steps, []).append(
+                    (w, DominoTableau.from_cells(rank, left)))
+                done += 1
+        except Exception as exc:
+            failed[ws[done]] = exc
+            done += 1
+    pairs = []
+    for steps, group in by_steps.items():
+        try:
+            right = _recording(rank, core, steps)
+        except Exception as exc:
+            failed.update((w, exc) for w, _ in group)
+            continue
+        for w, left in group:
+            try:
+                pairs.append((w, TableauPair(left, right)))
+            except Exception as exc:
+                failed[w] = exc
+    return pairs, failed
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------

@@ -24,7 +24,8 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _walk, asymptotic_bitableaux, insert, recording_classes, split_rank, uninsert,
+    _rank_pairs, _recording_classes, _walk, asymptotic_bitableaux, insert,
+    split_rank, uninsert,
 )
 from .tableaux import (
     _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
@@ -99,18 +100,19 @@ def verify_insertion(n: int, rmax: int) -> Report:
     in the stable range, and compatibility of the rank-raising map with
     insertion at the next rank."""
     report = Report("insertion", {"n": n, "rmax": rmax})
-    elems = group_elements(n)
+    elems = sorted(group_elements(n))
     order = (2 ** n) * math.factorial(n)
     report.counts["elements"] = len(elems)
+    # two ranks at a time: rank r's pairs are checked against rank r + 1's
+    pairs, failed = _rank_pairs(elems, 0)
     for r in range(rmax + 1):
+        upper, upper_failed = _rank_pairs(elems, r + 1)
+        raised = dict(upper)
+        for w, exc in failed.items():
+            report.fail({"kind": "insert", "w": format_perm(w), "r": r,
+                         "error": str(exc)})
         seen = {}
-        for w in elems:
-            try:
-                pair = insert(w, r)
-            except Exception as exc:
-                report.fail({"kind": "insert", "w": format_perm(w), "r": r,
-                             "error": str(exc)})
-                continue
+        for w, pair in pairs:
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
@@ -127,13 +129,16 @@ def verify_insertion(n: int, rmax: int) -> Report:
                 if bit.left != pair.left or bit.right != pair.right:
                     report.fail({"kind": "bitableaux", "w": format_perm(w), "r": r})
             try:
-                ok = raise_rank(pair) == insert(w, r + 1)
+                up = raise_rank(pair)
             except Exception as exc:
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
                              "error": str(exc)})
-            else:
-                if not ok:
-                    report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
+                continue
+            if w in upper_failed:
+                report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
+                             "error": str(upper_failed[w])})
+            elif up != raised[w]:
+                report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
         by_shape: Dict = {}
         for t in enumerate_sdt(n, r):
             by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
@@ -143,6 +148,7 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
         if len(seen) != order:
             report.fail({"kind": "image-size", "r": r, "size": len(seen)})
+        pairs, failed = upper, upper_failed
     report.counts["ranks"] = rmax + 1
     return report
 
@@ -167,7 +173,7 @@ def verify_tau(n: int) -> Report:
                                  "j": j, "ratio": ratio})
         report.bump("elements")
     for r in range(n + 1):
-        for q, ws in recording_classes(n, r).items():
+        for q, ws in _recording_classes(n, r).items():
             tau = tau_of_tableau(q)
             xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
             for w in ws:

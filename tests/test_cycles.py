@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import dominocells.cycles as cycles_mod
 from dominocells.cycles import (
     OPPOSITE, REGULAR, _relocate, _shift, core_raise, cycle_partition,
     extended_cycles, move_through, moved_domino, noncore_orbit, raise_rank,
@@ -266,13 +267,33 @@ def test_noncore_orbit_walks_every_union_of_noncore_cycles():
 
 
 def test_cycle_squares_are_what_its_move_adds_or_removes():
+    # the whole-map move is the oracle for the squares and the kind that
+    # the relocation pass reads from each cycle's own squares
     for n in range(1, 5):
-        for r in range(4):
+        for r in range(max(n + 2, 4)):
             for t in enumerate_sdt(n, r):
+                before = t.cells().keys()
                 for conv in (REGULAR, OPPOSITE):
                     for c in cycle_partition(t, conv):
-                        moved = move_through(t, c.labels, conv)
-                        assert c.squares == t.cells().keys() ^ moved.cells().keys()
+                        after = move_through(t, c.labels, conv).cells().keys()
+                        assert c.squares == before ^ after
+                        assert c.kind == (
+                            "closed" if after == before else
+                            "core-open" if len(after) != len(before) else
+                            "noncore-open"
+                        )
+
+
+def test_overlapping_relocations_are_rejected(monkeypatch):
+    # label 1 stays put and label 2 is relocated onto it
+    monkeypatch.setattr(cycles_mod, "_pivot",
+                        lambda cells, k, squares, parity: frozenset({(1, 1), (1, 2)}))
+    _relocate.cache_clear()
+    try:
+        with pytest.raises(TableauError, match=r"cycle \[1, 2\]: relocated dominos overlap"):
+            cycle_partition(DominoTableau(0, ((1, 1), (2, 2))), REGULAR)
+    finally:
+        _relocate.cache_clear()
 
 
 def test_memoized_pairs_hold_only_their_fields():

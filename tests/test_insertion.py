@@ -178,12 +178,13 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
             walked = {}
             for w, states in _walk(elems, r):
                 assert w not in walked and len(states) == n + 1
-                walked[w] = states[-1]
+                walked[w] = states
             assert walked.keys() == set(group_elements(n))
-            for w, (left, _, steps) in walked.items():
+            for w, states in walked.items():
+                left, _, steps = states[-1]
                 pair = _insert(w, r)
                 assert left == pair.left.cells()
-                assert _recording(r, steps) == pair.right
+                assert _recording(r, states[0][0], steps) == pair.right
 
 
 def test_walk_never_changes_a_yielded_state():

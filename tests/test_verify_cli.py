@@ -13,7 +13,7 @@ from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
-from dominocells.wgroup import DescentSet, format_perm
+from dominocells.wgroup import DescentSet, format_perm, group_elements
 
 
 @pytest.fixture
@@ -74,6 +74,44 @@ def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
     failed = [c for c in report.counterexamples if c["kind"] == "insert"]
     assert failed and failed[0]["w"] == format_perm((1, 2, 3))
     assert failed[0]["error"]
+
+
+def test_verify_insertion_restarts_the_walk_after_a_failing_step(monkeypatch):
+    # at ranks >= 1 the step that inserts -2 after 1 fails, partway through
+    # the walk; rank 0 inserts every element
+    healthy = insertion_mod._step
+
+    def failing(cells, where, value, step):
+        if (step == 2 and value == -2 and cells.get((1, 1)) == 0 and 1 in where
+                and where[1][0][0] == where[1][1][0] == 1):
+            raise AssertionError("injected step failure")
+        return healthy(cells, where, value, step)
+
+    monkeypatch.setattr(insertion_mod, "_step", failing)
+    expected = set()
+    for w in sorted(group_elements(3)):
+        for r in (0, 1, 2):
+            try:
+                insertion_mod._insert(w, r)
+            except AssertionError:
+                expected.add((format_perm(w), r))
+    assert expected == {(w, r) for w in ("1 -2 -3", "1 -2 3") for r in (1, 2)}
+    report = verify_insertion(3, 1)
+    assert report.status == "fail"
+    kinds = {}
+    for c in report.counterexamples:
+        kinds.setdefault(c["kind"], []).append(c)
+    # an element that fails at rank 1 is reported at rank 1, and as a failed
+    # rank raise at rank 0, with the step's error
+    assert {(c["w"], c["r"]) for c in kinds["insert"]} == {
+        (w, r) for w, r in expected if r == 1}
+    assert {(c["w"], c["r"]) for c in kinds["rank-raise"]} == {
+        (w, r - 1) for w, r in expected if r == 1}
+    assert all(c["error"] == "injected step failure"
+               for c in kinds["insert"] + kinds["rank-raise"])
+    # every other element was inserted and checked after the walk restarted
+    assert kinds.keys() == {"insert", "rank-raise", "image-size"}
+    assert kinds["image-size"] == [{"kind": "image-size", "r": 1, "size": 46}]
 
 
 def test_verify_classes_reports_a_failed_transport(monkeypatch):
