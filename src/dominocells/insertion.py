@@ -211,9 +211,11 @@ def _rank_pairs(
     """The rank-`rank` pairs of `ws` from one walk: a list of (w, pair)
     grouped by recording tableau, and w -> error for each w whose insertion
     failed.  A failure restarts the walk after its element, so the rest
-    are still inserted.  Each distinct recording tableau is frozen once."""
+    are still inserted.  Each distinct recording tableau is frozen once,
+    and equal left tableaux are one object."""
     ws = list(ws)
     by_steps: Dict[tuple, List[Tuple[SignedPerm, DominoTableau]]] = {}
+    lefts: Dict[DominoTableau, DominoTableau] = {}
     failed: Dict[SignedPerm, Exception] = {}
     done = 0
     while done < len(ws):
@@ -221,8 +223,8 @@ def _rank_pairs(
             for w, states in _walk(ws[done:], rank):
                 left, _, steps = states[-1]
                 core = states[0][0]
-                by_steps.setdefault(steps, []).append(
-                    (w, DominoTableau.from_cells(rank, left)))
+                t = DominoTableau.from_cells(rank, left)
+                by_steps.setdefault(steps, []).append((w, lefts.setdefault(t, t)))
                 done += 1
         except Exception as exc:
             failed[ws[done]] = exc

@@ -19,8 +19,8 @@ from .cells import (
     CellPartition, asymptotic_cells, class_of_tableau, combinatorial_cells,
 )
 from .cycles import (
-    OPPOSITE, REGULAR, core_raise, cycle_partition, move_through, noncore_orbit,
-    raise_rank,
+    OPPOSITE, REGULAR, _raise_pairs, core_raise, cycle_partition, move_through,
+    noncore_orbit,
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
@@ -112,7 +112,7 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "insert", "w": format_perm(w), "r": r,
                          "error": str(exc)})
         seen = {}
-        for w, pair in pairs:
+        for (w, pair), up in zip(pairs, _raise_pairs(pair for _, pair in pairs)):
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
@@ -128,13 +128,10 @@ def verify_insertion(n: int, rmax: int) -> Report:
                 bit = asymptotic_bitableaux(w, r)
                 if bit.left != pair.left or bit.right != pair.right:
                     report.fail({"kind": "bitableaux", "w": format_perm(w), "r": r})
-            try:
-                up = raise_rank(pair)
-            except Exception as exc:
+            if isinstance(up, Exception):
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
-                             "error": str(exc)})
-                continue
-            if w in upper_failed:
+                             "error": str(up)})
+            elif w in upper_failed:
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
                              "error": str(upper_failed[w])})
             elif up != raised[w]:

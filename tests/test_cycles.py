@@ -5,14 +5,14 @@ from hypothesis import given, strategies as st
 
 import dominocells.cycles as cycles_mod
 from dominocells.cycles import (
-    OPPOSITE, REGULAR, _relocate, _shift, core_raise, cycle_partition,
+    OPPOSITE, REGULAR, _raise_pairs, _relocate, _shift, core_raise, cycle_partition,
     extended_cycles, move_through, moved_domino, noncore_orbit, raise_rank,
 )
-from dominocells.insertion import insert, uninsert
+from dominocells.insertion import _rank_pairs, insert, uninsert
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, enumerate_sdt, tau_of_tableau,
 )
-from dominocells.wgroup import enumerate_group
+from dominocells.wgroup import enumerate_group, group_elements
 
 S2 = DominoTableau(2, ((0, 0, 1, 1), (0, 3, 4), (2, 3, 4), (2,)))
 T2 = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
@@ -316,6 +316,39 @@ def test_one_relocation_pass_serves_partition_moves_and_core_raise():
         move_through(t, cyc.labels, REGULAR)
     core_raise(t)
     assert _relocate.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_raising_a_rank_at_once_is_raising_each_pair(n):
+    for r in range(n + 1):
+        pairs = [pair for _, pair in _rank_pairs(sorted(group_elements(n)), r)[0]]
+        assert _raise_pairs(pairs) == [raise_rank(pair) for pair in pairs]
+
+
+def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
+    # W_4 has 76 standard domino tableaux at every rank; the moves are the
+    # distinct (tableau, extended label group) of the rank's 384 pairs, one
+    # re-cut each
+    calls = {"_relocation": [], "_apply_moves": [], "_normalized": []}
+    for name, seen in calls.items():
+        def counted(*args, _healthy=getattr(cycles_mod, name), _seen=seen):
+            _seen.append(args)
+            return _healthy(*args)
+        monkeypatch.setattr(cycles_mod, name, counted)
+    moves = []
+    for r in range(5):
+        pairs = [pair for _, pair in _rank_pairs(sorted(group_elements(4)), r)[0]]
+        for seen in calls.values():
+            seen.clear()
+        assert not any(isinstance(up, Exception) for up in _raise_pairs(pairs))
+        relocated = [t for t, _ in calls["_relocation"]]
+        assert len(relocated) == len(set(relocated)) == 76
+        assert set(relocated) == {t for pair in pairs for t in (pair.left, pair.right)}
+        # each relocation pass stays alive in the call, so its id names it
+        moved = {(id(rel), frozenset(labels)) for rel, labels in calls["_apply_moves"]}
+        assert len(moved) == len(calls["_apply_moves"]) == len(calls["_normalized"])
+        moves.append(len(moved))
+    assert moves == [102, 104, 90, 76, 76]
 
 
 def test_core_raise_and_lower_are_mutually_inverse():

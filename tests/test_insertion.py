@@ -3,8 +3,9 @@ import pytest
 from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _insert, _recording, _states, _undo_step, _walk, asymptotic_bitableaux, insert,
-    insertion_states, recording_classes, split_rank, uninsert,
+    _insert, _rank_pairs, _recording, _states, _undo_step, _walk,
+    asymptotic_bitableaux, insert, insertion_states, recording_classes, split_rank,
+    uninsert,
 )
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical,
@@ -185,6 +186,20 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
                 pair = _insert(w, r)
                 assert left == pair.left.cells()
                 assert _recording(r, states[0][0], steps) == pair.right
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
+    elems = sorted(group_elements(n))
+    for r in range(n + 1):
+        pairs, failed = _rank_pairs(elems, r)
+        assert failed == {}
+        assert sorted(w for w, _ in pairs) == elems
+        lefts, rights = {}, {}
+        for w, pair in pairs:
+            assert pair == _insert(w, r)
+            assert lefts.setdefault(pair.left, pair.left) is pair.left
+            assert rights.setdefault(pair.right, pair.right) is pair.right
 
 
 def test_walk_never_changes_a_yielded_state():

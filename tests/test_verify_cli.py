@@ -53,6 +53,42 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocatio
     assert any(c.get("kind") == "rank-raise" for c in report.counterexamples)
 
 
+def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monkeypatch):
+    # the re-cut of one moved map of rank 1 fails; healthy code beforehand
+    # finds the pairs whose extended cycles move a side onto that map
+    pairs, _ = insertion_mod._rank_pairs(sorted(group_elements(2)), 1)
+    readers = {}
+    for w, pair in pairs:
+        _, moved = cycles_mod._extend(*(cycles_mod._relocation(t, cycles_mod.REGULAR)
+                                        for t in (pair.left, pair.right)))
+        for cells in moved:
+            readers.setdefault(tuple(sorted(cells.items())), set()).add(format_perm(w))
+    target, ws = max(readers.items(), key=lambda item: len(item[1]))
+    assert len(ws) == 3
+    healthy = cycles_mod._normalized
+    recuts = []
+
+    def failing(cells, rank):
+        if rank == 2 and tuple(sorted(cells.items())) == target:
+            recuts.append(cells)
+            raise cycles_mod.TableauError("injected re-cut failure")
+        return healthy(cells, rank)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cycles_mod, "_normalized", failing)
+        report = verify_insertion(2, 2)
+    # met and reported by each of its readers; every check still ran
+    assert len(recuts) == len(ws)
+    assert report.counterexamples == [
+        {"kind": "rank-raise", "w": format_perm(w), "r": 1,
+         "error": "injected re-cut failure"}
+        for w, _ in pairs if format_perm(w) in ws
+    ]
+    assert report.counts["pairs_checked"] == 24
+    # nothing of the faulty run outlives it
+    assert verify_insertion(2, 2).status == "pass"
+
+
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
     healthy = insertion_mod._walk
 
