@@ -106,7 +106,15 @@ def main(argv=None) -> int:
         parser.error("verify intermediate needs --n >= 2")
     uses_kl = (args.suite in ("conjecture", "intermediate") if args.command == "verify"
                else args.command == "cells" and args.kind == "kl")
-    if args.command != "insert":
+    if args.command == "insert":
+        try:
+            args.perm = parse_perm(args.perm)
+        except ValueError as exc:
+            print(f"bad --perm: {exc}", file=sys.stderr)
+            return 2
+        n = len(args.perm)
+    else:
+        n = args.n
         verify = args.command == "verify"
         unused = {
             "rank": verify and args.suite not in ("insertion", "classes"),
@@ -116,6 +124,12 @@ def main(argv=None) -> int:
         for option in (o for o, u in unused.items() if u and getattr(args, o) is not None):
             what = f"verify {args.suite}" if verify else f"cells --kind {args.kind}"
             parser.error(f"{what} does not use --{option}")
+    # ranks from n - 1 on and ratios from n on all give the asymptotic case,
+    # while the walk's staircase core and the table's codes grow with them
+    for option, top in (("rank", n), ("ratio", n + 1)):
+        value = getattr(args, option, None)
+        if isinstance(value, int) and value > top:
+            parser.error(f"--{option} {value} is larger than {top}, with n = {n}")
     if uses_kl and args.n > KL_MAX_N:
         order = 2 ** args.n * math.factorial(args.n)
         parser.error(
@@ -145,11 +159,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "insert":
-        try:
-            w = parse_perm(args.perm)
-        except ValueError as exc:
-            print(f"bad --perm: {exc}", file=sys.stderr)
-            return 2
+        w = args.perm
         if args.steps:
             states = insertion_states(w, args.rank)
             for k, pair in enumerate(states):

@@ -24,12 +24,14 @@ same-shape pair through extended cycles gives the rank-raising and
 rank-lowering bijections on pairs.  Only the raising maps are computed
 here; the tests hold the lowering ones, which no computation needs.
 
-A whole rank of pairs is raised by one driver, `_raise_pairs`, and
-`raise_rank` is its call on one pair.  Within one call each distinct
-tableau is relocated once, and each distinct (tableau, extended label
-group) is moved and re-cut once: `verify insertion --n 4 --rank 4` makes
-76 relocations per rank and 448 moves over its five ranks, for 1,920
-pairs.  Only the linking of the two sides' open cycles runs per pair.
+Every rank shift goes through one driver, `_shift`: `core_raise` and
+`raise_rank` are its one-item calls, `verify insertion` calls it once per
+rank, and the tests' lowering maps call it under the opposite convention.
+Within one call each distinct tableau is relocated once, and each
+distinct (tableau, extended label group) is moved and re-cut once:
+`verify insertion --n 4 --rank 4` makes 76 relocations per rank and 448
+moves over its five ranks, for 1,920 pairs.  Only the linking of an
+item's open cycles and the moved-shape check run per item.
 
 The square-level relocation rule: a domino labeled k whose variable
 square sits below or left of its fixed square (i, j) pivots to the square
@@ -51,9 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple, Union,
-)
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 from .shapes import Square, cells_of_shape, staircase
 from .tableaux import (
@@ -151,7 +151,11 @@ class _Relocation(NamedTuple):
     cycles: Tuple[Cycle, ...]
 
 
-def _relocation(t: DominoTableau, convention: str) -> _Relocation:
+# Two passes are held, and callers only read them: every caller partitions
+# a tableau before it moves it, and the class check alternates T with its
+# core-raised partner T'.  `_shift` keeps the passes of one call itself.
+@lru_cache(maxsize=2)
+def _relocate(t: DominoTableau, convention: str) -> _Relocation:
     """j and k share a cycle when the relocated position of one overlaps
     the current position of the other.  A cycle's kind is what moving
     through it does to the shape, read from the cycle's own squares: the
@@ -187,13 +191,6 @@ def _relocation(t: DominoTableau, convention: str) -> _Relocation:
                 "core-open" if len(added) != len(dropped) else "noncore-open")
         cycles.append(Cycle(labels, kind, frozenset(added | dropped)))
     return _Relocation(cells, dominos, moved, tuple(cycles))
-
-
-# Two passes are held, and callers only read them: every caller partitions
-# a tableau before it moves it, and the class check alternates T with its
-# core-raised partner T'.  `_raise_pairs` keeps its own passes for one call
-# and reads the body.
-_relocate = lru_cache(maxsize=2)(_relocation)
 
 
 def _drop_trailing(cells: Dict[Square, int], removable) -> None:
@@ -268,7 +265,7 @@ def noncore_orbit(
     ncc = [c.labels for c in cycle_partition(t, convention) if c.kind == "noncore-open"]
     for size in range(len(ncc) + 1):
         for subset in itertools.combinations(ncc, size):
-            labels = frozenset().union(frozenset(), *subset)
+            labels = frozenset().union(*subset)
             yield labels, move_through(t, labels, convention)
 
 
@@ -292,7 +289,9 @@ def extended_cycles(
     """
     if left.shape != right.shape:
         raise TableauError("pair shapes differ")
-    groups, _ = _extend(_relocate(left, convention), _relocate(right, convention))
+    rels = [_relocate(t, convention) for t in (left, right)]
+    groups = _link(*rels)
+    _matched([_apply_moves(rel, frozenset().union(*g)) for rel, g in zip(rels, groups)])
     return ExtendedCycles(*groups)
 
 
@@ -314,9 +313,7 @@ def _link(*rels: _Relocation) -> list:
         if not any(nodes[i][2] for i in comp):
             continue
         for side, found in enumerate(groups):
-            g = frozenset().union(
-                frozenset(), *(nodes[i][1] for i in comp if nodes[i][0] == side)
-            )
+            g = frozenset().union(*(nodes[i][1] for i in comp if nodes[i][0] == side))
             if g:
                 found.append(g)
     return [tuple(sorted(g, key=sorted)) for g in groups]
@@ -326,16 +323,6 @@ def _matched(moved: list) -> None:
     """Raise unless the moved cell maps of the sides cover the same squares."""
     if any(m.keys() != moved[0].keys() for m in moved):
         raise TableauError("extended cycles failed to match the moved shapes")
-
-
-def _extend(*rels: _Relocation):
-    """The extended cycles of one pass or a same-shape pair of passes, as
-    sorted label groups per pass, with the moved cell maps."""
-    groups = _link(*rels)
-    moved = [_apply_moves(rel, frozenset().union(frozenset(), *g))
-             for rel, g in zip(rels, groups)]
-    _matched(moved)
-    return groups, moved
 
 
 def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
@@ -352,18 +339,6 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
     return out
 
 
-def _shift(tableaux: Tuple[DominoTableau, ...], convention: str, rank: int) -> list:
-    """Move one tableau through its core cycles, or a pair through its
-    extended cycles, and re-cut each to `rank`."""
-    _, moved = _extend(*(_relocate(t, convention) for t in tableaux))
-    return [_normalized(cells, rank) for cells in moved]
-
-
-def core_raise(t: DominoTableau) -> DominoTableau:
-    """Move one tableau through all its regular core cycles: rank r+1."""
-    return _shift((t,), REGULAR, t.rank + 1)[0]
-
-
 def _memo(memo: dict, key, compute):
     """memo[key], set to compute() on a miss.  A compute that raises leaves
     no entry, so each reader of a failing key meets the failure itself."""
@@ -373,48 +348,57 @@ def _memo(memo: dict, key, compute):
     return got
 
 
-def _raise_pairs(pairs: Iterable[TableauPair]) -> List[Union[TableauPair, Exception]]:
-    """Move each rank-r pair through its regular extended cycles: the list
-    of their rank-(r+1) pairs, in order, with the exception that raising a
-    pair met in its place.
+def _shift(items: Iterable[Tuple[DominoTableau, ...]], convention: str) -> list:
+    """Move each item, one tableau or a same-shape pair, through its
+    extended cycles and re-cut it to the next rank: one up under the
+    regular convention, one down under the opposite.  The list of the
+    moved tuples, in order, with the exception that moving an item met in
+    its place.
 
     What depends on one tableau is done once per call: each distinct
     tableau is relocated once, and each distinct (tableau, extended label
-    group) is moved and re-cut once.  Linking the open cycles of the two
-    sides runs per pair, since the groups depend on both, and so does the
-    check that the two moved shapes match.  A failed relocation or move is
-    kept nowhere, so it is met again by every pair that reads it.  The memo
-    lives in this call's local dicts and is gone when it returns."""
+    group) is moved and re-cut once.  Linking the open cycles of an item's
+    sides runs per item, since the groups depend on all of them, and so
+    does the check that the moved shapes match.  A failed relocation or
+    move is kept nowhere, so it is met again by every item that reads it.
+    The memo lives in this call's local dicts and is gone when it returns;
+    passes are read through `_relocate`, so later callers find the last two."""
+    step = 1 if convention == REGULAR else -1
     rels: Dict[DominoTableau, _Relocation] = {}
     moves: Dict[Tuple[DominoTableau, FrozenSet[int]], Dict[Square, int]] = {}
     recut: Dict[Tuple[DominoTableau, FrozenSet[int]], DominoTableau] = {}
-    out: List[Union[TableauPair, Exception]] = []
-    for pair in pairs:
+    out: list = []
+    for item in items:
         try:
-            sides = (pair.left, pair.right)
-            found = [_memo(rels, t, lambda: _relocation(t, REGULAR)) for t in sides]
-            keys = [(t, frozenset().union(frozenset(), *g))
-                    for t, g in zip(sides, _link(*found))]
+            found = [_memo(rels, t, lambda: _relocate(t, convention)) for t in item]
+            keys = [(t, frozenset().union(*g)) for t, g in zip(item, _link(*found))]
             moved = [_memo(moves, key, lambda: _apply_moves(rel, key[1]))
                      for key, rel in zip(keys, found)]
             _matched(moved)
-            rank = pair.rank + 1
+            rank = item[0].rank + step
             # `_normalized` fills in the map it is given; the memo keeps the
-            # moved map for the shape check of later pairs
-            up = TableauPair(*(
-                _memo(recut, key, lambda: _normalized(dict(cells), rank))
-                for key, cells in zip(keys, moved)
-            ))
+            # moved map for the shape check of later items
+            out.append(tuple(_memo(recut, key, lambda: _normalized(dict(cells), rank))
+                             for key, cells in zip(keys, moved)))
         except Exception as exc:
-            up = exc
-        out.append(up)
+            out.append(exc)
     return out
 
 
-def raise_rank(pair: TableauPair) -> TableauPair:
-    """Move a rank-r pair through its regular extended cycles: rank r+1."""
-    (up,) = _raise_pairs((pair,))
+def _shifted(item: Tuple[DominoTableau, ...]) -> Tuple[DominoTableau, ...]:
+    """`_shift` of one item under the regular convention, raising what it met."""
+    (up,) = _shift((item,), REGULAR)
     if isinstance(up, Exception):
         raise up
     return up
 
+
+def core_raise(t: DominoTableau) -> DominoTableau:
+    """Move one tableau through all its regular core cycles: rank r+1."""
+    (up,) = _shifted((t,))
+    return up
+
+
+def raise_rank(pair: TableauPair) -> TableauPair:
+    """Move a rank-r pair through its regular extended cycles: rank r+1."""
+    return TableauPair(*_shifted((pair.left, pair.right)))

@@ -19,7 +19,7 @@ from .cells import (
     CellPartition, asymptotic_cells, class_of_tableau, combinatorial_cells,
 )
 from .cycles import (
-    OPPOSITE, REGULAR, _raise_pairs, core_raise, cycle_partition, move_through,
+    OPPOSITE, REGULAR, _shift, core_raise, cycle_partition, move_through,
     noncore_orbit,
 )
 from .hecke import KLTable, WeightFunction, kl_cells
@@ -112,7 +112,9 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "insert", "w": format_perm(w), "r": r,
                          "error": str(exc)})
         seen = {}
-        for (w, pair), up in zip(pairs, _raise_pairs(pair for _, pair in pairs)):
+        # unnamed, the raised list is gone before the next rank's walk
+        sides = ((pair.left, pair.right) for _, pair in pairs)
+        for (w, pair), up in zip(pairs, _shift(sides, REGULAR)):
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
@@ -134,7 +136,7 @@ def verify_insertion(n: int, rmax: int) -> Report:
             elif w in upper_failed:
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
                              "error": str(upper_failed[w])})
-            elif up != raised[w]:
+            elif up != (raised[w].left, raised[w].right):
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
         by_shape: Dict = {}
         for t in enumerate_sdt(n, r):
@@ -246,8 +248,9 @@ def verify_class_decomposition(n: int, rank: int) -> Report:
 @_timed
 def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
     """Combinatorial cells equal Kazhdan-Lusztig cells at ratio b/a, all
-    three sides; `ratio` may be an integer or the string 'all'."""
-    ratios = list(range(1, n + 1)) if ratio in ("all", None) else [int(ratio)]
+    three sides; `ratio` may be an integer or the string 'all', ratios 1
+    to max(n, 1)."""
+    ratios = list(range(1, max(n, 1) + 1)) if ratio in ("all", None) else [int(ratio)]
     report = Report("conjecture", {"n": n, "ratios": ratios})
     for rt in ratios:
         # one table per ratio, released when the next one replaces it

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import dominocells.cycles as cycles_mod
 from dominocells.cycles import (
-    OPPOSITE, REGULAR, _raise_pairs, _relocate, _shift, core_raise, cycle_partition,
+    OPPOSITE, REGULAR, _relocate, _shift, core_raise, cycle_partition,
     extended_cycles, move_through, moved_domino, noncore_orbit, raise_rank,
 )
 from dominocells.insertion import _rank_pairs, insert, uninsert
@@ -20,14 +20,22 @@ T2 = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
 
 # The rank-lowering maps, inverse to `core_raise` and `raise_rank`; no
 # computation needs them, so they live here.
+def _lowered(item):
+    (down,) = _shift((item,), OPPOSITE)
+    if isinstance(down, Exception):
+        raise down
+    return down
+
+
 def core_lower(t):
     """Move one tableau through all its opposite core cycles: rank r-1."""
-    return _shift((t,), OPPOSITE, t.rank - 1)[0]
+    (down,) = _lowered((t,))
+    return down
 
 
 def lower_rank(pair):
     """Move a rank-(r+1) pair through its opposite extended cycles: rank r."""
-    return TableauPair(*_shift((pair.left, pair.right), OPPOSITE, pair.rank - 1))
+    return TableauPair(*_lowered((pair.left, pair.right)))
 
 
 def fixed_square(t, label, conv):
@@ -319,17 +327,39 @@ def test_one_relocation_pass_serves_partition_moves_and_core_raise():
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_raising_a_rank_at_once_is_raising_each_pair(n):
+def test_raising_a_rank_at_once_is_raising_each_pair(n, monkeypatch):
+    # a batch is its items one at a time, under both conventions; exceptions
+    # are compared by what they say
+    def outcomes(results):
+        return [(type(x), str(x)) if isinstance(x, Exception) else x for x in results]
+
     for r in range(n + 1):
-        pairs = [pair for _, pair in _rank_pairs(sorted(group_elements(n)), r)[0]]
-        assert _raise_pairs(pairs) == [raise_rank(pair) for pair in pairs]
+        pairs = [(pair.left, pair.right)
+                 for _, pair in _rank_pairs(sorted(group_elements(n)), r)[0]]
+        tableaux = [(t,) for t in enumerate_sdt(n, r)]
+        raised = [raise_rank(TableauPair(*pair)) for pair in pairs]
+        assert _shift(pairs, REGULAR) == [(up.left, up.right) for up in raised]
+        assert _shift(tableaux, REGULAR) == [(core_raise(t),) for (t,) in tableaux]
+        for items in (pairs, tableaux):
+            assert outcomes(_shift(items, OPPOSITE)) == outcomes(
+                x for item in items for x in _shift((item,), OPPOSITE))
+    # the one-item calls raise what the driver met, and return nothing
+    def failing(cells, rank):
+        raise TableauError("injected re-cut failure")
+
+    monkeypatch.setattr(cycles_mod, "_normalized", failing)
+    for (left, right) in pairs:
+        with pytest.raises(TableauError, match="injected re-cut failure"):
+            core_raise(left)
+        with pytest.raises(TableauError, match="injected re-cut failure"):
+            raise_rank(TableauPair(left, right))
 
 
 def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
     # W_4 has 76 standard domino tableaux at every rank; the moves are the
     # distinct (tableau, extended label group) of the rank's 384 pairs, one
     # re-cut each
-    calls = {"_relocation": [], "_apply_moves": [], "_normalized": []}
+    calls = {"_relocate": [], "_apply_moves": [], "_normalized": []}
     for name, seen in calls.items():
         def counted(*args, _healthy=getattr(cycles_mod, name), _seen=seen):
             _seen.append(args)
@@ -340,8 +370,9 @@ def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
         pairs = [pair for _, pair in _rank_pairs(sorted(group_elements(4)), r)[0]]
         for seen in calls.values():
             seen.clear()
-        assert not any(isinstance(up, Exception) for up in _raise_pairs(pairs))
-        relocated = [t for t, _ in calls["_relocation"]]
+        ups = _shift(((pair.left, pair.right) for pair in pairs), REGULAR)
+        assert not any(isinstance(up, Exception) for up in ups)
+        relocated = [t for t, _ in calls["_relocate"]]
         assert len(relocated) == len(set(relocated)) == 76
         assert set(relocated) == {t for pair in pairs for t in (pair.left, pair.right)}
         # each relocation pass stays alive in the call, so its id names it

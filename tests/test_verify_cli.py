@@ -59,10 +59,10 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
     pairs, _ = insertion_mod._rank_pairs(sorted(group_elements(2)), 1)
     readers = {}
     for w, pair in pairs:
-        _, moved = cycles_mod._extend(*(cycles_mod._relocation(t, cycles_mod.REGULAR)
-                                        for t in (pair.left, pair.right)))
-        for cells in moved:
-            readers.setdefault(tuple(sorted(cells.items())), set()).add(format_perm(w))
+        ext = cycles_mod.extended_cycles(pair.left, pair.right)
+        for t, groups in ((pair.left, ext.left_groups), (pair.right, ext.right_groups)):
+            moved = cycles_mod.move_through(t, frozenset().union(*groups), cycles_mod.REGULAR)
+            readers.setdefault(tuple(sorted(moved.cells().items())), set()).add(format_perm(w))
     target, ws = max(readers.items(), key=lambda item: len(item[1]))
     assert len(ws) == 3
     healthy = cycles_mod._normalized
@@ -86,6 +86,33 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
     ]
     assert report.counts["pairs_checked"] == 24
     # nothing of the faulty run outlives it
+    assert verify_insertion(2, 2).status == "pass"
+
+
+def test_verify_insertion_reports_moved_shapes_that_do_not_match(monkeypatch):
+    # the right side of one rank-1 pair is linked to no extended cycle, so
+    # only its left side moves and the moved shapes disagree
+    pairs, _ = insertion_mod._rank_pairs(sorted(group_elements(2)), 1)
+    w, pair = pairs[3]
+    healthy = cycles_mod._link
+
+    def one_sided(*rels):
+        groups = healthy(*rels)
+        if [rel.cells for rel in rels] == [pair.left.cells(), pair.right.cells()]:
+            groups[1] = ()
+        return groups
+
+    error = "extended cycles failed to match the moved shapes"
+    with monkeypatch.context() as patched:
+        patched.setattr(cycles_mod, "_link", one_sided)
+        with pytest.raises(cycles_mod.TableauError, match=error):
+            cycles_mod.extended_cycles(pair.left, pair.right)
+        with pytest.raises(cycles_mod.TableauError, match=error):
+            cycles_mod.raise_rank(pair)
+        report = verify_insertion(2, 2)
+    assert report.counterexamples == [
+        {"kind": "rank-raise", "w": format_perm(w), "r": 1, "error": error}]
+    assert report.counts["pairs_checked"] == 24
     assert verify_insertion(2, 2).status == "pass"
 
 
@@ -237,6 +264,7 @@ def test_cli_insert_json_and_steps(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "step 4" in printed
+    assert main(["insert", "--perm", "2 -1", "--rank", "2"]) == 0  # rank n is accepted
 
 
 def test_cli_insert_rejects_bad_input(capsys):
@@ -335,6 +363,37 @@ def test_cli_refuses_kl_sizes_that_cannot_finish(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    'insert --perm "1" --rank 100000',
+    'insert --perm "2 -1" --rank 3 --steps',
+    "cells --n 1 --rank 0 --kind kl --ratio 1000000000",
+    "cells --n 2 --rank 3",
+    "verify insertion --n 2 --rank 3",
+    "verify classes --n 0 --rank 1",
+    "verify conjecture --n 2 --ratio 4",
+])
+def test_cli_refuses_ranks_and_ratios_that_cannot_finish(argv, capsys, monkeypatch):
+    # ranks above n and ratios above n + 1 only repeat the asymptotic case,
+    # and the insertion walk and the table codes grow with them
+    def built(*args, **kwargs):
+        raise AssertionError("a walk or a Kazhdan-Lusztig table was built")
+
+    monkeypatch.setattr("dominocells.insertion._walk", built)
+    monkeypatch.setattr("dominocells.hecke.KLTable.__init__", built)
+    for name in ("_run_verify", "kl_cells", "combinatorial_cells"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", built)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "is larger than" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify conjecture --n 2 --ratio 3",
+    "verify classes --n 2 --rank 2",
+    "cells --n 2 --rank 2 --kind kl --ratio 3",
     "verify conjecture --n 5 --ratio 1",
     "verify intermediate --n 5",
     "cells --n 5 --rank 3 --kind kl",
@@ -356,6 +415,7 @@ def test_cli_accepts_kl_sizes_up_to_the_limit(argv, monkeypatch):
 @pytest.mark.parametrize("argv", [
     "verify tau --n 0",
     "verify conjecture --n 0 --ratio 1",
+    "verify conjecture --n 0",
     "cells --n 0 --rank 0 --kind kl",
     "cells --n 0 --rank 0 --kind kl --side R",
     "cells --n 0 --rank 0 --kind kl --side LR",
@@ -364,6 +424,8 @@ def test_cli_runs_on_the_trivial_group(argv, capsys):
     # W_0 = {()} has no generators and an empty descent set
     assert main(shlex.split(argv)) == 0
     out = capsys.readouterr().out
+    if "conjecture" in argv:
+        assert "'ratios': [1]" in out  # `all` checks ratio 1 at least
     if argv.startswith("cells"):
         comb = argv.replace("--kind kl", "--kind comb")
         assert main(shlex.split(comb)) == 0
