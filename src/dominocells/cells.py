@@ -4,9 +4,10 @@ Combinatorial cell partitions of the signed permutation group.
 Two elements share a left combinatorial r-cell when their right insertion
 tableaux agree up to moving through a set of non-core open cycles; right
 cells use the left tableaux, and two-sided cells are the transitive
-closure of both.  For r >= n - 1 the partitions stabilize ("asymptotic"
-cells).  Partitions are stored with canonically sorted blocks so they can
-be compared and serialized deterministically.
+closure of both.  Each one-sided partition reads `tableau_classes`, with
+one cycle fingerprint per class.  For r >= n - 1 the partitions stabilize
+("asymptotic" cells).  Partitions are stored with canonically sorted
+blocks so they can be compared and serialized deterministically.
 
 W_2 has 4 left cells at rank 0 and 6 at rank 1; W_3 has 10 asymptotic
 two-sided cells:
@@ -27,7 +28,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Tuple
 
 from .cycles import REGULAR, components, noncore_orbit
-from .insertion import insert, recording_classes
+from .insertion import tableau_classes
 from .tableaux import DominoTableau
 from .wgroup import SignedPerm, group_elements
 
@@ -76,7 +77,7 @@ def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:
     """All w whose rank-r recording tableau equals t."""
     if t.n != n:
         raise ValueError(f"tableau has {t.n} dominos, expected {n}")
-    return recording_classes(n, t.rank).get(t, frozenset())
+    return tableau_classes(n, t.rank, "L").get(t, frozenset())
 
 
 @lru_cache(maxsize=1 << 17)
@@ -92,15 +93,10 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
         raise ValueError("side must be L, R or LR")
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    elems = group_elements(n)
     if side in ("L", "R"):
         groups: Dict[Tuple, set] = {}
-        if side == "L":  # one fingerprint per class of equal recording tableau
-            for t, ws in recording_classes(n, rank).items():
-                groups.setdefault(cell_fingerprint(t), set()).update(ws)
-        else:
-            for w in elems:
-                groups.setdefault(cell_fingerprint(insert(w, rank).left), set()).add(w)
+        for t, ws in tableau_classes(n, rank, side).items():
+            groups.setdefault(cell_fingerprint(t), set()).update(ws)
         blocks = tuple(frozenset(g) for g in groups.values())
         return CellPartition(n, f"comb r={rank} {side}", blocks)
     links = []
@@ -108,9 +104,8 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
         for block in combinatorial_cells(n, rank, side).blocks:
             ws = list(block)
             links.extend(zip(ws, ws[1:]))
-    return CellPartition(
-        n, f"comb r={rank} LR", tuple(frozenset(g) for g in components(elems, links))
-    )
+    blocks = tuple(frozenset(g) for g in components(group_elements(n), links))
+    return CellPartition(n, f"comb r={rank} LR", blocks)
 
 
 def asymptotic_cells(n: int, side: str = "L") -> CellPartition:

@@ -29,6 +29,9 @@ from .wgroup import parse_perm
 # The Kazhdan-Lusztig oracle keeps c_w for every element of W_n; n = 5 needs
 # minutes and a few hundred MB, and |W_6| = 46,080 is out of reach.
 KL_MAX_N = 5
+# Every suite and cell partition holds W_n and sorted copies of it: W_7 and
+# one copy peak at 106 MB, so W_8 needs about 1.7 GB before any check.
+MAX_N = 7
 
 
 def _int_from(low: int, *words: str):
@@ -45,6 +48,11 @@ def _int_from(low: int, *words: str):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
+
+
+def _order(n: int) -> str:
+    """|W_n| = 2^n n!, in digits while they are few."""
+    return f"{2 ** n * math.factorial(n):,}" if n <= 100 else f"2^{n} * {n}!"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,11 +138,15 @@ def main(argv=None) -> int:
         value = getattr(args, option, None)
         if isinstance(value, int) and value > top:
             parser.error(f"--{option} {value} is larger than {top}, with n = {n}")
-    if uses_kl and args.n > KL_MAX_N:
-        order = 2 ** args.n * math.factorial(args.n)
+    if uses_kl and n > KL_MAX_N:
         parser.error(
-            f"--n {args.n} is too large for the Kazhdan-Lusztig oracle: "
-            f"|W_{args.n}| = {order:,} elements; it stops at n = {KL_MAX_N}"
+            f"--n {n} is too large for the Kazhdan-Lusztig oracle: "
+            f"|W_{n}| = {_order(n)} elements; it stops at n = {KL_MAX_N}"
+        )
+    if args.command != "insert" and n > MAX_N:
+        parser.error(
+            f"--n {n} is too large: |W_{n}| = {_order(n)} elements; "
+            f"{args.command} stops at n = {MAX_N}"
         )
 
     if args.command == "verify":

@@ -353,7 +353,7 @@ def _shift(items: Iterable[Tuple[DominoTableau, ...]], convention: str) -> list:
     extended cycles and re-cut it to the next rank: one up under the
     regular convention, one down under the opposite.  The list of the
     moved tuples, in order, with the exception that moving an item met in
-    its place.
+    its place; a rank-0 item has no rank to be lowered to.
 
     What depends on one tableau is done once per call: each distinct
     tableau is relocated once, and each distinct (tableau, extended label
@@ -370,12 +370,14 @@ def _shift(items: Iterable[Tuple[DominoTableau, ...]], convention: str) -> list:
     out: list = []
     for item in items:
         try:
+            rank = item[0].rank + step
+            if rank < 0:
+                raise TableauError("a rank-0 tableau has no lower rank")
             found = [_memo(rels, t, lambda: _relocate(t, convention)) for t in item]
             keys = [(t, frozenset().union(*g)) for t, g in zip(item, _link(*found))]
             moved = [_memo(moves, key, lambda: _apply_moves(rel, key[1]))
                      for key, rel in zip(keys, found)]
             _matched(moved)
-            rank = item[0].rank + step
             # `_normalized` fills in the map it is given; the memo keeps the
             # moved map for the shape check of later items
             out.append(tuple(_memo(recut, key, lambda: _normalized(dict(cells), rank))

@@ -17,13 +17,13 @@ Every insertion runs through `_walk`.  It inserts a run of signed
 permutations in order, and each element restarts from the state of the
 prefix it shares with the element before it, so on sorted input each
 signed prefix is inserted once; one element is a walk of length one.  A
-state holds the squares each step added, and equal step records give
-equal recording tableaux, so `recording_classes` groups W_n by them and
-freezes each distinct recording tableau once.  The exhaustive suites
-read the walk over sorted W_n: `verify tau` its live states and its
-classes, `verify insertion` every rank's pairs through `_rank_pairs`,
-grouped by recording tableau, and `verify classes` the classes.  The
-memo on `insert` serves the cell partitions' R and LR sides.
+state holds the squares each step added and each label's domino, which
+`_tableau` freezes into the recording and the insertion tableau.
+`tableau_classes` groups W_n by either and freezes each distinct tableau
+once.  Every reader of all of W_n reads the walk: the cell partitions and
+`verify classes` and `intermediate` the classes, `verify tau` its live
+states and left classes, and `verify insertion` each rank's pairs through
+`_rank_pairs`.  No suite reads back the memo on `insert`.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -50,7 +50,7 @@ from .tableaux import DominoTableau, TableauError, TableauPair, _dominos
 from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
-    "insert", "insertion_states", "recording_classes", "uninsert",
+    "insert", "insertion_states", "tableau_classes", "uninsert",
     "asymptotic_bitableaux", "split_rank", "rs_insert",
 ]
 
@@ -148,12 +148,13 @@ def _states(w: SignedPerm, rank: int) -> tuple:
     return states
 
 
-def _recording(rank: int, core: Dict[Square, int], steps: tuple) -> DominoTableau:
-    """The recording tableau of `steps`: a copy of the walk's rank-`rank`
-    core map `core`, and label k on the two squares that step k added."""
+def _tableau(rank: int, core: Dict[Square, int], dominos) -> DominoTableau:
+    """A copy of the walk's rank-`rank` core map `core` with label k on the
+    two squares `dominos[k-1]`: a state's `steps` give its recording
+    tableau, its `where` read in label order its insertion tableau."""
     cells = dict(core)
-    for step, added in enumerate(steps, start=1):
-        cells.update(dict.fromkeys(added, step))
+    for label, squares in enumerate(dominos, start=1):
+        cells.update(dict.fromkeys(squares, label))
     return DominoTableau.from_cells(rank, cells)
 
 
@@ -162,7 +163,7 @@ def _insert(w: SignedPerm, rank: int) -> TableauPair:
     states = _states(w, rank)
     left, _, steps = states[-1]
     return TableauPair(DominoTableau.from_cells(rank, left),
-                       _recording(rank, states[0][0], steps))
+                       _tableau(rank, states[0][0], steps))
 
 
 # callers that read each insertion once call `_insert` and leave this memo be
@@ -174,35 +175,38 @@ def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     states = _states(w, rank)
     core = states[0][0]
     return [
-        TableauPair(DominoTableau.from_cells(rank, left), _recording(rank, core, steps))
+        TableauPair(DominoTableau.from_cells(rank, left), _tableau(rank, core, steps))
         for left, _, steps in states
     ]
 
 
-def _recording_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
-    """Recording tableau -> its class, for all of W_n at one rank.
+def _classes(n: int, rank: int, side: str) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+    """Tableau -> its class for all of W_n at one rank: side "L" groups by
+    recording tableau, side "R" by insertion tableau.
 
     One walk over the sorted elements, which inserts each signed prefix
-    once, groups W_n by the squares each step added, and each distinct
-    recording tableau is frozen once.  The classes hold the tuples of
-    `group_elements(n)`.  At rank 1 there is one class per standard domino
-    tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3 (I(k) counts
-    the involutions of k letters), and they cover |W_3| = 48:
+    once, groups W_n by the squares each step added or by each label's
+    domino, and freezes each distinct tableau once.  The classes hold the
+    tuples of `group_elements(n)`.  At rank 1 there is one class per
+    standard domino tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3
+    (I(k) counts the involutions of k letters), and they cover |W_3| = 48:
 
-    >>> classes = recording_classes(3, 1)
+    >>> classes = tableau_classes(3, 1, "R")
     >>> len(classes), sum(map(len, classes.values()))
     (20, 48)
     """
-    by_steps: Dict[tuple, List[SignedPerm]] = {}
+    by_key: Dict[tuple, List[SignedPerm]] = {}
     for w, states in _walk(sorted(group_elements(n)), rank):
-        by_steps.setdefault(states[-1][2], []).append(w)
+        _, where, steps = states[-1]
+        key = steps if side == "L" else tuple(where[k] for k in range(1, n + 1))
+        by_key.setdefault(key, []).append(w)
     core = states[0][0]
-    return {_recording(rank, core, steps): frozenset(ws) for steps, ws in by_steps.items()}
+    return {_tableau(rank, core, key): frozenset(ws) for key, ws in by_key.items()}
 
 
-# Two ranks are held because the class check compares rank r with r+1;
-# `verify_tau`, which reads each rank once, calls the body.
-recording_classes = lru_cache(maxsize=2)(_recording_classes)
+# Two entries: the class check compares rank r with r+1, and a two-sided
+# partition reads both sides of a rank; `verify_tau` calls the body.
+tableau_classes = lru_cache(maxsize=2)(_classes)
 
 
 def _rank_pairs(
@@ -211,34 +215,36 @@ def _rank_pairs(
     """The rank-`rank` pairs of `ws` from one walk: a list of (w, pair)
     grouped by recording tableau, and w -> error for each w whose insertion
     failed.  A failure restarts the walk after its element, so the rest
-    are still inserted.  Each distinct recording tableau is frozen once,
-    and equal left tableaux are one object."""
+    are still inserted.  Each distinct tableau is frozen once, so equal
+    tableaux are one object."""
     ws = list(ws)
-    by_steps: Dict[tuple, List[Tuple[SignedPerm, DominoTableau]]] = {}
-    lefts: Dict[DominoTableau, DominoTableau] = {}
+    by_steps: Dict[tuple, List[Tuple[SignedPerm, tuple]]] = {}
     failed: Dict[SignedPerm, Exception] = {}
     done = 0
     while done < len(ws):
         try:
             for w, states in _walk(ws[done:], rank):
-                left, _, steps = states[-1]
+                _, where, steps = states[-1]
                 core = states[0][0]
-                t = DominoTableau.from_cells(rank, left)
-                by_steps.setdefault(steps, []).append((w, lefts.setdefault(t, t)))
+                placed = tuple(where[k] for k in range(1, len(w) + 1))
+                by_steps.setdefault(steps, []).append((w, placed))
                 done += 1
         except Exception as exc:
             failed[ws[done]] = exc
             done += 1
+    lefts: Dict[tuple, DominoTableau] = {}
     pairs = []
     for steps, group in by_steps.items():
         try:
-            right = _recording(rank, core, steps)
+            right = _tableau(rank, core, steps)
         except Exception as exc:
             failed.update((w, exc) for w, _ in group)
             continue
-        for w, left in group:
+        for w, placed in group:
             try:
-                pairs.append((w, TableauPair(left, right)))
+                if placed not in lefts:
+                    lefts[placed] = _tableau(rank, core, placed)
+                pairs.append((w, TableauPair(lefts[placed], right)))
             except Exception as exc:
                 failed[w] = exc
     return pairs, failed
@@ -409,10 +415,9 @@ def uninsert(pair: TableauPair) -> SignedPerm:
 
 
 def split_rank(w: SignedPerm) -> int:
-    """The least r for which the rank-r insertion pair is split.  Each
-    insertion is read once, so it bypasses `insert`; it freezes only the
-    left tableau, the one that decides splitness, which takes a quarter off
-    the time of a pass over W_6."""
+    """The least r for which the rank-r insertion pair is split.  It
+    freezes only the left tableau, which decides splitness, and bypasses
+    `insert`."""
     for r in range(max(len(w), 1)):
         left, _, _ = _states(w, r)[-1]
         if DominoTableau.from_cells(r, left).is_split():

@@ -24,8 +24,7 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _rank_pairs, _recording_classes, _walk, asymptotic_bitableaux, insert,
-    split_rank, uninsert,
+    _classes, _rank_pairs, _walk, asymptotic_bitableaux, tableau_classes, uninsert,
 )
 from .tableaux import (
     _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
@@ -172,7 +171,7 @@ def verify_tau(n: int) -> Report:
                                  "j": j, "ratio": ratio})
         report.bump("elements")
     for r in range(n + 1):
-        for q, ws in _recording_classes(n, r).items():
+        for q, ws in _classes(n, r, "L").items():
             tau = tau_of_tableau(q)
             xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
             for w in ws:
@@ -276,9 +275,9 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     if n < 2:
         raise ValueError("needs n >= 2")
     report = Report("intermediate", {"n": n})
-    elems = group_elements(n)
-    split = {w for w in elems if split_rank(w) < n - 1}
-    nonsplit = set(elems) - split
+    split = {w for r in range(n - 1) for t, ws in tableau_classes(n, r, "R").items()
+             if t.is_split() for w in ws}
+    nonsplit = set(group_elements(n)) - split
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
     asym = asymptotic_cells(n, "L")
     asym_blocks = set(asym.blocks)
@@ -309,8 +308,9 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         if frozenset(tau_classes[tau_of[min(block)]]) != block:
             report.fail({"kind": "tau-class-mismatch", "size": len(block)})
     # (iv) rank n-1 recording tableaux of non-split elements with equal tau
+    right = {w: t for t, ws in tableau_classes(n, n - 1, "L").items() for w in ws}
     for tau, ws in tau_classes.items():
-        tabs = [insert(w, n - 1).right for w in ws]
+        tabs = [right[w] for w in ws]
         reps = {t.rows for t in tabs}
         orbit = list(noncore_orbit(tabs[0], OPPOSITE))
         if [labels for labels, _ in orbit] != [frozenset(), frozenset({n})]:

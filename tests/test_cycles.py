@@ -343,6 +343,9 @@ def test_raising_a_rank_at_once_is_raising_each_pair(n, monkeypatch):
         for items in (pairs, tableaux):
             assert outcomes(_shift(items, OPPOSITE)) == outcomes(
                 x for item in items for x in _shift((item,), OPPOSITE))
+            if r == 0:  # no rank below 0 to lower to
+                assert outcomes(_shift(items, OPPOSITE)) == [
+                    (TableauError, "a rank-0 tableau has no lower rank")] * len(items)
     # the one-item calls raise what the driver met, and return nothing
     def failing(cells, rank):
         raise TableauError("injected re-cut failure")

@@ -3,8 +3,8 @@ import pytest
 from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _insert, _rank_pairs, _recording, _states, _undo_step, _walk,
-    asymptotic_bitableaux, insert, insertion_states, recording_classes, split_rank,
+    _insert, _rank_pairs, _states, _tableau, _undo_step, _walk,
+    asymptotic_bitableaux, insert, insertion_states, split_rank, tableau_classes,
     uninsert,
 )
 from dominocells.tableaux import (
@@ -157,7 +157,7 @@ def test_one_shot_insertions_bypass_the_insert_memo():
     assert not hasattr(split_rank, "cache_info")
     w = (5, -1, 3, -4, 2)
     t = insert(w, 2).right
-    recording_classes.cache_clear()
+    tableau_classes.cache_clear()
     before = insert.cache_info()
     for v in enumerate_group(5):
         split_rank(v)
@@ -171,10 +171,12 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
     orders = [sorted(group_elements(n)), group_elements(n),
               sorted(group_elements(n), reverse=True)]
     for r in ranks:
-        expected = {}
+        expected, by_left = {}, {}
         for w in group_elements(n):
             expected.setdefault(_insert(w, r).right, set()).add(w)
-        assert recording_classes(n, r) == {t: frozenset(ws) for t, ws in expected.items()}
+            by_left.setdefault(_insert(w, r).left, set()).add(w)
+        assert tableau_classes(n, r, "L") == {t: frozenset(ws) for t, ws in expected.items()}
+        assert tableau_classes(n, r, "R") == {t: frozenset(ws) for t, ws in by_left.items()}
         for elems in orders:
             walked = {}
             for w, states in _walk(elems, r):
@@ -182,10 +184,12 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
                 walked[w] = states
             assert walked.keys() == set(group_elements(n))
             for w, states in walked.items():
-                left, _, steps = states[-1]
+                left, where, steps = states[-1]
                 pair = _insert(w, r)
                 assert left == pair.left.cells()
-                assert _recording(r, states[0][0], steps) == pair.right
+                assert _tableau(r, states[0][0], steps) == pair.right
+                placed = [where[k] for k in range(1, n + 1)]
+                assert _tableau(r, states[0][0], placed) == DominoTableau.from_cells(r, left)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -225,7 +229,7 @@ def test_both_insertion_paths_run_the_step_assertions(monkeypatch, target, rank,
 def test_recording_classes_hold_the_group_elements_themselves():
     held = {id(w) for w in group_elements(4)}
     for r in range(6):
-        for ws in recording_classes(4, r).values():
+        for ws in tableau_classes(4, r, "L").values():
             assert all(id(w) in held for w in ws)
 
 

@@ -6,11 +6,12 @@ import pytest
 import dominocells.cycles as cycles_mod
 import dominocells.insertion as insertion_mod
 import dominocells.verify as verify_mod
+from dominocells.cells import combinatorial_cells
 from dominocells.cli import _build_parser, main
 from dominocells.insertion import insert
 from dominocells.tableaux import DominoTableau
 from dominocells.verify import (
-    verify_class_decomposition, verify_conjecture, verify_insertion,
+    Report, verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
 from dominocells.wgroup import DescentSet, format_perm, group_elements
@@ -207,9 +208,18 @@ def test_verify_tau_reports_each_kind_of_failure(monkeypatch, name, fault, kind)
     assert kind in {c["kind"] for c in report.counterexamples}
 
 
-def test_verify_tau_reads_insertions_without_the_memo():
+@pytest.mark.parametrize("run, args", [
+    pytest.param(verify_tau, (3,), id="tau"),
+    pytest.param(verify_conjecture, (3, "all"), id="conjecture"),
+    pytest.param(verify_intermediate_structure, (3,), id="intermediate"),
+    *(pytest.param(combinatorial_cells, (3, r, side), id=f"cells-r{r}-{side}")
+      for r in range(4) for side in ("L", "R", "LR")),
+])
+def test_verify_tau_reads_insertions_without_the_memo(run, args):
+    # every reader of all of W_n reads the insertion walk, not `insert`
     before = insert.cache_info()
-    assert verify_tau(3).status == "pass"
+    result = run(*args)
+    assert not isinstance(result, Report) or result.status == "pass"
     assert insert.cache_info() == before
 
 
@@ -359,6 +369,31 @@ def test_cli_refuses_kl_sizes_that_cannot_finish(argv, capsys, monkeypatch):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "|W_6| = 46,080" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, order", [pytest.param(*case, id=case[0]) for case in [
+    ("verify tau --n 8", "|W_8| = 10,321,920"),
+    ("verify insertion --n 9 --rank 2", "|W_9| = 185,794,560"),
+    ("verify classes --n 8 --rank 8", "|W_8| = 10,321,920"),
+    ("cells --n 8 --rank 0 --side R", "|W_8| = 10,321,920"),
+    ("verify tau --n 100000", "|W_100000| = 2^100000 * 100000!"),
+    ("verify conjecture --n 100000", "|W_100000| = 2^100000 * 100000!"),
+]])
+def test_cli_refuses_sizes_that_cannot_finish(argv, order, capsys, monkeypatch):
+    # W_n itself outgrows memory past n = 7, and its order is written out
+    # in digits only while they are few
+    def built(*args, **kwargs):
+        raise AssertionError("a suite or a partition was run")
+
+    for name in ("_run_verify", "combinatorial_cells"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", built)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and order in errors[0]
     assert "Traceback" not in err
 
 
