@@ -1,13 +1,15 @@
 import json
 import shlex
+from functools import lru_cache
 
 import pytest
 
 import dominocells.cycles as cycles_mod
 import dominocells.insertion as insertion_mod
 import dominocells.verify as verify_mod
-from dominocells.cells import combinatorial_cells
+from dominocells.cells import CellPartition, combinatorial_cells
 from dominocells.cli import _build_parser, main
+from dominocells.hecke import KLTable, WeightFunction, kl_cells
 from dominocells.insertion import insert
 from dominocells.tableaux import DominoTableau
 from dominocells.verify import (
@@ -250,6 +252,78 @@ def test_verify_intermediate_small():
         == report.counts["split_asymptotic_cells"]
         + report.counts["nonsplit_tau_classes"]
     )
+
+
+@lru_cache(maxsize=None)
+def _intermediate_kl_cells(n):
+    return kl_cells(n, WeightFunction(1, n - 1), "L")
+
+
+def _merge(part, i, j):
+    """`part` with its blocks i and j made one."""
+    blocks = [b for k, b in enumerate(part.blocks) if k not in (i, j)]
+    return CellPartition(part.n, part.label, (*blocks, part.blocks[i] | part.blocks[j]))
+
+
+def _split_least(part, i):
+    """`part` with the least element of its block i made a block of its own."""
+    w = min(part.blocks[i])
+    blocks = [b for k, b in enumerate(part.blocks) if k != i]
+    return CellPartition(part.n, part.label,
+                         (*blocks, frozenset({w}), part.blocks[i] - {w}))
+
+
+WRONG_KL_CELLS = {
+    "merge 0 1": lambda n: _merge(_intermediate_kl_cells(n), 0, 1),
+    "split 0": lambda n: _split_least(_intermediate_kl_cells(n), 0),
+    "split 5": lambda n: _split_least(_intermediate_kl_cells(n), 5),
+    "asymptotic": lambda n: combinatorial_cells(n, n - 1, "L"),
+    "rank 0": lambda n: combinatorial_cells(n, 0, "L"),
+}
+
+
+@pytest.mark.parametrize("n, wrong, kinds", [
+    (3, "merge 0 1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+    (3, "split 0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
+                    "closing-iff", "cell-count"}),
+    (3, "split 5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
+    (3, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
+    (3, "rank 0", {"mixed-block", "split-not-asymptotic", "not-two-asymptotic",
+                   "tau-class-count", "tau-class-mismatch"}),
+    (4, "merge 0 1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+    (4, "split 0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
+                    "closing-iff", "cell-count"}),
+    (4, "split 5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
+    (4, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
+    (4, "rank 0", {"mixed-block", "split-not-asymptotic"}),
+])
+def test_verify_intermediate_reports_wrong_kl_cells(monkeypatch, n, wrong, kinds):
+    part = WRONG_KL_CELLS[wrong](n)
+    monkeypatch.setattr(verify_mod, "kl_cells", lambda *args, **kwargs: part)
+    report = verify_intermediate_structure(n)
+    assert report.status == "fail"
+    assert {c["kind"] for c in report.counterexamples} == kinds
+
+
+def test_verify_conjecture_reports_where_partitions_differ(monkeypatch):
+    class MergedTable(KLTable):
+        def cells(self, side="L"):
+            part = super().cells(side)
+            return part if side == "LR" else _merge(part, 0, 1)
+
+    monkeypatch.setattr(verify_mod, "KLTable", MergedTable)
+    report = verify_conjecture(3, 1)
+    assert report.status == "fail"
+    assert report.counterexamples == [
+        {"kind": "partition", "ratio": 1, "side": "L", "where": {
+            "w": "-3 -2 -1",
+            "block_a": ["-3 -1 2", "-3 -2 -1", "-3 -2 1"],
+            "block_b": ["-1 2 -3", "-1 3 -2", "-2 -1 -3", "-2 1 -3"]}},
+        {"kind": "partition", "ratio": 1, "side": "R", "where": {
+            "w": "-3 -2 -1",
+            "block_a": ["-2 3 -1", "-3 -2 -1", "3 -2 -1"],
+            "block_b": ["-2 3 -1", "-2 3 1", "-3 -2 -1", "-3 -2 1"]}},
+    ]
 
 
 def test_cli_verify_exit_codes_and_json(tmp_path, capsys):
