@@ -7,7 +7,10 @@ cells use the left tableaux, and two-sided cells are the transitive
 closure of both.  Each one-sided partition reads `tableau_classes`, with
 one cycle fingerprint per class.  For r >= n - 1 the partitions stabilize
 ("asymptotic" cells).  Partitions are stored with canonically sorted
-blocks so they can be compared and serialized deterministically.
+blocks so they can be compared and serialized deterministically.  A block
+is looked up by element through one element -> block map, built on the
+first lookup, and every comparison of two partitions goes through
+`CellPartition.misfits`.
 
 W_2 has 4 left cells at rank 0 and 6 at rank 1; W_3 has 10 asymptotic
 two-sided cells:
@@ -23,9 +26,10 @@ two-sided cells:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .cycles import REGULAR, components, noncore_orbit
 from .insertion import tableau_classes
@@ -50,11 +54,22 @@ class CellPartition:
         if covered != sorted(group_elements(self.n)):
             raise ValueError(f"blocks do not partition W_{self.n}")
 
+    @cached_property
+    def _position(self) -> Dict[SignedPerm, int]:
+        # built on first use: a partition only tested for equality holds none
+        return {w: i for i, b in enumerate(self.blocks) for w in b}
+
     def block_of(self, w: SignedPerm) -> FrozenSet[SignedPerm]:
-        for b in self.blocks:
-            if w in b:
-                return b
-        raise KeyError(w)
+        return self.blocks[self._position[w]]
+
+    def misfits(self, other: "CellPartition", fits=operator.eq) -> Iterator[Tuple]:
+        """Each block of self, in order, with other's block of its least
+        element, where `fits(block, other_block)` fails: nothing with `eq`
+        iff the partitions are equal, with `le` iff self refines other."""
+        for block in self.blocks:
+            theirs = other.block_of(min(block))
+            if not fits(block, theirs):
+                yield block, theirs
 
     def same_partition(self, other: "CellPartition") -> bool:
         return self.n == other.n and self.blocks == other.blocks

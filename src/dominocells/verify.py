@@ -15,9 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .cells import (
-    CellPartition, asymptotic_cells, class_of_tableau, combinatorial_cells,
-)
+from .cells import asymptotic_cells, class_of_tableau, combinatorial_cells
 from .cycles import (
     OPPOSITE, REGULAR, _shift, core_raise, cycle_partition, move_through,
     noncore_orbit,
@@ -258,10 +256,12 @@ def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
             comb = combinatorial_cells(n, rt - 1, side)
             kl = table.cells(side)
             report.counts[f"blocks_r{rt}_{side}"] = len(comb.blocks)
-            if not comb.same_partition(kl):
-                diff = _first_block_difference(comb, kl)
-                report.fail({"kind": "partition", "ratio": rt, "side": side,
-                             "where": diff})
+            # comb's first block that kl lacks, and kl's block of its least element
+            witness = next(comb.misfits(kl), None)
+            if witness:
+                a, b = (sorted(map(format_perm, block))[:4] for block in witness)
+                where = {"w": format_perm(min(witness[0])), "block_a": a, "block_b": b}
+                report.fail({"kind": "partition", "ratio": rt, "side": side, "where": where})
     return report
 
 
@@ -280,7 +280,6 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     nonsplit = set(group_elements(n)) - split
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
     asym = asymptotic_cells(n, "L")
-    asym_blocks = set(asym.blocks)
     report.counts["kl_blocks"] = len(kl.blocks)
     report.counts["split_elements"] = len(split)
     # (i) split/non-split are unions of cells
@@ -288,24 +287,23 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         if block & split and block & nonsplit:
             report.fail({"kind": "mixed-block", "size": len(block)})
     # (ii) split cells are asymptotic cells
-    for block in kl.blocks:
-        if block <= split and block not in asym_blocks:
+    for block, _ in kl.misfits(asym):
+        if block <= split:
             report.fail({"kind": "split-not-asymptotic", "size": len(block)})
     # (iii) non-split cells = tau classes of non-split elements, two asymptotic cells each
-    tau_of: Dict[SignedPerm, DescentSet] = {}
     tau_classes: Dict[DescentSet, List[SignedPerm]] = {}
     for w in sorted(nonsplit):
-        tau_of[w] = tau = tau_invariant(w)
-        tau_classes.setdefault(tau, []).append(w)
+        tau_classes.setdefault(tau_invariant(w), []).append(w)
     nonsplit_blocks = [b for b in kl.blocks if b <= nonsplit]
     if len(nonsplit_blocks) != len(tau_classes):
         report.fail({"kind": "tau-class-count", "cells": len(nonsplit_blocks),
                      "classes": len(tau_classes)})
     for block in nonsplit_blocks:
-        parts = [a for a in asym_blocks if a <= block]
-        if set().union(*parts) != set(block) or len(parts) != 2:
+        # the asymptotic cells meeting the block, which must lie inside it
+        parts = {asym.block_of(w) for w in block}
+        if len(parts) != 2 or not all(a <= block for a in parts):
             report.fail({"kind": "not-two-asymptotic", "size": len(block)})
-        if frozenset(tau_classes[tau_of[min(block)]]) != block:
+        if frozenset(tau_classes[tau_invariant(min(block))]) != block:
             report.fail({"kind": "tau-class-mismatch", "size": len(block)})
     # (iv) rank n-1 recording tableaux of non-split elements with equal tau
     right = {w: t for t, ws in tableau_classes(n, n - 1, "L").items() for w in ws}
@@ -323,23 +321,9 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     if not comb.same_partition(kl):
         report.fail({"kind": "closing-iff"})
     # cross-count emitted in the report
-    split_asym = {a for a in asym_blocks if a <= split}
-    report.counts["split_asymptotic_cells"] = len(split_asym)
+    split_asym = sum(a <= split for a in asym.blocks)
+    report.counts["split_asymptotic_cells"] = split_asym
     report.counts["nonsplit_tau_classes"] = len(tau_classes)
-    if len(kl.blocks) != len(split_asym) + len(tau_classes):
+    if len(kl.blocks) != split_asym + len(tau_classes):
         report.fail({"kind": "cell-count"})
     return report
-
-
-def _first_block_difference(a: CellPartition, b: CellPartition):
-    b_blocks = set(b.blocks)
-    for block in a.blocks:
-        if block not in b_blocks:
-            w = min(block)
-            return {
-                "w": format_perm(w),
-                "block_a": sorted(format_perm(x) for x in block)[:4],
-                "block_b": sorted(format_perm(x) for x in b.block_of(w))[:4],
-            }
-    return None
-

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 
 import pytest
 
@@ -8,6 +9,7 @@ from dominocells.cells import (
     combinatorial_cells,
 )
 from dominocells.cycles import REGULAR, cycle_partition, move_through
+from dominocells.hecke import WeightFunction, kl_cells
 from dominocells.insertion import insert, split_rank
 from dominocells.tableaux import DominoTableau, enumerate_sdt
 from dominocells.wgroup import group_elements, inverse
@@ -128,6 +130,51 @@ def test_partition_comparisons():
     assert not refines(coarse, fine) or len(fine.blocks) == len(coarse.blocks)
     meet = common_refinement(fine, coarse)
     assert refines(meet, coarse) and refines(meet, fine)
+    parts = [combinatorial_cells(3, rank, side)
+             for rank in range(4) for side in ("L", "R", "LR")]
+    parts += [kl_cells(3, WeightFunction(1, ratio), "L") for ratio in (1, 2, 3)]
+    outcomes = set()
+    for a in parts:
+        for b in parts:
+            fine_enough = next(a.misfits(b, operator.le), None) is None
+            equal = next(a.misfits(b), None) is None
+            assert fine_enough == refines(a, b)
+            assert equal == a.same_partition(b)
+            outcomes.add((fine_enough, equal))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_misfits_pairs_each_block_with_the_block_of_its_least_element():
+    fine = combinatorial_cells(3, 0, "L")
+    coarse = combinatorial_cells(3, 0, "LR")
+    for a, b in ((fine, coarse), (coarse, fine)):
+        misfits = list(a.misfits(b))
+        assert [block for block, _ in misfits] == [
+            block for block in a.blocks if block not in b.blocks]
+        assert [theirs for _, theirs in misfits] == [
+            next(x for x in b.blocks if min(block) in x) for block, _ in misfits]
+    assert list(fine.misfits(coarse, operator.le)) == []
+    assert len(list(coarse.misfits(fine, operator.le))) == len(list(coarse.misfits(fine)))
+
+
+@pytest.mark.parametrize("blocks", [
+    pytest.param(lambda bs: bs + (bs[0],), id="shared-element"),
+    pytest.param(lambda bs: bs[1:], id="missing-element"),
+    pytest.param(lambda bs: bs + (frozenset({(1, 2, 3)}),), id="outside-w2"),
+    pytest.param(lambda bs: bs[1:] + (bs[0] | {(3, 1)},), id="not-signed-perm"),
+])
+def test_cell_partition_rejects_blocks_that_do_not_partition_the_group(blocks):
+    good = combinatorial_cells(2, 0, "L").blocks
+    with pytest.raises(ValueError, match="do not partition W_2"):
+        CellPartition(2, "wrong", blocks(good))
+
+
+def test_block_of_rejects_an_element_of_another_group():
+    part = combinatorial_cells(2, 1, "L")
+    assert part.block_of((-2, 1)) in part.blocks
+    for w in ((1, 2, 3), (1,), (3, 1)):
+        with pytest.raises(KeyError):
+            part.block_of(w)
 
 
 def test_json_dump_is_canonical():
