@@ -9,8 +9,8 @@ one cycle fingerprint per class.  For r >= n - 1 the partitions stabilize
 ("asymptotic" cells).  Partitions are stored with canonically sorted
 blocks so they can be compared and serialized deterministically.  A block
 is looked up by element through one element -> block map, built on the
-first lookup, and every comparison of two partitions goes through
-`CellPartition.misfits`.
+first lookup; `CellPartition.misfits` compares two partitions block by
+block, and `same_partition` tests equality alone.
 
 W_2 has 4 left cells at rank 0 and 6 at rank 1; W_3 has 10 asymptotic
 two-sided cells:

@@ -274,29 +274,33 @@ def _split_least(part, i):
 
 
 WRONG_KL_CELLS = {
-    "merge 0 1": lambda n: _merge(_intermediate_kl_cells(n), 0, 1),
-    "split 0": lambda n: _split_least(_intermediate_kl_cells(n), 0),
-    "split 5": lambda n: _split_least(_intermediate_kl_cells(n), 5),
+    "merge-0-1": lambda n: _merge(_intermediate_kl_cells(n), 0, 1),
+    "split-0": lambda n: _split_least(_intermediate_kl_cells(n), 0),
+    "split-5": lambda n: _split_least(_intermediate_kl_cells(n), 5),
     "asymptotic": lambda n: combinatorial_cells(n, n - 1, "L"),
-    "rank 0": lambda n: combinatorial_cells(n, 0, "L"),
+    "rank-0": lambda n: combinatorial_cells(n, 0, "L"),
 }
 
 
-@pytest.mark.parametrize("n, wrong, kinds", [
-    (3, "merge 0 1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
-    (3, "split 0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
+WRONG_KL_REPORTS = [
+    (3, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+    (3, "split-0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
                     "closing-iff", "cell-count"}),
-    (3, "split 5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
+    (3, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
     (3, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
-    (3, "rank 0", {"mixed-block", "split-not-asymptotic", "not-two-asymptotic",
+    (3, "rank-0", {"mixed-block", "split-not-asymptotic", "not-two-asymptotic",
                    "tau-class-count", "tau-class-mismatch"}),
-    (4, "merge 0 1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
-    (4, "split 0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
+    (4, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+    (4, "split-0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
                     "closing-iff", "cell-count"}),
-    (4, "split 5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
+    (4, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
     (4, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
-    (4, "rank 0", {"mixed-block", "split-not-asymptotic"}),
-])
+    (4, "rank-0", {"mixed-block", "split-not-asymptotic"}),
+]
+
+
+@pytest.mark.parametrize("n, wrong, kinds", WRONG_KL_REPORTS,
+                         ids=[f"n{n}-{wrong}" for n, wrong, _ in WRONG_KL_REPORTS])
 def test_verify_intermediate_reports_wrong_kl_cells(monkeypatch, n, wrong, kinds):
     part = WRONG_KL_CELLS[wrong](n)
     monkeypatch.setattr(verify_mod, "kl_cells", lambda *args, **kwargs: part)
