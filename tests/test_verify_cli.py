@@ -328,6 +328,8 @@ def test_verify_conjecture_reports_where_partitions_differ(monkeypatch):
             "block_a": ["-2 3 -1", "-3 -2 -1", "3 -2 -1"],
             "block_b": ["-2 3 -1", "-2 3 1", "-3 -2 -1", "-3 -2 1"]}},
     ]
+    where_keys = [list(c["where"]) for c in report.counterexamples]
+    assert where_keys == [["w", "block_a", "block_b"]] * 2
 
 
 def test_cli_verify_exit_codes_and_json(tmp_path, capsys):
