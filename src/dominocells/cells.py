@@ -26,7 +26,6 @@ two-sided cells:
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterator, Tuple
@@ -62,13 +61,12 @@ class CellPartition:
     def block_of(self, w: SignedPerm) -> FrozenSet[SignedPerm]:
         return self.blocks[self._position[w]]
 
-    def misfits(self, other: "CellPartition", fits=operator.eq) -> Iterator[Tuple]:
-        """Each block of self, in order, with other's block of its least
-        element, where `fits(block, other_block)` fails: nothing with `eq`
-        iff the partitions are equal, with `le` iff self refines other."""
+    def misfits(self, other: "CellPartition") -> Iterator[Tuple]:
+        """Each block of self, in order, that other lacks, with other's block
+        of its least element: nothing iff the partitions are equal."""
         for block in self.blocks:
             theirs = other.block_of(min(block))
-            if not fits(block, theirs):
+            if block != theirs:
                 yield block, theirs
 
     def same_partition(self, other: "CellPartition") -> bool:
