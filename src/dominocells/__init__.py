@@ -6,10 +6,10 @@ Kazhdan-Lusztig oracle, with exhaustive verification suites.
 
 from .wgroup import (
     Generator, DescentSet, compose, inverse, identity, length,
-    tau_invariant, enhanced_tau_invariant, enumerate_group, group_elements,
+    tau_invariant, enhanced_tau_invariant, group_elements,
     parse_perm, format_perm, simple_generators, generator_perm,
 )
-from .shapes import staircase, removable_dominos, diagonal
+from .shapes import staircase, addable_dominos, removable_dominos, diagonal
 from .tableaux import (
     DominoTableau, TableauPair, TableauError, tau_of_tableau,
     enhanced_tau_of_tableau, enumerate_sdt,
@@ -18,9 +18,7 @@ from .cycles import (
     REGULAR, OPPOSITE, Cycle, ExtendedCycles, cycle_partition,
     move_through, noncore_orbit, extended_cycles, raise_rank,
 )
-from .insertion import (
-    insert, insertion_states, uninsert, asymptotic_bitableaux, split_rank,
-)
+from .insertion import insert, insertion_states, uninsert, asymptotic_bitableaux
 from .cells import (
     CellPartition, class_of_tableau, combinatorial_cells, asymptotic_cells,
 )

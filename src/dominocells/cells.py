@@ -48,9 +48,12 @@ class CellPartition:
     blocks: Tuple[FrozenSet[SignedPerm], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
-        covered = sorted(w for b in self.blocks for w in b)
-        if covered != sorted(group_elements(self.n)):
+        blocks = tuple(frozenset(b) for b in self.blocks)
+        if frozenset() in blocks:
+            raise ValueError(f"block {blocks.index(frozenset())} of {self.label!r} is empty")
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
+        covered = tuple(sorted(w for b in self.blocks for w in b))
+        if covered != group_elements(self.n):
             raise ValueError(f"blocks do not partition W_{self.n}")
 
     @cached_property
@@ -80,10 +83,6 @@ class CellPartition:
                 "blocks": [[list(w) for w in sorted(b)] for b in self.blocks],
             }
         )
-
-
-def _canonical_blocks(blocks) -> Tuple[FrozenSet[SignedPerm], ...]:
-    return tuple(sorted((frozenset(b) for b in blocks), key=lambda b: min(b)))
 
 
 def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:

@@ -30,8 +30,8 @@ from .wgroup import parse_perm
 # cold table takes about 12 s at 144 MB peak, and `verify conjecture --ratio
 # all` 65 s at 167 MB (2-CPU box, Python 3.11); |W_6| = 46,080 is out of reach.
 KL_MAX_N = 5
-# Every suite and cell partition holds W_n and sorted copies of it: W_7 and
-# one copy peak at 106 MB, so W_8 needs about 1.7 GB before any check.
+# Every suite and cell partition holds W_n: `group_elements(7)` alone peaks
+# at 105 MB, so W_8 needs about 1.7 GB before any check.
 MAX_N = 7
 
 

@@ -277,10 +277,8 @@ class ExtendedCycles:
     right_groups: Tuple[FrozenSet[int], ...]
 
 
-def extended_cycles(
-    left: DominoTableau, right: DominoTableau, convention: str = REGULAR
-) -> ExtendedCycles:
-    """Extended open cycles of each tableau of a pair relative to the other.
+def extended_cycles(left: DominoTableau, right: DominoTableau) -> ExtendedCycles:
+    """Extended regular open cycles of each tableau of a pair relative to the other.
 
     Open cycles from the two sides are linked when their moves disturb a
     common square of the shared shape; every linkage component containing a
@@ -289,7 +287,7 @@ def extended_cycles(
     """
     if left.shape != right.shape:
         raise TableauError("pair shapes differ")
-    rels = [_relocate(t, convention) for t in (left, right)]
+    rels = [_relocate(t, REGULAR) for t in (left, right)]
     groups = _link(*rels)
     _matched([_apply_moves(rel, frozenset().union(*g)) for rel, g in zip(rels, groups)])
     return ExtendedCycles(*groups)

@@ -15,15 +15,16 @@ The right tableau records which two squares each step added.
 
 Every insertion runs through `_walk`.  It inserts a run of signed
 permutations in order, and each element restarts from the state of the
-prefix it shares with the element before it, so on sorted input each
-signed prefix is inserted once; one element is a walk of length one.  A
-state holds the squares each step added and each label's domino, which
-`_tableau` freezes into the recording and the insertion tableau.
-`tableau_classes` groups W_n by either and freezes each distinct tableau
-once.  Every reader of all of W_n reads the walk: the cell partitions and
-`verify classes` and `intermediate` the classes, `verify tau` its live
-states and left classes, and `verify insertion` each rank's pairs through
-`_rank_pairs`.  No suite reads back the memo on `insert`.
+prefix it shares with the element before it, so on `group_elements(n)`,
+in increasing order, each signed prefix is inserted once; one element is
+a walk of length one.  A state holds the squares each step added and each
+label's domino, which `_tableau` freezes into the recording and the
+insertion tableau.  `tableau_classes` groups W_n by either and freezes
+each distinct tableau once.  Every reader of all of W_n reads the walk:
+the cell partitions, `verify classes` and `intermediate` (its split
+elements too) the classes, `verify tau` its live states and left classes,
+and `verify insertion` each rank's pairs through `_rank_pairs`.  No suite
+reads back the memo on `insert`.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -51,7 +52,7 @@ from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
     "insert", "insertion_states", "tableau_classes", "uninsert",
-    "asymptotic_bitableaux", "split_rank", "rs_insert",
+    "asymptotic_bitableaux", "rs_insert",
 ]
 
 
@@ -184,10 +185,10 @@ def _classes(n: int, rank: int, side: str) -> Dict[DominoTableau, FrozenSet[Sign
     """Tableau -> its class for all of W_n at one rank: side "L" groups by
     recording tableau, side "R" by insertion tableau.
 
-    One walk over the sorted elements, which inserts each signed prefix
-    once, groups W_n by the squares each step added or by each label's
-    domino, and freezes each distinct tableau once.  The classes hold the
-    tuples of `group_elements(n)`.  At rank 1 there is one class per
+    One walk over `group_elements(n)`, in increasing order, inserts each
+    signed prefix once, groups W_n by the squares each step added or by each
+    label's domino, and freezes each distinct tableau once.  The classes
+    hold the tuples of `group_elements(n)`.  At rank 1 there is one class per
     standard domino tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3
     (I(k) counts the involutions of k letters), and they cover |W_3| = 48:
 
@@ -196,7 +197,7 @@ def _classes(n: int, rank: int, side: str) -> Dict[DominoTableau, FrozenSet[Sign
     (20, 48)
     """
     by_key: Dict[tuple, List[SignedPerm]] = {}
-    for w, states in _walk(sorted(group_elements(n)), rank):
+    for w, states in _walk(group_elements(n), rank):
         _, where, steps = states[-1]
         key = steps if side == "L" else tuple(where[k] for k in range(1, n + 1))
         by_key.setdefault(key, []).append(w)
@@ -412,14 +413,3 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     if shape != staircase(pair.rank):
         raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")
     return tuple(reversed(w))
-
-
-def split_rank(w: SignedPerm) -> int:
-    """The least r for which the rank-r insertion pair is split.  It
-    freezes only the left tableau, which decides splitness, and bypasses
-    `insert`."""
-    for r in range(max(len(w), 1)):
-        left, _, _ = _states(w, r)[-1]
-        if DominoTableau.from_cells(r, left).is_split():
-            return r
-    raise AssertionError(f"no split rank below n for {tuple(w)}")

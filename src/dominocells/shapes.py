@@ -1,5 +1,6 @@
 """
-Integer partitions as Young diagrams, removable dominos and diagonals.
+Integer partitions as Young diagrams, addable and removable dominos, and
+diagonals.
 
 A shape is a weakly decreasing tuple of positive integers (row lengths).
 Squares are 1-indexed: (i, j) lies in row i, column j.  A domino is a pair
@@ -12,11 +13,11 @@ terminates in a staircase [r, r-1, ..., 1], the 2-core, and r is the rank.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator
+from typing import FrozenSet, Iterator, List, Tuple
 
 __all__ = [
     "Shape", "Square", "staircase", "is_young", "cells_of_shape",
-    "removable_dominos", "diagonal", "shape_from_cells",
+    "addable_dominos", "removable_dominos", "diagonal", "shape_from_cells",
 ]
 
 Shape = tuple  # weakly decreasing tuple[int, ...]
@@ -71,6 +72,23 @@ def shape_from_cells(cells) -> Shape:
             raise ValueError("cells do not form a Young diagram")
         shape.append(count)
     return tuple(shape)
+
+
+def addable_dominos(shape: Shape) -> List[Tuple[Square, Square]]:
+    """All domino positions whose addition leaves a Young diagram, row by
+    row from the top, each row's horizontal domino first: the two squares
+    after a row at least two shorter than the row above, and the squares
+    after two equal rows shorter than the row above them."""
+    rows = tuple(shape) + (0, 0)
+    out = []
+    for i in range(1, len(shape) + 2):
+        ln = rows[i - 1]
+        room = rows[i - 2] - ln if i > 1 else 2  # row 1 has nothing above it
+        if room >= 2:
+            out.append(((i, ln + 1), (i, ln + 2)))
+        if room >= 1 and rows[i] == ln:
+            out.append(((i, ln + 1), (i + 1, ln + 1)))
+    return out
 
 
 def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:

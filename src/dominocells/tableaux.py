@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .shapes import (
-    Square, Shape, cells_of_shape, diagonal, is_young, staircase,
+    Square, Shape, addable_dominos, cells_of_shape, diagonal, is_young,
+    shape_from_cells, staircase,
 )
 from .wgroup import DescentSet
 
@@ -303,45 +304,17 @@ def enhanced_tau_of_tableau(q: DominoTableau, ratio: int) -> DescentSet:
 def enumerate_sdt(n: int, rank: int) -> Iterator[DominoTableau]:
     """All standard domino tableaux of rank `rank` with n dominos.
 
-    Built by adding dominos labeled 1..n at every position that keeps the
-    union of core and placed dominos a Young diagram; each tableau arises
-    exactly once.
+    Level k holds a square -> label map for each standard tableau with
+    dominos 1..k: each map of level k - 1 with domino k added at each of
+    `addable_dominos` of its shape, so each tableau arises exactly once.
+    The maps of level n are frozen through `from_cells` and checked.
     """
-    core = staircase(rank)
-
-    def grow(rows: Tuple[Tuple[int, ...], ...], k: int) -> Iterator:
-        shape = tuple(len(r) for r in rows)
-
-        def row_len(i):
-            if i <= 0:
-                return 1 << 30  # no constraint above row 1
-            return shape[i - 1] if i <= len(shape) else 0
-
-        nrows = len(shape)
-        for i in range(1, nrows + 2):
-            j = row_len(i) + 1
-            # horizontal domino at (i, j), (i, j+1)
-            if row_len(i - 1) >= j + 1:
-                yield _with_domino(rows, k, ((i, j), (i, j + 1)))
-            # vertical domino at (i, j), (i+1, j)
-            if row_len(i - 1) >= j and row_len(i + 1) == j - 1:
-                yield _with_domino(rows, k, ((i, j), (i + 1, j)))
-
-    def _with_domino(rows, k, cells):
-        grid = [list(r) for r in rows]
-        for (i, j) in cells:
-            while len(grid) < i:
-                grid.append([])
-            while len(grid[i - 1]) < j:
-                grid[i - 1].append(k)
-        return tuple(tuple(r) for r in grid)
-
-    start = tuple((0,) * c for c in core)
-    frontier = [start]
+    level = [dict.fromkeys(cells_of_shape(staircase(rank)), 0)]
     for k in range(1, n + 1):
-        frontier = [g for rows in frontier for g in grow(rows, k)]
-    for rows in frontier:
-        t = DominoTableau(rank, rows)
+        level = [{**cells, a: k, b: k}
+                 for cells in level for a, b in addable_dominos(shape_from_cells(cells))]
+    for cells in level:
+        t = DominoTableau.from_cells(rank, cells)
         t.check_standard()
         yield t
 

@@ -48,14 +48,14 @@ class Report:
     counts: Dict = field(default_factory=dict)
     counterexamples: List = field(default_factory=list)
     ms: float = 0.0
-    _overflow: int = 0
+    failures: Dict = field(default_factory=dict)  # kind -> failed checks
 
     def fail(self, counterexample) -> None:
         self.status = "fail"
+        kind = counterexample["kind"]
+        self.failures[kind] = self.failures.get(kind, 0) + 1
         if len(self.counterexamples) < COUNTEREXAMPLE_LIMIT:
             self.counterexamples.append(counterexample)
-        else:
-            self._overflow += 1
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + amount
@@ -69,8 +69,12 @@ class Report:
             "counterexamples": self.counterexamples,
             "ms": round(self.ms, 3),
         }
-        if self._overflow:
-            out["counterexamples_truncated"] = self._overflow
+        if self.status == "fail":
+            # every kind of failure, also those past the counterexample limit
+            out["failures"] = self.failures
+            hidden = sum(self.failures.values()) - len(self.counterexamples)
+            if hidden:
+                out["counterexamples_truncated"] = hidden
         return out
 
     def summary(self) -> str:
@@ -97,7 +101,7 @@ def verify_insertion(n: int, rmax: int) -> Report:
     in the stable range, and compatibility of the rank-raising map with
     insertion at the next rank."""
     report = Report("insertion", {"n": n, "rmax": rmax})
-    elems = sorted(group_elements(n))
+    elems = group_elements(n)
     order = (2 ** n) * math.factorial(n)
     report.counts["elements"] = len(elems)
     # two ranks at a time: rank r's pairs are checked against rank r + 1's
@@ -155,7 +159,7 @@ def verify_tau(n: int) -> Report:
     tableau descent set under eligible cycle moves, and the step-wise
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
-    elems = sorted(group_elements(n))
+    elems = group_elements(n)
     for w in elems:
         # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to
         # n reach every ratio up to n + 1
@@ -247,7 +251,7 @@ def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
     """Combinatorial cells equal Kazhdan-Lusztig cells at ratio b/a, all
     three sides; `ratio` may be an integer or the string 'all', ratios 1
     to max(n, 1)."""
-    ratios = list(range(1, max(n, 1) + 1)) if ratio in ("all", None) else [int(ratio)]
+    ratios = list(range(1, max(n, 1) + 1)) if ratio == "all" else [int(ratio)]
     report = Report("conjecture", {"n": n, "ratios": ratios})
     for rt in ratios:
         # one table per ratio, released when the next one replaces it

@@ -24,14 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "SignedPerm", "Generator", "DescentSet",
     "validate_signed_perm", "identity", "compose", "inverse",
     "generator_perm", "simple_generators", "length",
     "tau_invariant", "enhanced_tau_invariant",
-    "enumerate_group", "parse_perm", "format_perm",
+    "group_elements", "parse_perm", "format_perm",
 ]
 
 # One-line notation; index i (0-based) holds w(i+1).
@@ -155,17 +154,15 @@ def enhanced_tau_invariant(w: SignedPerm, ratio: int) -> DescentSet:
     return DescentSet(base.simple, ext)
 
 
-def enumerate_group(n: int) -> Iterator[SignedPerm]:
-    """All 2^n n! signed permutations, in a fixed deterministic order."""
-    for base in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * x for s, x in zip(signs, base))
-
-
 @lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple:
-    """Cached tuple of all elements of W_n."""
-    return tuple(enumerate_group(n))
+    """All 2^n n! elements of W_n, cached, in increasing one-line order: the
+    insertion walk's order, in which neighbours share their longest prefix."""
+    return tuple(sorted(
+        tuple(s * x for s, x in zip(signs, base))
+        for base in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    ))
 
 
 def parse_perm(text: str) -> SignedPerm:

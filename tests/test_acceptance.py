@@ -12,15 +12,14 @@ from dominocells.cycles import (
     moved_domino, raise_rank,
 )
 from dominocells.hecke import KLTable, WeightFunction, kl_cells
-from dominocells.insertion import insert, split_rank
+from dominocells.insertion import insert
 from dominocells.tableaux import DominoTableau, enumerate_sdt
 from dominocells.verify import (
     verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
-from dominocells.wgroup import enumerate_group
 from hecke_oracles import bar, poly_is_strictly_negative, t_multiply_left_word
-from wgroup_oracles import is_nonsplit
+from wgroup_oracles import is_nonsplit, split_ranks
 
 W = (4, 1, -3, -2)
 
@@ -112,7 +111,7 @@ def test_c02_cycle_fixtures():
         move_through(t2, {1, 2, 3, 4}, REGULAR).rows,
         ((0, 0, 0, 1, 1), (0, 0, 2, 2), (0, 4), (3, 4), (3,)),
     )
-    ext = extended_cycles(s2, t2, REGULAR)
+    ext = extended_cycles(s2, t2)
     check("pair extension left", set(ext.left_groups),
           {frozenset({1}), frozenset({2}), frozenset({3, 4})})
     check("pair extension right", set(ext.right_groups),
@@ -120,7 +119,7 @@ def test_c02_cycle_fixtures():
 
     s41 = DominoTableau(2, ((0, 0, 1, 1, 4, 4), (0, 3, 3, 5, 5), (2,), (2,)))
     t41 = DominoTableau(2, ((0, 0, 3, 3, 4, 4), (0, 2, 2, 5, 5), (1,), (1,)))
-    ext5 = extended_cycles(s41, t41, REGULAR)
+    ext5 = extended_cycles(s41, t41)
     check("n=5 extension left", set(ext5.left_groups),
           {frozenset({1, 4}), frozenset({2}), frozenset({3, 5})})
     check("n=5 extension right", set(ext5.right_groups),
@@ -186,8 +185,8 @@ def test_c07_split_stratification():
     t0 = time.perf_counter()
     failures = []
     for n in (1, 2, 3, 4, 5, 6):
-        for w in enumerate_group(n):
-            if (split_rank(w) == n - 1) != is_nonsplit(w):
+        for w, r in split_ranks(n).items():
+            if (r == n - 1) != is_nonsplit(w):
                 failures.append({"n": n, "w": w})
                 break
     _finish(7, "split stratification, n<=6", failures, t0, budget=60.0)

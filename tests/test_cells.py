@@ -9,9 +9,10 @@ from dominocells.cells import (
 )
 from dominocells.cycles import REGULAR, cycle_partition, move_through
 from dominocells.hecke import WeightFunction, kl_cells
-from dominocells.insertion import insert, split_rank
+from dominocells.insertion import insert
 from dominocells.tableaux import DominoTableau, enumerate_sdt
 from dominocells.wgroup import group_elements, inverse
+from wgroup_oracles import split_ranks
 
 W = (4, 1, -3, -2)
 
@@ -78,8 +79,8 @@ def test_split_blocks_are_asymptotic_blocks():
     for n in (3, 4):
         inter = combinatorial_cells(n, n - 2, "L")
         asym = asymptotic_cells(n, "L")
-        for w in group_elements(n):
-            if split_rank(w) <= n - 2:
+        for w, r in split_ranks(n).items():
+            if r <= n - 2:
                 assert inter.block_of(w) == asym.block_of(w)
 
 
@@ -166,6 +167,12 @@ def test_cell_partition_rejects_blocks_that_do_not_partition_the_group(blocks):
     good = combinatorial_cells(2, 0, "L").blocks
     with pytest.raises(ValueError, match="do not partition W_2"):
         CellPartition(2, "wrong", blocks(good))
+
+
+def test_cell_partition_names_an_empty_block():
+    good = combinatorial_cells(2, 0, "L").blocks
+    with pytest.raises(ValueError, match="^block 1 of 'wrong' is empty$"):
+        CellPartition(2, "wrong", (good[0], frozenset(), *good[1:]))
 
 
 def test_block_of_rejects_an_element_of_another_group():

@@ -12,7 +12,7 @@ from dominocells.insertion import _rank_pairs, insert, uninsert
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, enumerate_sdt, tau_of_tableau,
 )
-from dominocells.wgroup import enumerate_group, group_elements
+from dominocells.wgroup import group_elements
 
 S2 = DominoTableau(2, ((0, 0, 1, 1), (0, 3, 4), (2, 3, 4), (2,)))
 T2 = DominoTableau(2, ((0, 0, 1, 1), (0, 2, 2), (3, 4, 4), (3,)))
@@ -167,7 +167,7 @@ def test_move_through_rejects_partial_cycles():
 
 
 def test_extended_cycles_of_the_rank2_pair():
-    ext = extended_cycles(S2, T2, REGULAR)
+    ext = extended_cycles(S2, T2)
     assert set(ext.left_groups) == {
         frozenset({1}), frozenset({2}), frozenset({3, 4})
     }
@@ -185,7 +185,7 @@ T41 = DominoTableau(2, ((0, 0, 3, 3, 4, 4), (0, 2, 2, 5, 5), (1,), (1,)))
 
 
 def test_extended_cycles_of_the_rank2_n5_pair():
-    ext = extended_cycles(S41, T41, REGULAR)
+    ext = extended_cycles(S41, T41)
     assert set(ext.left_groups) == {
         frozenset({1, 4}), frozenset({2}), frozenset({3, 5})
     }
@@ -205,7 +205,7 @@ def test_split_pair_extends_by_nothing():
     w = (2, 1, -3)
     pair = insert(w, 2)
     assert pair.is_split()
-    ext = extended_cycles(pair.left, pair.right, REGULAR)
+    ext = extended_cycles(pair.left, pair.right)
     core_left = {c.labels for c in cycle_partition(pair.left, REGULAR)
                  if c.kind == "core-open"}
     noncore_left = [c for c in cycle_partition(pair.left, REGULAR)
@@ -308,7 +308,7 @@ def test_memoized_pairs_hold_only_their_fields():
     # tableaux and pairs are slotted values: whatever reads a pair held by
     # the insert memo, nothing is written into it
     insert.cache_clear()
-    for w in enumerate_group(3):
+    for w in group_elements(3):
         for r in range(3):
             pair = insert(w, r)
             raise_rank(pair)
@@ -335,7 +335,7 @@ def test_raising_a_rank_at_once_is_raising_each_pair(n, monkeypatch):
 
     for r in range(n + 1):
         pairs = [(pair.left, pair.right)
-                 for _, pair in _rank_pairs(sorted(group_elements(n)), r)[0]]
+                 for _, pair in _rank_pairs(group_elements(n), r)[0]]
         tableaux = [(t,) for t in enumerate_sdt(n, r)]
         raised = [raise_rank(TableauPair(*pair)) for pair in pairs]
         assert _shift(pairs, REGULAR) == [(up.left, up.right) for up in raised]
@@ -370,7 +370,7 @@ def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
         monkeypatch.setattr(cycles_mod, name, counted)
     moves = []
     for r in range(5):
-        pairs = [pair for _, pair in _rank_pairs(sorted(group_elements(4)), r)[0]]
+        pairs = [pair for _, pair in _rank_pairs(group_elements(4), r)[0]]
         for seen in calls.values():
             seen.clear()
         ups = _shift(((pair.left, pair.right) for pair in pairs), REGULAR)
@@ -397,10 +397,10 @@ def test_core_raise_and_lower_are_mutually_inverse():
 
 def test_minimality_of_extension_by_brute_force():
     # no proper subset of the chosen non-core additions matches the shapes
-    for w in enumerate_group(3):
+    for w in group_elements(3):
         for r in (0, 1):
             pair = insert(w, r)
-            ext = extended_cycles(pair.left, pair.right, REGULAR)
+            ext = extended_cycles(pair.left, pair.right)
             cl = cycle_partition(pair.left, REGULAR)
             cr = cycle_partition(pair.right, REGULAR)
             core_l = union(c.labels for c in cl if c.kind == "core-open")
@@ -427,7 +427,7 @@ def test_minimality_of_extension_by_brute_force():
 
 def test_rank_round_trip_on_insertion_images():
     for n in (1, 2, 3, 4):
-        for w in enumerate_group(n):
+        for w in group_elements(n):
             for r in range(n):
                 pair = insert(w, r)
                 again = lower_rank(raise_rank(pair))
@@ -445,7 +445,7 @@ def test_cycle_serialization():
     cycles = cycle_partition(S2, OPPOSITE)
     dumped = sorted((sorted(c.labels), c.kind) for c in cycles)
     assert dumped == [([1], "core-open"), ([2], "core-open"), ([3, 4], "closed")]
-    ext = extended_cycles(S2, T2, REGULAR)
+    ext = extended_cycles(S2, T2)
     assert [sorted(g) for g in ext.left_groups] == [[1], [2], [3, 4]]
     assert [sorted(g) for g in ext.right_groups] == [[1], [2, 4], [3]]
 

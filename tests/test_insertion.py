@@ -4,14 +4,13 @@ from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
     _insert, _rank_pairs, _states, _tableau, _undo_step, _walk,
-    asymptotic_bitableaux, insert, insertion_states, split_rank, tableau_classes,
-    uninsert,
+    asymptotic_bitableaux, insert, insertion_states, tableau_classes, uninsert,
 )
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical,
 )
-from dominocells.wgroup import enumerate_group, group_elements
-from wgroup_oracles import is_nonsplit
+from dominocells.wgroup import group_elements
+from wgroup_oracles import is_nonsplit, split_ranks
 
 W = (4, 1, -3, -2)
 
@@ -45,7 +44,7 @@ def test_empty_insertion():
 def test_insertion_is_injective_and_same_shape(n):
     for r in range(n + 1):
         seen = set()
-        for w in enumerate_group(n):
+        for w in group_elements(n):
             pair = insert(w, r)
             assert pair.left.shape == pair.right.shape
             key = (pair.left.rows, pair.right.rows)
@@ -55,7 +54,7 @@ def test_insertion_is_injective_and_same_shape(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_uninsert_roundtrip(n):
-    for w in enumerate_group(n):
+    for w in group_elements(n):
         for r in range(n + 1):
             assert uninsert(insert(w, r)) == w
 
@@ -66,7 +65,7 @@ def test_uninsert_of_fixture():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_undo_step_inverts_each_insertion_step(n):
-    for w in enumerate_group(n):
+    for w in group_elements(n):
         for r in range(n + 1):
             states = insertion_states(w, r)
             for k in range(1, n + 1):
@@ -112,7 +111,7 @@ def test_uninsert_rejects_invalid_pairs():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bitableau_model_matches_insertion_in_stable_range(n):
-    for w in enumerate_group(n):
+    for w in group_elements(n):
         for r in (n - 1, n, n + 1):
             if r < 0:
                 continue
@@ -136,39 +135,45 @@ def test_identity_inserts_as_one_row():
 
 
 def test_split_rank_fixtures():
-    assert split_rank(W) == 3
-    assert split_rank((1, 2, 3, 4)) == 0
+    assert split_ranks(4)[W] == 3
+    assert split_ranks(4)[(1, 2, 3, 4)] == 0
+    assert split_ranks(0) == {(): 0}
     assert insert(W, 2).is_split() is False
     assert insert(W, 3).is_split() is True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_split_rank_matches_decreasing_criterion(n):
-    for w in enumerate_group(n):
-        assert (split_rank(w) == n - 1) == is_nonsplit(w)
+    ranks = split_ranks(n)
+    assert ranks.keys() == set(group_elements(n))
+    for w in group_elements(n):
+        assert (ranks[w] == n - 1) == is_nonsplit(w)
 
 
 def test_split_rank_matches_the_pair_path():
-    for w in enumerate_group(4):
-        assert split_rank(w) == min(r for r in range(4) if insert(w, r).is_split())
+    ranks = split_ranks(4)
+    for w in group_elements(4):
+        assert ranks[w] == min(r for r in range(4) if insert(w, r).is_split())
 
 
 def test_one_shot_insertions_bypass_the_insert_memo():
-    assert not hasattr(split_rank, "cache_info")
+    # the class maps walk W_n without reading or filling `insert`'s memo
     w = (5, -1, 3, -4, 2)
     t = insert(w, 2).right
+    split_ranks.cache_clear()
     tableau_classes.cache_clear()
     before = insert.cache_info()
-    for v in enumerate_group(5):
-        split_rank(v)
+    assert len(split_ranks(5)) == 3840
     assert w in class_of_tableau(t, 5)
     assert insert.cache_info() == before
 
 
 @pytest.mark.parametrize("n, ranks", [(n, range(n + 2)) for n in range(5)] + [(5, [2])])
 def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
-    # sorted input shares each prefix; the other two orders restart often
-    orders = [sorted(group_elements(n)), group_elements(n),
+    # increasing and decreasing order share each prefix; in the order of the
+    # reversed words neighbours mostly differ in the first value, so the
+    # walk restarts from the empty prefix
+    orders = [group_elements(n), sorted(group_elements(n), key=lambda w: w[::-1]),
               sorted(group_elements(n), reverse=True)]
     for r in ranks:
         expected, by_left = {}, {}
@@ -194,11 +199,11 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
 
 @pytest.mark.parametrize("n", range(5))
 def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
-    elems = sorted(group_elements(n))
+    elems = group_elements(n)
     for r in range(n + 1):
         pairs, failed = _rank_pairs(elems, r)
         assert failed == {}
-        assert sorted(w for w, _ in pairs) == elems
+        assert tuple(sorted(w for w, _ in pairs)) == elems
         lefts, rights = {}, {}
         for w, pair in pairs:
             assert pair == _insert(w, r)
@@ -208,7 +213,7 @@ def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
 
 def test_walk_never_changes_a_yielded_state():
     for r in range(4):
-        held = list(_walk(sorted(group_elements(3)), r))
+        held = list(_walk(group_elements(3), r))
         assert len(held) == 48
         for w, states in held:
             assert states == _states(w, r)
@@ -223,7 +228,7 @@ def test_both_insertion_paths_run_the_step_assertions(monkeypatch, target, rank,
     with pytest.raises(AssertionError, match=message):
         _insert((1, 2), rank)
     with pytest.raises(AssertionError, match=message):
-        list(_walk(sorted(group_elements(2)), rank))
+        list(_walk(group_elements(2), rank))
 
 
 def test_recording_classes_hold_the_group_elements_themselves():
@@ -245,7 +250,7 @@ def test_partial_states_track_shapes():
 def test_recording_restriction_is_split():
     # labels 1..r+1 of the recording tableau always form a split tableau
     for n in (2, 3, 4):
-        for w in enumerate_group(n):
+        for w in group_elements(n):
             for r in range(n):
                 q = insert(w, r).right
                 keep = {0} | set(range(1, r + 2))

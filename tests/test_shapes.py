@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.shapes import (
-    cells_of_shape, diagonal, is_young, removable_dominos, shape_from_cells,
-    staircase,
+    addable_dominos, cells_of_shape, diagonal, is_young, removable_dominos,
+    shape_from_cells, staircase,
 )
 
 
@@ -120,6 +120,30 @@ def test_removable_dominos_fixtures():
             assert removable_dominos(shape) == {
                 d for d in positions if delete_domino(shape, d) is not None
             }, shape
+
+
+def test_addable_dominos_are_the_removable_dominos_of_the_grown_shapes():
+    assert addable_dominos(()) == [((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    assert addable_dominos((3, 1, 1)) == [
+        ((1, 4), (1, 5)), ((2, 2), (2, 3)), ((2, 2), (3, 2)), ((4, 1), (5, 1))]
+    assert addable_dominos((2, 2)) == [
+        ((1, 3), (1, 4)), ((1, 3), (2, 3)), ((3, 1), (3, 2)), ((3, 1), (4, 1))]
+    for size in range(13):
+        added = set()
+        for shape in _all_partitions(size):
+            positions = addable_dominos(shape)
+            # row by row from the top, each row's horizontal domino first
+            assert positions == sorted(positions, key=lambda d: (d[0][0], d[1][0] > d[0][0]))
+            for d in positions:
+                grown = shape_from_cells(set(cells_of_shape(shape)) | set(d))
+                assert sum(grown) == size + 2
+                added.add((shape, frozenset(d)))
+        # each added domino is removable from the result, and each removable
+        # domino of a shape two larger is addable to what is left
+        assert added == {
+            (delete_domino(shape, d), d)
+            for shape in _all_partitions(size + 2) for d in removable_dominos(shape)
+        }, size
 
 
 def test_shape_from_cells():

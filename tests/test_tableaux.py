@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -72,6 +73,17 @@ def test_enumeration_satisfies_counting_identity(n, rank):
         assert DominoTableau.from_cells(t.rank, t.cells()) == t
         by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
     assert sum(c * c for c in by_shape.values()) == (2 ** n) * math.factorial(n)
+
+
+def test_enumeration_order_is_pinned():
+    # the sequence of tableaux, n <= 5 and ranks up to n + 1, as a digest
+    digest = hashlib.sha256()
+    for n in range(6):
+        for rank in range(n + 2):
+            for t in enumerate_sdt(n, rank):
+                digest.update(repr((n, rank, t.rows)).encode())
+    assert digest.hexdigest() == (
+        "2c83e8bca23fd078948d41f8769691f7af490acf0e70eeb6399b74e56f02ea5c")
 
 
 def test_pretty_draws_domino_walls():

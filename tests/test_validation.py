@@ -13,7 +13,7 @@ from dominocells.cycles import (
 from dominocells.insertion import insert
 from dominocells.shapes import cells_of_shape, shape_from_cells, staircase
 from dominocells.tableaux import DominoTableau, TableauError, _check_tiling
-from dominocells.wgroup import enumerate_group
+from dominocells.wgroup import group_elements
 
 
 def _is_diagram(squares):
@@ -124,7 +124,7 @@ def test_check_tiling_rejects_a_mutated_map(mutate, core, message):
 def test_every_built_tableau_is_standard():
     for n in range(1, 5):
         built = set()
-        for w in enumerate_group(n):
+        for w in group_elements(n):
             for r in range(n + 1):
                 pair = insert(w, r)
                 up = raise_rank(pair)

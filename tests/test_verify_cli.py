@@ -32,7 +32,8 @@ def test_verify_insertion_passes_small():
     assert report.status == "pass"
     assert report.counts["elements"] == 8
     data = report.to_dict()
-    assert set(data) >= {"check", "params", "status", "counts", "counterexamples", "ms"}
+    # a passing report has no failure counts
+    assert set(data) == {"check", "params", "status", "counts", "counterexamples", "ms"}
 
 
 def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocations):
@@ -59,7 +60,7 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocatio
 def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monkeypatch):
     # the re-cut of one moved map of rank 1 fails; healthy code beforehand
     # finds the pairs whose extended cycles move a side onto that map
-    pairs, _ = insertion_mod._rank_pairs(sorted(group_elements(2)), 1)
+    pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
     readers = {}
     for w, pair in pairs:
         ext = cycles_mod.extended_cycles(pair.left, pair.right)
@@ -95,7 +96,7 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
 def test_verify_insertion_reports_moved_shapes_that_do_not_match(monkeypatch):
     # the right side of one rank-1 pair is linked to no extended cycle, so
     # only its left side moves and the moved shapes disagree
-    pairs, _ = insertion_mod._rank_pairs(sorted(group_elements(2)), 1)
+    pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
     w, pair = pairs[3]
     healthy = cycles_mod._link
 
@@ -155,7 +156,7 @@ def test_verify_insertion_restarts_the_walk_after_a_failing_step(monkeypatch):
 
     monkeypatch.setattr(insertion_mod, "_step", failing)
     expected = set()
-    for w in sorted(group_elements(3)):
+    for w in group_elements(3):
         for r in (0, 1, 2):
             try:
                 insertion_mod._insert(w, r)
@@ -282,31 +283,56 @@ WRONG_KL_CELLS = {
 }
 
 
+# (n, wrong cells, kinds among the counterexamples, failed checks per kind);
+# past the counterexample limit a kind shows in the counts alone
 WRONG_KL_REPORTS = [
-    (3, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+    (3, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"},
+     {"mixed-block": 1, "tau-class-count": 1, "closing-iff": 1, "cell-count": 1}),
     (3, "split-0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
-                    "closing-iff", "cell-count"}),
-    (3, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
-    (3, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
+                    "closing-iff", "cell-count"},
+     {"tau-class-count": 1, "not-two-asymptotic": 2, "tau-class-mismatch": 2,
+      "closing-iff": 1, "cell-count": 1}),
+    (3, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"},
+     {"split-not-asymptotic": 2, "closing-iff": 1, "cell-count": 1}),
+    (3, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"},
+     {"tau-class-count": 1, "not-two-asymptotic": 8, "tau-class-mismatch": 8,
+      "closing-iff": 1, "cell-count": 1}),
     (3, "rank-0", {"mixed-block", "split-not-asymptotic", "not-two-asymptotic",
-                   "tau-class-count", "tau-class-mismatch"}),
-    (4, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"}),
+                   "tau-class-count", "tau-class-mismatch"},
+     {"mixed-block": 2, "split-not-asymptotic": 4, "tau-class-count": 1,
+      "not-two-asymptotic": 6, "tau-class-mismatch": 6, "closing-iff": 1,
+      "cell-count": 1}),
+    (4, "merge-0-1", {"mixed-block", "tau-class-count", "closing-iff", "cell-count"},
+     {"mixed-block": 1, "tau-class-count": 1, "closing-iff": 1, "cell-count": 1}),
     (4, "split-0", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch",
-                    "closing-iff", "cell-count"}),
-    (4, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"}),
-    (4, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"}),
-    (4, "rank-0", {"mixed-block", "split-not-asymptotic"}),
+                    "closing-iff", "cell-count"},
+     {"tau-class-count": 1, "not-two-asymptotic": 2, "tau-class-mismatch": 2,
+      "closing-iff": 1, "cell-count": 1}),
+    (4, "split-5", {"split-not-asymptotic", "closing-iff", "cell-count"},
+     {"split-not-asymptotic": 2, "closing-iff": 1, "cell-count": 1}),
+    (4, "asymptotic", {"not-two-asymptotic", "tau-class-count", "tau-class-mismatch"},
+     {"tau-class-count": 1, "not-two-asymptotic": 16, "tau-class-mismatch": 16,
+      "closing-iff": 1, "cell-count": 1}),
+    (4, "rank-0", {"mixed-block", "split-not-asymptotic"},
+     {"mixed-block": 8, "split-not-asymptotic": 34, "tau-class-count": 1,
+      "not-two-asymptotic": 6, "tau-class-mismatch": 6, "closing-iff": 1,
+      "cell-count": 1}),
 ]
 
 
-@pytest.mark.parametrize("n, wrong, kinds", WRONG_KL_REPORTS,
-                         ids=[f"n{n}-{wrong}" for n, wrong, _ in WRONG_KL_REPORTS])
-def test_verify_intermediate_reports_wrong_kl_cells(monkeypatch, n, wrong, kinds):
+@pytest.mark.parametrize("n, wrong, kinds, failures", WRONG_KL_REPORTS,
+                         ids=[f"n{n}-{wrong}" for n, wrong, _, _ in WRONG_KL_REPORTS])
+def test_verify_intermediate_reports_wrong_kl_cells(monkeypatch, n, wrong, kinds, failures):
     part = WRONG_KL_CELLS[wrong](n)
     monkeypatch.setattr(verify_mod, "kl_cells", lambda *args, **kwargs: part)
     report = verify_intermediate_structure(n)
     assert report.status == "fail"
     assert {c["kind"] for c in report.counterexamples} == kinds
+    data = report.to_dict()
+    assert data["failures"] == failures
+    shown = len(data["counterexamples"])
+    assert shown == min(sum(failures.values()), 10)
+    assert data.get("counterexamples_truncated", 0) == sum(failures.values()) - shown
 
 
 def test_verify_conjecture_reports_where_partitions_differ(monkeypatch):

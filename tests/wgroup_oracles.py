@@ -1,5 +1,10 @@
 """Test oracles on signed permutations that no computation in the library
-needs."""
+needs, and the split rank of each element read from the class maps."""
+
+import math
+from functools import lru_cache
+
+from dominocells.insertion import tableau_classes
 
 
 def is_nonsplit(w):
@@ -25,3 +30,18 @@ def right_descends(w, kind, index):
     "t"), by the positional criteria: w(i+1) < w(i) for s_i, w(j) < 0 for
     t_j."""
     return w[index] < w[index - 1] if kind == "s" else w[index - 1] < 0
+
+
+@lru_cache(maxsize=None)
+def split_ranks(n):
+    """w -> the least rank r at which the insertion tableau of w is split,
+    for all of W_n: the rank-r classes of split insertion tableaux, read
+    the way `verify intermediate` reads its split elements."""
+    ranks = {}
+    for r in range(max(n, 1)):
+        for t, ws in tableau_classes(n, r, "R").items():
+            if t.is_split():
+                for w in ws:
+                    ranks.setdefault(w, r)
+    assert len(ranks) == 2 ** n * math.factorial(n), f"no split rank below n in W_{n}"
+    return ranks
