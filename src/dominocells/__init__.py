@@ -5,9 +5,9 @@ Kazhdan-Lusztig oracle, with exhaustive verification suites.
 """
 
 from .wgroup import (
-    Generator, DescentSet, compose, inverse, identity, length,
+    DescentSet, compose, inverse, identity, length,
     tau_invariant, enhanced_tau_invariant, group_elements,
-    parse_perm, format_perm, simple_generators, generator_perm,
+    parse_perm, format_perm, simple_generators,
 )
 from .shapes import staircase, addable_dominos, removable_dominos, diagonal
 from .tableaux import (

@@ -139,6 +139,9 @@ def main(argv=None) -> int:
         value = getattr(args, option, None)
         if isinstance(value, int) and value > top:
             parser.error(f"--{option} {value} is larger than {top}, with n = {n}")
+    # `cells --kind kl --rank r` is the ratio `verify conjecture` compares with rank r
+    if args.command == "cells" and args.ratio not in (None, args.rank + 1):
+        parser.error(f"--rank {args.rank} means --ratio {args.rank + 1}, not {args.ratio}")
     if uses_kl and n > KL_MAX_N:
         parser.error(
             f"--n {n} is too large for the Kazhdan-Lusztig oracle: "
@@ -164,9 +167,8 @@ def main(argv=None) -> int:
         if args.kind == "comb":
             part = combinatorial_cells(args.n, args.rank, args.side)
         else:
-            ratio = args.ratio if args.ratio is not None else args.rank + 1
             part = kl_cells(
-                args.n, WeightFunction(1, ratio), args.side, cache_dir=args.cache
+                args.n, WeightFunction(1, args.rank + 1), args.side, cache_dir=args.cache
             )
         print(part.to_json())
         return 0

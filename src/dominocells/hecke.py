@@ -41,13 +41,14 @@ checks that every coefficient is far inside the digit range.
 
 Inside a table an element is its index 0..N-1 in (length, one-line form)
 order, and a Hecke algebra element is a dict from indices to codes.  The
-left action of each generator on indices, and whether it raises the
-length, is one table per n shared by the tables of every weight function,
-so the pass never composes permutations.  In the finished c_w, equal
-coefficients are one shared int: at n = 5 there are millions of
-coefficients but only thousands of distinct ones.  Dicts and signed
-permutations appear only at the boundary: `kl_basis`, `c_expand`, the
-blocks of `cells` and the cache file.
+left action of each generator on indices is one table per n shared by the
+tables of every weight function, so the pass never composes permutations;
+since l(sw) = l(w) +- 1, s raises the length of w exactly when it raises
+its index.  In the finished c_w, equal coefficients are one shared int:
+at n = 5 there are millions of coefficients but only thousands of
+distinct ones.  Dicts and signed permutations appear only at the
+boundary: `kl_basis`, `c_expand`, the blocks of `cells` and the cache
+file.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cells import CellPartition
 from .wgroup import (
-    Generator, SignedPerm, compose, generator_perm, group_elements,
-    inverse, length, simple_generators,
+    SignedPerm, compose, group_elements, inverse, length, simple_generators,
 )
 
 __all__ = ["WeightFunction", "poly_symmetric_part", "kl_cells", "KLTable"]
@@ -140,36 +140,30 @@ class WeightFunction:
         if self.a < 1 or self.b < 1:
             raise ValueError("weights must be positive integers")
 
-    def of_generator(self, g: Generator) -> int:
-        return self.b if g.kind == "t" else self.a
-
 
 # -- the group on indices -------------------------------------------------
 
 class _IndexedGroup(NamedTuple):
     """W_n in (length, w) order, with the left action of each generator
-    s = t, s_1, ..., s_{n-1}: lmul[k][i] is the index of s w_i and up[k][i]
-    says whether l(s w_i) > l(w_i); inv[i] is the index of w_i^{-1}."""
+    s = t, s_1, ..., s_{n-1}: lmul[k][i] is the index of s w_i, so s raises
+    the length of w_i exactly when lmul[k][i] > i, as l(s w) = l(w) +- 1;
+    inv[i] is the index of w_i^{-1}."""
     elements: Tuple[SignedPerm, ...]
     index: Dict[SignedPerm, int]
     lmul: Tuple[Tuple[int, ...], ...]
-    up: Tuple[Tuple[bool, ...], ...]
     inv: Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _indexed_group(n: int) -> _IndexedGroup:
-    lengths = {w: length(w) for w in group_elements(n)}
-    elements = tuple(sorted(lengths, key=lambda w: (lengths[w], w)))
+    # a stable sort of the increasing one-line order is (length, w) order
+    elements = tuple(sorted(group_elements(n), key=length))
     index = {w: i for i, w in enumerate(elements)}
-    lmul, up = [], []
-    for g in simple_generators(n):
-        s = generator_perm(g, n)
-        row = tuple(index[compose(s, w)] for w in elements)
-        lmul.append(row)
-        up.append(tuple(lengths[elements[j]] > lengths[w] for j, w in zip(row, elements)))
+    lmul = tuple(
+        tuple(index[compose(s, w)] for w in elements) for s in simple_generators(n)
+    )
     inv = tuple(index[inverse(w)] for w in elements)
-    return _IndexedGroup(elements, index, tuple(lmul), tuple(up), inv)
+    return _IndexedGroup(elements, index, lmul, inv)
 
 
 # -- the algebra ----------------------------------------------------------
@@ -189,8 +183,8 @@ class KLTable:
         self.weights = weights
         self._group = _indexed_group(n)
         self.elements: Tuple[SignedPerm, ...] = self._group.elements
-        self.gens = [  # (s, L(s)) for each Coxeter generator s
-            (generator_perm(g, n), weights.of_generator(g)) for g in simple_generators(n)
+        self.gens = [  # (s, L(s)) for each Coxeter generator s; t alone has a sign
+            (s, weights.b if s[0] < 0 else weights.a) for s in simple_generators(n)
         ]
         self._top = max(weights.a, weights.b)  # the codes' offset: top - e is a digit
         self._c: List[IndexedDict] = []
@@ -229,14 +223,14 @@ class KLTable:
         c: List[Optional[IndexedDict]] = [None] * len(elements)
         c[0] = _shared({0: one}, shared, top)  # the identity comes first
         edges: List[FrozenSet[int]] = []
-        actions = [(lmul, up, ls) for lmul, up, (_, ls) in zip(group.lmul, group.up, self.gens)]
+        actions = [(lmul, ls) for lmul, (_, ls) in zip(group.lmul, self.gens)]
         for w, cw in enumerate(c):
             targets = set()
-            for lmul, up, ls in actions:
-                if not up[w]:
-                    continue  # c_s c_w = (v_s + v_s^{-1}) c_w
+            for lmul, ls in actions:
                 sw = lmul[w]
-                m = self._c_s_times(lmul, up, ls, cw)
+                if sw < w:
+                    continue  # c_s c_w = (v_s + v_s^{-1}) c_w
+                m = self._c_s_times(lmul, ls, cw)
                 # M^s_{z,w} is what is stripped at z; what is left is c_sw
                 targets.update(self._strip(m, c, top, poly_symmetric_part, low, keep=sw))
                 targets.add(sw)
@@ -257,16 +251,15 @@ class KLTable:
             edges.append(frozenset(targets))
         self._c, self._edges = c, edges
 
-    def _c_s_times(self, lmul: Tuple[int, ...], up: Tuple[bool, ...], ls: int,
-                   h: IndexedDict) -> IndexedDict:
-        """c_s h where s acts by `lmul` and `up` and L(s) = ls, by
-        c_s = T_s + v_s^{-1}: a term T_y goes to T_{sy} + v_s^{-1} T_y when
-        sy > y, to T_{sy} + v_s T_y otherwise.  Every exponent of h is at
-        most top - ls, so the shift for v_s drops only zero digits."""
+    def _c_s_times(self, lmul: Tuple[int, ...], ls: int, h: IndexedDict) -> IndexedDict:
+        """c_s h where s acts by `lmul` and L(s) = ls, by c_s = T_s + v_s^{-1}:
+        a term T_y goes to T_{sy} + v_s^{-1} T_y when sy > y, to
+        T_{sy} + v_s T_y otherwise.  Every exponent of h is at most top - ls,
+        so the shift for v_s drops only zero digits."""
         shift = _K * ls
         out: IndexedDict = {lmul[y]: x for y, x in h.items()}
         for y, x in h.items():
-            s = out.get(y, 0) + (x << shift if up[y] else x >> shift)
+            s = out.get(y, 0) + (x << shift if lmul[y] > y else x >> shift)
             if s:
                 out[y] = s
             else:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from .shapes import (
     Shape, Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
@@ -311,14 +311,12 @@ def _transpose(t):
     )
 
 
-def asymptotic_bitableaux(w: SignedPerm, rank: Optional[int] = None) -> TableauPair:
+def asymptotic_bitableaux(w: SignedPerm, rank: int) -> TableauPair:
     """Second, independent algorithm for insertion at rank >= n - 1:
     ordinary Robinson-Schensted on the positive values and on the absolute
     values of the negative ones, embedded as dominos."""
     validate_signed_perm(w)
     n = len(w)
-    if rank is None:
-        rank = max(n - 1, 0)
     if rank < n - 1:
         raise ValueError(f"rank {rank} below the asymptotic range for n={n}")
     pos_steps = [k for k, x in enumerate(w, start=1) if x > 0]

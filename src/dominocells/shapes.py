@@ -114,9 +114,3 @@ def diagonal(k: int) -> FrozenSet[Square]:
     if k < 1:
         raise ValueError("diagonal index must be >= 1")
     return frozenset((i, k + 1 - i) for i in range(1, k + 1))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -317,9 +317,3 @@ def enumerate_sdt(n: int, rank: int) -> Iterator[DominoTableau]:
         t = DominoTableau.from_cells(rank, cells)
         t.check_standard()
         yield t
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

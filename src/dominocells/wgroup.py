@@ -3,13 +3,13 @@ The Weyl group $W_n$ of type $B_n$, realized as signed permutations.
 
 An element is a tuple $w = (w_1, \\ldots, w_n)$ of nonzero integers whose
 absolute values are a permutation of $\\{1, \\ldots, n\\}$ (one-line
-notation).  The generating reflections are
+notation), and so is each Coxeter generator:
 
     t   = (-1, 2, ..., n)
     s_i = (1, ..., i+1, i, ..., n)      for 1 <= i <= n-1
 
-together with the reflections t_k = s_{k-1} ... s_1 t s_1 ... s_{k-1},
-which negate the single position k.
+The reflections t_k = s_{k-1} ... s_1 t s_1 ... s_{k-1} negate the single
+position k.
 
 >>> compose((2, 1), (2, 1))
 (1, 2)
@@ -26,30 +26,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "SignedPerm", "Generator", "DescentSet",
+    "SignedPerm", "DescentSet",
     "validate_signed_perm", "identity", "compose", "inverse",
-    "generator_perm", "simple_generators", "length",
+    "simple_generators", "length",
     "tau_invariant", "enhanced_tau_invariant",
     "group_elements", "parse_perm", "format_perm",
 ]
 
 # One-line notation; index i (0-based) holds w(i+1).
 SignedPerm = tuple  # tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A Coxeter generator: kind 't' (= t_1) or 's' (s_index)."""
-    kind: str
-    index: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("t", "s"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "t" and self.index != 1:
-            raise ValueError("t is t_1")
-        if self.index < 1:
-            raise ValueError("generator index must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,25 +79,16 @@ def inverse(w: SignedPerm) -> SignedPerm:
     return tuple(inv)
 
 
-def generator_perm(g: Generator, n: int) -> SignedPerm:
-    """The one-line form of a generator inside W_n."""
-    w = list(range(1, n + 1))
-    if g.kind == "t":
-        if n < 1:
-            raise ValueError("t out of range for W_0")
-        w[0] = -1
-    else:
-        if not 1 <= g.index <= n - 1:
-            raise ValueError(f"s_{g.index} out of range for W_{n}")
-        w[g.index - 1], w[g.index] = w[g.index], w[g.index - 1]
-    return tuple(w)
-
-
 def simple_generators(n: int) -> list:
-    """The Coxeter generators t, s_1, ..., s_{n-1}; W_0 has none."""
+    """The Coxeter generators t, s_1, ..., s_{n-1} in one-line form; W_0 has none.
+
+    >>> simple_generators(3)
+    [(-1, 2, 3), (2, 1, 3), (1, 3, 2)]
+    """
     if n < 1:
         return []
-    return [Generator("t")] + [Generator("s", i) for i in range(1, n)]
+    e = identity(n)
+    return [(-1,) + e[1:]] + [e[:i - 1] + (i + 1, i) + e[i + 1:] for i in range(1, n)]
 
 
 def length(w: SignedPerm) -> int:
@@ -180,9 +156,3 @@ def parse_perm(text: str) -> SignedPerm:
 
 def format_perm(w: SignedPerm) -> str:
     return " ".join(str(x) for x in w)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

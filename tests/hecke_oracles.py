@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from dominocells.wgroup import (
-    SignedPerm, compose, generator_perm, group_elements, identity, inverse,
-    length, simple_generators,
+    SignedPerm, compose, group_elements, identity, inverse, length,
+    simple_generators,
 )
 
 
@@ -104,9 +104,7 @@ def _bruhat_reachability(n: int) -> Dict[SignedPerm, FrozenSet[SignedPerm]]:
     """u <= w iff a chain of length-increasing reflection multiplications
     joins them; exact by definition, used to validate bruhat_leq."""
     elems = sorted(group_elements(n), key=lambda w: (length(w), w))
-    refl = set()
-    for g in simple_generators(n):
-        refl.add(generator_perm(g, n))
+    refl = set(simple_generators(n))
     # all reflections: conjugates of the generators
     for w in elems:
         wi = inverse(w)

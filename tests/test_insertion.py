@@ -126,11 +126,11 @@ def test_bitableau_rejects_low_rank():
 
 
 def test_identity_inserts_as_one_row():
-    pair = asymptotic_bitableaux((1, 2, 3))
+    pair = asymptotic_bitableaux((1, 2, 3), 2)
     assert pair.left == pair.right
     dominos = pair.left.dominos
     assert not any(_vertical(dominos[k]) for k in (1, 2, 3))
-    single = asymptotic_bitableaux((-1,))
+    single = asymptotic_bitableaux((-1,), 0)
     assert _vertical(single.left.dominos[1])
 
 

@@ -531,6 +531,28 @@ def test_cli_refuses_ranks_and_ratios_that_cannot_finish(argv, capsys, monkeypat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=case[0]) for case in [
+    ("cells --n 2 --rank 0 --kind kl --ratio 2", "--rank 0 means --ratio 1, not 2"),
+    ("cells --n 4 --rank 3 --kind kl --ratio 1 --side LR", "--rank 3 means --ratio 4, not 1"),
+]])
+def test_cli_cells_kind_kl_refuses_a_ratio_other_than_rank_plus_one(argv, message, capsys,
+                                                                      monkeypatch):
+    # rank r is compared with ratio r + 1; another ratio would print its
+    # cells under the rank it does not belong to
+    def built(*args, **kwargs):
+        raise AssertionError("a Kazhdan-Lusztig table was built")
+
+    monkeypatch.setattr("dominocells.hecke.KLTable.__init__", built)
+    monkeypatch.setattr("dominocells.cli.kl_cells", built)
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     "verify conjecture --n 2 --ratio 3",
     "verify classes --n 2 --rank 2",

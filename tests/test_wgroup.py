@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.wgroup import (
-    DescentSet, Generator, compose, enhanced_tau_invariant,
-    format_perm, generator_perm, group_elements, identity, inverse,
+    DescentSet, compose, enhanced_tau_invariant,
+    format_perm, group_elements, identity, inverse,
     length, parse_perm, simple_generators, tau_invariant, validate_signed_perm,
 )
 from wgroup_oracles import is_nonsplit, reflection_t, right_descends
@@ -25,8 +25,7 @@ def test_compose_identity():
 def test_t_conjugates_to_position_flips():
     # s_{k-1} ... s_1 t s_1 ... s_{k-1} negates exactly position k
     n = 3
-    t = generator_perm(Generator("t"), n)
-    s1 = generator_perm(Generator("s", 1), n)
+    t, s1, _ = simple_generators(n)
     assert compose(compose(s1, t), s1) == (1, -2, 3)
     assert (1, -2, 3) == reflection_t(2, n)
 
@@ -40,7 +39,7 @@ def test_compose_with_inverse_is_identity(pair):
 
 
 def _bfs_lengths(n):
-    gens = [generator_perm(g, n) for g in simple_generators(n)]
+    gens = simple_generators(n)
     dist = {identity(n): 0}
     frontier = [identity(n)]
     while frontier:
@@ -66,13 +65,23 @@ def test_length_formula_matches_cayley_distance(n):
 def test_length_fixtures():
     assert length((4, 1, -3, -2)) == 10
     assert length(identity(5)) == 0
-    for g in simple_generators(4):
-        assert length(generator_perm(g, 4)) == 1
+    for n in range(6):
+        gens = simple_generators(n)
+        assert len(gens) == n
+        for g in gens:
+            assert length(g) == 1 and inverse(g) == g
+        # on the right, t negates position 1 and s_i swaps positions i and i + 1
+        w = tuple((-1) ** k * (n - k) for k in range(n))
+        if n:
+            assert compose(w, gens[0]) == (-w[0],) + w[1:]
+        for i, g in enumerate(gens[1:], start=1):
+            assert compose(w, g) == w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_descent_criterion_agrees_with_length(n):
-    gens = [(g.kind, g.index, generator_perm(g, n)) for g in simple_generators(n)]
+    t, *s = simple_generators(n)  # t first, then s_1, ..., s_{n-1}
+    gens = [("t", 1, t)] + [("s", i, g) for i, g in enumerate(s, start=1)]
     gens += [("t", j, reflection_t(j, n)) for j in range(2, n + 1)]
     for w in group_elements(n):
         for kind, index, g in gens:
@@ -90,13 +99,8 @@ def test_tau_fixtures():
 def test_the_trivial_group_has_no_generators():
     assert simple_generators(0) == []
     assert tau_invariant(()) == DescentSet(frozenset())
-    for g in (Generator("t"), Generator("s", 1)):
-        with pytest.raises(ValueError):
-            generator_perm(g, 0)
     with pytest.raises(ValueError):
         reflection_t(1, 0)
-    with pytest.raises(ValueError, match="unknown generator kind"):
-        Generator("tk", 1)
 
 
 def test_xi_fixtures():
