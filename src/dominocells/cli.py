@@ -28,7 +28,9 @@ from .wgroup import parse_perm
 
 # The Kazhdan-Lusztig oracle keeps c_w for every element of W_n.  At n = 5 a
 # cold table takes about 12 s at 144 MB peak, and `verify conjecture --ratio
-# all` 65 s at 167 MB (2-CPU box, Python 3.11); |W_6| = 46,080 is out of reach.
+# all` 60 s at 150 MB; with `--cache` a warm table loads in 1 s at 137 MB,
+# and the warm `--ratio all` run takes 6 s at 153 MB (2-CPU box, Python
+# 3.11).  |W_6| = 46,080 is out of reach.
 KL_MAX_N = 5
 # Every suite and cell partition holds W_n: `group_elements(7)` alone peaks
 # at 105 MB, so W_8 needs about 1.7 GB before any check.

@@ -49,6 +49,12 @@ at n = 5 there are millions of coefficients but only thousands of
 distinct ones.  Dicts and signed permutations appear only at the
 boundary: `kl_basis`, `c_expand`, the blocks of `cells` and the cache
 file.
+
+With a cache directory a table is kept in one binary file: each distinct
+coefficient once, in a pool, then per element the indices y of c_w, the
+pool position of each c_w[y] and the left edges of w as uint32 arrays,
+under a SHA-256 trailer.  A warm table reads the file and skips the pass;
+a file that fails any check is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,7 +183,7 @@ class KLTable:
     """All Kazhdan-Lusztig data of one weighted group: basis elements and
     cell preorders.  The basis and the left-preorder edges come from one
     pass over the products c_s c_w; with a cache directory they are read
-    from, or written once to, a checked JSON-lines file."""
+    from, or written once to, a checked binary file."""
 
     def __init__(self, n: int, weights: WeightFunction, cache_dir: Optional[str] = None):
         self.n = n
@@ -340,20 +347,30 @@ class KLTable:
 
     # ---- persistence
     #
-    # Line 1 is a header {v, n, a, b, records}; then one record per index,
-    # with c_w as [[y, [[e, k], ...]], ...] and the left edges of w as
-    # indices; the last line is a trailer {sha256} over every line before
-    # it.  A file that fails any check is recomputed and rewritten.
+    # kl_v4_n{n}_a{a}_b{b}.bin holds a JSON header line {v, n, a, b,
+    # records, pool}; a JSON line with the pool, each distinct coefficient
+    # once as sorted [[e, k], ...], in increasing order of its code; then
+    # one record per index of little-endian uint32s: the number of terms
+    # of c_w, the number of left edges of w, the indices y in increasing
+    # order, the pool position of each c_w[y], and the edges in increasing
+    # order; last, the raw SHA-256 of every byte before it.  A file that
+    # fails any check is recomputed and rewritten.
 
     def _cache_path(self) -> str:
-        name = f"kl_v3_n{self.n}_a{self.weights.a}_b{self.weights.b}.jsonl"
+        name = f"kl_v4_n{self.n}_a{self.weights.a}_b{self.weights.b}.bin"
         return os.path.join(self.cache_dir, name)
 
-    def _header(self) -> Dict:
-        return {"v": 3, "n": self.n, "a": self.weights.a, "b": self.weights.b,
-                "records": len(self.elements)}
+    def _header(self, pool: int) -> Dict:
+        return {"v": 4, "n": self.n, "a": self.weights.a, "b": self.weights.b,
+                "records": len(self.elements), "pool": pool}
 
     def _save_cache(self) -> None:
+        from array import array
+        # Equal coefficients are one shared int, so a pool position can be
+        # found by id; the table holds every coefficient, so no id is
+        # reused while this runs.
+        pool = sorted({id(x): x for cw in self._c for x in cw.values()}.values())
+        position = {id(x): i for i, x in enumerate(pool)}
         os.makedirs(self.cache_dir, exist_ok=True)
         # Written beside the target and renamed over it, so a reader sees
         # the old file or the new one; a file cut short has no trailer.
@@ -362,79 +379,97 @@ class KLTable:
             with os.fdopen(fd, "wb") as fh:
                 digest = _sha256()
 
-                def write(text: str) -> None:
-                    line = text.encode() + b"\n"
-                    digest.update(line)
-                    fh.write(line)
+                def write(data: bytes) -> None:
+                    digest.update(data)
+                    fh.write(data)
 
-                write(json.dumps(self._header()))
-                # Each shared coefficient is decoded once; the table holds
-                # every coefficient, so no id is reused while this runs.
-                texts: Dict[int, str] = {}
+                write(json.dumps(self._header(len(pool))).encode() + b"\n")
+                # the pool line is json.dumps of the list, one entry at a time
+                texts = (json.dumps(sorted(_decode(x, self._top).items())) for x in pool)
+                write(f"[{', '.join(texts)}]\n".encode())
                 for cw, edges in zip(self._c, self._edges):
-                    terms = []
-                    for y, x in sorted(cw.items()):
-                        text = texts.get(id(x))
-                        if text is None:
-                            p = _decode(x, self._top)
-                            text = texts[id(x)] = json.dumps(sorted(p.items()))
-                        terms.append(f"[{y}, {text}]")
-                    write(f'{{"c": [{", ".join(terms)}], "edges": {json.dumps(sorted(edges))}}}')
-                fh.write(json.dumps({"sha256": digest.hexdigest()}).encode() + b"\n")
+                    ys = sorted(cw)
+                    record = array("I", (len(ys), len(edges)))  # 4 bytes each
+                    record.extend(ys)
+                    record.extend([position[id(cw[y])] for y in ys])
+                    record.extend(sorted(edges))
+                    if sys.byteorder == "big":
+                        record.byteswap()
+                    write(record.tobytes())
+                fh.write(digest.digest())
             os.replace(tmp, self._cache_path())
         except BaseException:
             os.unlink(tmp)
             raise
 
     def _load_cache(self) -> bool:
-        """Fill the table from the cache file in one read; False when there
-        is no file or it fails a check: a header for another table, too few
-        or too many records, a missing or wrong trailer, or anything after
-        the trailer."""
+        """Fill the table from the cache file, one record at a time; False
+        when there is no file or it fails a check: a header for another
+        table, a pool of another size, a short file, an index or pool
+        position out of range, a missing or wrong trailer, or anything
+        after the trailer."""
         if not self.cache_dir:
             return False
         try:
             fh = open(self._cache_path(), "rb")
         except FileNotFoundError:
             return False
+        from array import array
         with fh:
-            digest, top = _sha256(), self._top
-            codes: Dict[Tuple, int] = {}  # the record's [[e, k], ...] -> code
-            keys = list(range(len(self.elements)))  # one int object per index
+            digest, size = _sha256(), len(self.elements)
+
+            def read(count: int) -> array:
+                words = array("I")
+                words.fromfile(fh, count)  # EOFError when the file is short
+                digest.update(words)
+                if sys.byteorder == "big":
+                    words.byteswap()
+                return words
+
+            keys = list(range(size))  # one int object per index
             c: List[IndexedDict] = []
             edges: List[FrozenSet[int]] = []
             try:
                 line = fh.readline()
                 digest.update(line)
-                if json.loads(line) != self._header():
+                header = json.loads(line)
+                if header != self._header(header["pool"]):
                     return False
-                for _ in self.elements:
-                    line = fh.readline()
-                    digest.update(line)
-                    rec = json.loads(line)
-                    cw = {}
-                    for y, pairs in rec["c"]:
-                        key = tuple(map(tuple, pairs))
-                        x = codes.get(key)
-                        if x is None:
-                            x = codes[key] = _encode(dict(pairs), top)
-                        cw[keys[y]] = x
-                    c.append(cw)
-                    edges.append(frozenset(rec["edges"]))
-                trailer = json.loads(fh.readline())
-            except (ValueError, TypeError, KeyError, IndexError):
-                return False  # a short file, or a line that is not a record
-            if trailer != {"sha256": digest.hexdigest()} or fh.readline():
+                line = fh.readline()
+                digest.update(line)
+                # each coefficient is encoded once, and so digit-checked once
+                pool = [_encode(dict(pairs), self._top) for pairs in json.loads(line)]
+                if len(pool) != header["pool"]:
+                    return False
+                for _ in keys:
+                    terms, count = read(2)
+                    if terms > size or count > size:
+                        return False  # no record is that long: read no further
+                    words = read(2 * terms + count)
+                    ys = map(keys.__getitem__, words[:terms])
+                    c.append(dict(zip(ys, map(pool.__getitem__, words[terms:2 * terms]))))
+                    edges.append(frozenset(map(keys.__getitem__, words[2 * terms:])))
+            except (ValueError, TypeError, KeyError, IndexError, EOFError):
+                return False  # a short file, or bytes that are not a record
+            # a trailer cut short, or followed by anything, is not the digest
+            if fh.read(len(digest.digest()) + 1) != digest.digest():
                 return False
         self._c, self._edges = c, edges
         return True
 
 
 def _sha256():
-    # Imported on first use: hashlib loads OpenSSL, about 3.6 MB of peak RSS
-    # that every run would pay at import time, with a cache or without.
-    import hashlib
-    return hashlib.sha256()
+    # The interpreter's own SHA-256, as `random` takes its SHA-512: hashlib
+    # loads OpenSSL, about 3.5 MB of peak RSS.  Imported on first use, so a
+    # run without a cache imports neither.
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
 
 def _shared(h: IndexedDict, pool: Dict[int, int], top: int) -> IndexedDict:

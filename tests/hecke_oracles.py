@@ -3,16 +3,20 @@ Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
 definition), Laurent-polynomial sums and products and the bar map on
 coefficients, the strictly-negative test on coefficients, multiplication on
-the T basis (by T_s, and by T_u along a reduced word), and the bar
-involution.  No pipeline in `dominocells` needs them, so they
+the T basis (by T_s, and by T_u along a reduced word), the bar
+involution, and the retired `kl_v3` JSON-lines rendering of a table, which
+pins its contents by digest.  No pipeline in `dominocells` needs them, so they
 live beside the tests; the T-basis product here shares no code with the
 c_s product that builds the Kazhdan-Lusztig basis.
 """
 
+import hashlib
+import json
 import weakref
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
+from dominocells.hecke import _decode
 from dominocells.wgroup import (
     SignedPerm, compose, group_elements, identity, inverse, length,
     simple_generators,
@@ -196,3 +200,23 @@ def bar(table, h):
         for z, c2 in bar_t(table, y).items():
             add_term(out, z, poly_mul(barc, c2))
     return out
+
+
+def kl_v3_bytes(table) -> bytes:
+    """The table as the `kl_v3` cache file rendered it: a header line
+    {v, n, a, b, records}; one line per index, {"c": [[y, [[e, k], ...]],
+    ...], "edges": [...]}, with the terms of c_w and its left edges in
+    increasing index order; and a trailer line {sha256} over every line
+    before it."""
+    header = {"v": 3, "n": table.n, "a": table.weights.a, "b": table.weights.b,
+              "records": len(table.elements)}
+    lines = [json.dumps(header)]
+    for cw, edges in zip(table.all_kl_basis(), table.left_edges()):
+        terms = ", ".join(
+            f"[{y}, {json.dumps(sorted(_decode(cw[y], table._top).items()))}]"
+            for y in sorted(cw)
+        )
+        lines.append(f'{{"c": [{terms}], "edges": {json.dumps(sorted(edges))}}}')
+    body = "".join(line + "\n" for line in lines).encode()
+    trailer = json.dumps({"sha256": hashlib.sha256(body).hexdigest()})
+    return body + trailer.encode() + b"\n"

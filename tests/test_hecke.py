@@ -1,6 +1,11 @@
+import builtins
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +13,13 @@ from hypothesis import given, strategies as st
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
     _K, _LIMIT, KLTable, WeightFunction, _decode, _encode, _indexed_group,
-    _low_digits, kl_cells, poly_symmetric_part,
+    _low_digits, _sha256, kl_cells, poly_symmetric_part,
 )
 from dominocells.wgroup import (
     compose, group_elements, identity, inverse, length, simple_generators,
 )
 from hecke_oracles import (
-    add_term, bar, bruhat_leq, bruhat_leq_bfs, poly_add, poly_bar,
+    add_term, bar, bruhat_leq, bruhat_leq_bfs, kl_v3_bytes, poly_add, poly_bar,
     poly_is_strictly_negative, poly_mul, t_multiply_left, t_multiply_left_word,
 )
 
@@ -301,77 +306,141 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
         if length(compose(gp, w)) > length(w)
     )
     assert (len(products), len(saves)) == (ascents, 1)
-    assert [p.name for p in tmp_path.glob("kl_v3_*")] == ["kl_v3_n3_a1_b2.jsonl"]
-    assert [p.name for p in tmp_path.iterdir()] == ["kl_v3_n3_a1_b2.jsonl"]
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_v4_n3_a1_b2.bin"]
     t2 = KLTable(3, L, cache_dir=str(tmp_path))
     assert [t2.cells(side) for side in ("L", "R", "LR")] == cells
     assert (len(products), len(saves)) == (ascents, 1)  # the warm table skips the pass
     assert t2.all_kl_basis() == t1.all_kl_basis()
 
 
-def _truncated(text):
-    return text[: len(text) // 2]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_warm_table_equals_the_cold_one(tmp_path, n):
+    for ratio in range(1, n + 2):
+        L = WeightFunction(1, ratio)
+        cold = KLTable(n, L, cache_dir=str(tmp_path))
+        cold.all_kl_basis()
+        warm = KLTable(n, L, cache_dir=str(tmp_path))
+        assert warm._load_cache()
+        assert warm.all_kl_basis() == cold.all_kl_basis()
+        assert all(warm.kl_basis(w) == cold.kl_basis(w) for w in cold.elements)
+        assert all(warm.cells(side) == cold.cells(side) for side in ("L", "R", "LR"))
 
 
-def _header_for_another_n(text):
-    head, _, body = text.partition("\n")
+# -- the kl_v4 file: a header line, a pool line, uint32 records, a digest
+
+def _split(data):
+    """The header and pool lines, each record as a list of ints, and the
+    trailer of a kl_v4 file."""
+    head, pool, body = data.split(b"\n", 2)
+    words = array("I", body[:-32])
+    if sys.byteorder == "big":
+        words.byteswap()
+    records, i = [], 0
+    while i < len(words):
+        terms, count = words[i], words[i + 1]
+        records.append(list(words[i:i + 2 + 2 * terms + count]))
+        i += len(records[-1])
+    return head, pool, records, body[-32:]
+
+
+def _join(head, pool, records, trailer=None):
+    """A kl_v4 file from its parts; by default with a trailer that matches."""
+    words = array("I", [word for record in records for word in record])
+    if sys.byteorder == "big":
+        words.byteswap()
+    body = head + b"\n" + pool + b"\n" + words.tobytes()
+    return body + (hashlib.sha256(body).digest() if trailer is None else trailer)
+
+
+def _truncated(data):
+    return data[: len(data) // 2]
+
+
+def _header_for_another_n(data):
+    head, pool, records, _ = _split(data)
     header = json.loads(head)
     header["n"] += 1
-    return json.dumps(header) + "\n" + body
+    return _join(json.dumps(header).encode(), pool, records)
 
 
-def _one_coefficient_edited(text):
-    lines = text.splitlines(keepends=True)
-    rec = json.loads(lines[-2])  # the last record; the trailer follows it
-    rec["c"][0][1][0][1] += 1
-    lines[-2] = json.dumps(rec) + "\n"
-    return "".join(lines)
+def _pool_count_wrong(data):
+    head, pool, records, _ = _split(data)
+    header = json.loads(head)
+    header["pool"] += 1
+    return _join(json.dumps(header).encode(), pool, records)
 
 
-def _trailer_missing(text):
-    return "".join(text.splitlines(keepends=True)[:-1])
+def _one_coefficient_edited(data):
+    head, pool, records, trailer = _split(data)
+    coefficients = json.loads(pool)
+    coefficients[-1][0][1] += 1
+    return _join(head, json.dumps(coefficients).encode(), records, trailer)
 
 
-def _line_after_the_trailer(text):
-    return text + text.splitlines(keepends=True)[-2]
+def _trailer_missing(data):
+    return data[:-32]
 
 
-def _two_records_swapped(text):
-    lines = text.splitlines(keepends=True)
-    lines[1], lines[2] = lines[2], lines[1]
-    return "".join(lines)
+def _line_after_the_trailer(data):
+    return data + b"\n"
+
+
+def _two_records_swapped(data):
+    head, pool, records, trailer = _split(data)
+    records[0], records[1] = records[1], records[0]
+    return _join(head, pool, records, trailer)
+
+
+def _pool_position_out_of_range(data):
+    head, pool, records, _ = _split(data)
+    records[0][3] = len(json.loads(pool))  # the identity's one coefficient
+    return _join(head, pool, records)
+
+
+def _index_out_of_range(data):
+    head, pool, records, _ = _split(data)
+    records[0][2] = len(records)  # the identity's one term
+    return _join(head, pool, records)
 
 
 @pytest.mark.parametrize("damage", [
     _truncated, _header_for_another_n, _one_coefficient_edited,
     _trailer_missing, _line_after_the_trailer, _two_records_swapped,
+    # each of these carries a trailer that matches its bytes
+    _pool_count_wrong, _pool_position_out_of_range, _index_out_of_range,
 ])
 def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
     L = WeightFunction(1, 2)
     first = KLTable(3, L, cache_dir=str(tmp_path))
     cold = [first.cells(side) for side in ("L", "R", "LR")]
-    path = tmp_path / "kl_v3_n3_a1_b2.jsonl"
-    good = path.read_text()
-    path.write_text(damage(good))
-    assert path.read_text() != good
+    path = tmp_path / "kl_v4_n3_a1_b2.bin"
+    good = path.read_bytes()
+    assert _join(*_split(good)) == good
+    path.write_bytes(damage(good))
+    assert path.read_bytes() != good
     table = KLTable(3, L, cache_dir=str(tmp_path))
     assert [table.cells(side) for side in ("L", "R", "LR")] == cold
-    assert path.read_text() == good
+    assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cache_file_layout(tmp_path):
-    # header, one record per index, then the digest of every line before it
     table = KLTable(2, WeightFunction(1, 2), cache_dir=str(tmp_path))
     table.all_kl_basis()
-    lines = (tmp_path / "kl_v3_n2_a1_b2.jsonl").read_bytes().splitlines(keepends=True)
-    assert json.loads(lines[0]) == {"v": 3, "n": 2, "a": 1, "b": 2, "records": 8}
-    assert len(lines) == 1 + 8 + 1
-    assert json.loads(lines[-1]) == {"sha256": hashlib.sha256(b"".join(lines[:-1])).hexdigest()}
+    data = (tmp_path / "kl_v4_n2_a1_b2.bin").read_bytes()
+    head, pool, records, trailer = _split(data)
+    pool = json.loads(pool)
+    assert json.loads(head) == {"v": 4, "n": 2, "a": 1, "b": 2, "records": 8,
+                                "pool": len(pool)}
+    assert len(records) == 8
+    assert trailer == hashlib.sha256(data[:-32]).digest()
+    # each distinct coefficient once, in increasing order of its code
+    codes = [_encode(dict(pairs), 2) for pairs in pool]
+    assert codes == sorted({x for cw in table.all_kl_basis() for x in cw.values()})
+    assert all(pairs == sorted(pairs) for pairs in pool)
     # c_t = T_t + v^-2 T_e, and c_s c_t = c_st
     t, st = (table.elements.index(w) for w in ((-1, 2), (-2, 1)))
-    assert json.loads(lines[1 + t]) == {"c": [[0, [[-2, 1]]], [t, [[0, 1]]]],
-                                        "edges": [st]}
+    assert records[t] == [2, 1, 0, t, pool.index([[-2, 1]]), pool.index([[0, 1]]), st]
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -391,10 +460,63 @@ def test_equal_coefficients_are_one_object(tmp_path, warm):
     (4, 4, "96b0522da0a8a14f537b80b94aa344e03237c6e49e4408e696a8c05e30b2ae02"),
 ])
 def test_a_cold_cache_file_matches_its_golden_digest(tmp_path, n, ratio, digest):
-    # the digests of files written by the dict-coefficient pass
+    # the digests of kl_v3 files written by the dict-coefficient pass, of
+    # a cold table and of one loaded from the cold table's kl_v4 file
+    L = WeightFunction(1, ratio)
+    cold = KLTable(n, L, cache_dir=str(tmp_path))
+    assert hashlib.sha256(kl_v3_bytes(cold)).hexdigest() == digest
+    warm = KLTable(n, L, cache_dir=str(tmp_path))
+    assert warm._load_cache()
+    assert hashlib.sha256(kl_v3_bytes(warm)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,ratio,digest", [
+    (3, 2, "3af458f42f131383517271b12e60fc73af5fa70942ea41a26c0e7024d75354bf"),
+    (4, 4, "3f7bddb0239e56e0b517eeaf732d5a3d2d0bc8ee0b2be0e44b81ec1e3d8d5f1f"),
+])
+def test_a_kl_v4_file_matches_its_golden_digest(tmp_path, n, ratio, digest):
     KLTable(n, WeightFunction(1, ratio), cache_dir=str(tmp_path)).all_kl_basis()
-    data = (tmp_path / f"kl_v3_n{n}_a1_b{ratio}.jsonl").read_bytes()
+    data = (tmp_path / f"kl_v4_n{n}_a1_b{ratio}.bin").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_a_kl_v3_file_is_left_alone(tmp_path, monkeypatch):
+    L = WeightFunction(1, 2)
+    stale = tmp_path / "kl_v3_n3_a1_b2.jsonl"
+    stale.write_bytes(kl_v3_bytes(KLTable(3, L)))
+    before = (stale.read_bytes(), stale.stat().st_mtime_ns)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    passes = _count_calls(monkeypatch, "_pass")
+    KLTable(3, L, cache_dir=str(tmp_path)).all_kl_basis()
+    monkeypatch.undo()
+    assert opened == [str(tmp_path / "kl_v4_n3_a1_b2.bin")] and len(passes) == 1
+    assert (stale.read_bytes(), stale.stat().st_mtime_ns) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kl_v3_n3_a1_b2.jsonl", "kl_v4_n3_a1_b2.bin"]
+
+
+def test_the_digest_is_sha256_without_openssl(tmp_path):
+    data = bytes(range(256)) * 5
+    digest = _sha256()
+    digest.update(data)
+    assert digest.digest() == hashlib.sha256(data).digest()
+    script = (
+        "import sys\n"
+        "from dominocells.cli import main\n"
+        f"code = main(['verify', 'conjecture', '--n', '2', '--cache', {str(tmp_path)!r}])\n"
+        "sys.exit(code or '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert [p.name for p in tmp_path.glob("kl_v4_*")]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])

@@ -610,7 +610,7 @@ def test_cli_cache_dir(tmp_path, capsys):
                  "--cache", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    assert list(tmp_path.glob("kl_v3_*.jsonl"))
+    assert list(tmp_path.glob("kl_v4_*.bin"))
     code = main(["verify", "conjecture", "--n", "2", "--ratio", "1",
                  "--cache", str(tmp_path)])
     assert code == 0
