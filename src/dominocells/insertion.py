@@ -22,9 +22,9 @@ label's domino, which `_tableau` freezes into the recording and the
 insertion tableau.  `tableau_classes` groups W_n by either and freezes
 each distinct tableau once.  Every reader of all of W_n reads the walk:
 the cell partitions, `verify classes` and `intermediate` (its split
-elements too) the classes, `verify tau` its live states and left classes,
-and `verify insertion` each rank's pairs through `_rank_pairs`.  No suite
-reads back the memo on `insert`.
+elements too) the classes, `verify tau` its live states, freezing each
+distinct recording tableau once, and `verify insertion` each rank's pairs
+through `_rank_pairs`.  No suite reads back the memo on `insert`.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -181,7 +181,11 @@ def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     ]
 
 
-def _classes(n: int, rank: int, side: str) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+# Two entries: the class check compares rank r with r+1, and a two-sided
+# partition reads both sides of a rank.
+@lru_cache(maxsize=2)
+def tableau_classes(n: int, rank: int,
+                    side: str) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
     """Tableau -> its class for all of W_n at one rank: side "L" groups by
     recording tableau, side "R" by insertion tableau.
 
@@ -203,11 +207,6 @@ def _classes(n: int, rank: int, side: str) -> Dict[DominoTableau, FrozenSet[Sign
         by_key.setdefault(key, []).append(w)
     core = states[0][0]
     return {_tableau(rank, core, key): frozenset(ws) for key, ws in by_key.items()}
-
-
-# Two entries: the class check compares rank r with r+1, and a two-sided
-# partition reads both sides of a rank; `verify_tau` calls the body.
-tableau_classes = lru_cache(maxsize=2)(_classes)
 
 
 def _rank_pairs(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterator, List, Tuple
 
 __all__ = [
-    "Shape", "Square", "staircase", "is_young", "cells_of_shape",
+    "Shape", "Square", "staircase", "is_young", "cells_of_shape", "rows_of_cells",
     "addable_dominos", "removable_dominos", "diagonal", "shape_from_cells",
 ]
 
@@ -39,13 +39,42 @@ def cells_of_shape(shape: Shape) -> Iterator[Square]:
             yield (i, j)
 
 
-def shape_from_cells(cells) -> Shape:
-    """Shape of a collection of distinct cells; raises if they do not form a
-    Young diagram.
+def rows_of_cells(cells: dict) -> Tuple[tuple, ...]:
+    """The rows of a square -> value map, each a tuple of values from
+    column 1; raises if the squares do not form a Young diagram.
 
-    One pass keeps, per row, the count, the least and the largest column:
-    distinct columns fill 1..m exactly when the least is 1 and the largest
-    is the count m.
+    One scan reads each row from column 1 until a square is missing; the
+    squares form a diagram exactly when no row is longer than the one above
+    and the rows read hold every square.
+    """
+    rows = []
+    get = cells.get
+    longest = unread = len(cells)  # longest bounds the length of the next row
+    i = 1
+    while True:
+        row = []
+        j = 1
+        x = get((i, 1))
+        while x is not None:
+            row.append(x)
+            j += 1
+            x = get((i, j))
+        if not row:
+            break
+        if len(row) > longest:
+            raise ValueError("cells do not form a Young diagram")
+        longest = len(row)
+        unread -= longest
+        rows.append(tuple(row))
+        i += 1
+    if unread:
+        raise ValueError("cells do not form a Young diagram")
+    return tuple(rows)
+
+
+def shape_from_cells(squares) -> Shape:
+    """Shape of a collection of squares, read by `rows_of_cells`; raises if
+    they do not form a Young diagram.
 
     >>> shape_from_cells([(2, 1), (1, 1), (1, 2)])
     (2, 1)
@@ -54,24 +83,9 @@ def shape_from_cells(cells) -> Shape:
     ...
     ValueError: cells do not form a Young diagram
     """
-    rows: dict = {}  # row -> [count, least column, largest column]
-    for (i, j) in cells:
-        row = rows.get(i)
-        if row is None:
-            rows[i] = [1, j, j]
-        else:
-            row[0] += 1
-            if j < row[1]:
-                row[1] = j
-            elif j > row[2]:
-                row[2] = j
-    shape = []
-    for i in range(1, len(rows) + 1):
-        count, least, largest = rows.get(i, (0, 0, 0))
-        if least != 1 or largest != count or (shape and count > shape[-1]):
-            raise ValueError("cells do not form a Young diagram")
-        shape.append(count)
-    return tuple(shape)
+    # from a list: `tuple` of an iterator shrinks a 10-slot tuple, which
+    # leaves blocks in the free lists of the smaller tuple sizes
+    return tuple([len(row) for row in rows_of_cells(dict.fromkeys(squares, 0))])
 
 
 def addable_dominos(shape: Shape) -> List[Tuple[Square, Square]]:

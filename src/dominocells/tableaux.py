@@ -14,12 +14,13 @@ validates them (`uninsert` runs it on its argument); signed permutations
 from the command line, JSON included, go through `parse_perm`.  A tableau
 that the library builds is checked once, where it is built, by one pass
 over the square -> label map that built it: `from_cells` reads the rows
-and rejects a map that is not a Young diagram, and `_check_tiling`
-checks the labels, the dominos and the core.  `_check_tiling` is the one
-statement of those rules: the cycle layer runs it on each moved map, and
-`check_standard` runs it on the grid of a tableau from outside.  It
-groups the squares by label with `_dominos`, the one label -> squares
-scan, which `dominos`, the cycle layer and `uninsert` share.
+with `shapes.rows_of_cells`, the one Young-diagram reader, which rejects
+a map that is not a diagram, and `_check_tiling` checks the labels, the
+dominos and the core.  `_check_tiling` is the one statement of those
+rules: the cycle layer runs it on each moved map, and `check_standard`
+runs it on the grid of a tableau from outside.  It groups the squares
+by label with `_dominos`, the one label -> squares scan, which
+`dominos`, the cycle layer and `uninsert` share.
 
 Tableaux and pairs are slotted records that hold only their fields;
 `shape`, `n` and `dominos` are computed on each read.
@@ -38,7 +39,7 @@ from typing import Dict, FrozenSet, Iterator, Tuple
 
 from .shapes import (
     Square, Shape, addable_dominos, cells_of_shape, diagonal, is_young,
-    shape_from_cells, staircase,
+    rows_of_cells, shape_from_cells, staircase,
 )
 from .wgroup import DescentSet
 
@@ -123,12 +124,9 @@ class DominoTableau:
 
     @classmethod
     def from_cells(cls, rank: int, cells: Dict[Square, int]) -> "DominoTableau":
-        """The tableau with the square -> label map `cells`; raises
-        ValueError when the squares do not form a Young diagram.
-
-        One scan reads each row from column 1 until a square is missing;
-        the squares form a diagram exactly when no row is longer than the
-        one above and the rows read hold every square.
+        """The tableau with the square -> label map `cells`, its rows read
+        by `rows_of_cells`; raises ValueError when the squares do not form
+        a Young diagram.
 
         >>> t = DominoTableau(1, ((0, 1, 1), (2,), (2,)))
         >>> DominoTableau.from_cells(1, t.cells()) == t
@@ -138,25 +136,7 @@ class DominoTableau:
         ...
         ValueError: cells do not form a Young diagram
         """
-        rows = []
-        longest = len(cells)  # bound on the length of the next row
-        i = 1
-        while True:
-            row = []
-            x = cells.get((i, 1))
-            while x is not None:
-                row.append(x)
-                x = cells.get((i, len(row) + 1))
-            if not row:
-                break
-            if len(row) > longest:
-                raise ValueError("cells do not form a Young diagram")
-            longest = len(row)
-            rows.append(tuple(row))
-            i += 1
-        if sum(map(len, rows)) != len(cells):
-            raise ValueError("cells do not form a Young diagram")
-        return cls(rank, tuple(rows))
+        return cls(rank, rows_of_cells(cells))
 
     @property
     def dominos(self) -> Dict[int, FrozenSet[Square]]:

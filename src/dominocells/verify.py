@@ -22,7 +22,7 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _classes, _rank_pairs, _walk, asymptotic_bitableaux, tableau_classes, uninsert,
+    _rank_pairs, _tableau, _walk, asymptotic_bitableaux, tableau_classes, uninsert,
 )
 from .tableaux import (
     _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
@@ -173,20 +173,13 @@ def verify_tau(n: int) -> Report:
                                  "j": j, "ratio": ratio})
         report.bump("elements")
     for r in range(n + 1):
-        for q, ws in _classes(n, r, "L").items():
-            tau = tau_of_tableau(q)
-            xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
-            for w in ws:
-                if tau_invariant(w) != tau:
-                    report.fail({"kind": "tau", "w": format_perm(w), "r": r})
-                for ratio, xi in enumerate(xis, start=1):
-                    if enhanced_tau_invariant(w, ratio) != xi:
-                        report.fail({"kind": "xi", "w": format_perm(w), "r": r,
-                                     "ratio": ratio})
+        # one walk per rank groups W_n by recording steps and checks the
         # step-wise dichotomy on the partial insertions of up to r + 1 values,
-        # read from the walk's live states; elements share their prefix states
+        # read from the live states; elements share their prefix states
+        classes: Dict[tuple, List[SignedPerm]] = {}
         before: tuple = ()
         for w, states in _walk(elems, r):
+            classes.setdefault(states[-1][2], []).append(w)
             for k in range(1, min(r + 1, n) + 1):
                 if k < len(before) and states[k] is before[k]:
                     continue  # a prefix checked with an earlier element
@@ -199,6 +192,18 @@ def verify_tau(n: int) -> Report:
                         report.fail({"kind": "stepwise", "w": format_perm(w),
                                      "r": r, "k": k, "j": j})
             before = states
+        # each recording tableau is frozen once and its class checked against it
+        for steps, ws in classes.items():
+            q = _tableau(r, before[0][0], steps)
+            tau = tau_of_tableau(q)
+            xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
+            for w in ws:
+                if tau_invariant(w) != tau:
+                    report.fail({"kind": "tau", "w": format_perm(w), "r": r})
+                for ratio, xi in enumerate(xis, start=1):
+                    if enhanced_tau_invariant(w, ratio) != xi:
+                        report.fail({"kind": "xi", "w": format_perm(w), "r": r,
+                                     "ratio": ratio})
     # cycle moves preserve the descent set
     moves = 0
     for r in range(n + 1):

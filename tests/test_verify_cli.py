@@ -196,6 +196,23 @@ def test_verify_tau_small():
     assert verify_tau(2).status == "pass"
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_verify_tau_walks_each_rank_once(monkeypatch, n):
+    healthy = insertion_mod._walk
+    walks = []
+
+    def counted(ws, rank):
+        walks.append(rank)
+        return healthy(ws, rank)
+
+    monkeypatch.setattr(insertion_mod, "_walk", counted)
+    monkeypatch.setattr(verify_mod, "_walk", counted)
+    before = insertion_mod.tableau_classes.cache_info()
+    assert verify_tau(n).status == "pass"
+    assert walks == list(range(n + 1))
+    assert insertion_mod.tableau_classes.cache_info() == before
+
+
 @pytest.mark.parametrize("name, fault, kind", [
     ("tau_invariant", lambda w: DescentSet(frozenset({"s9"})), "tau"),
     ("enhanced_tau_of_tableau", lambda q, ratio: DescentSet(frozenset({"s9"})), "xi"),
