@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 from .shapes import Square, cells_of_shape, staircase
@@ -337,15 +337,6 @@ def _normalized(cells: Dict[Square, int], rank: int) -> DominoTableau:
     return out
 
 
-def _memo(memo: dict, key, compute):
-    """memo[key], set to compute() on a miss.  A compute that raises leaves
-    no entry, so each reader of a failing key meets the failure itself."""
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = compute()
-    return got
-
-
 def _shift(items: Iterable[Tuple[DominoTableau, ...]], convention: str) -> list:
     """Move each item, one tableau or a same-shape pair, through its
     extended cycles and re-cut it to the next rank: one up under the
@@ -357,29 +348,36 @@ def _shift(items: Iterable[Tuple[DominoTableau, ...]], convention: str) -> list:
     tableau is relocated once, and each distinct (tableau, extended label
     group) is moved and re-cut once.  Linking the open cycles of an item's
     sides runs per item, since the groups depend on all of them, and so
-    does the check that the moved shapes match.  A failed relocation or
-    move is kept nowhere, so it is met again by every item that reads it.
-    The memo lives in this call's local dicts and is gone when it returns;
-    passes are read through `_relocate`, so later callers find the last two."""
+    does the check that the moved shapes match.  A cache keeps no result
+    for a call that raises, so a failed relocation or move is met again by
+    every item that reads it.  The caches are this call's own and are gone
+    when it returns; passes are read through `_relocate`, so later callers
+    find the last two."""
     step = 1 if convention == REGULAR else -1
-    rels: Dict[DominoTableau, _Relocation] = {}
-    moves: Dict[Tuple[DominoTableau, FrozenSet[int]], Dict[Square, int]] = {}
-    recut: Dict[Tuple[DominoTableau, FrozenSet[int]], DominoTableau] = {}
+
+    @cache
+    def relocated(t: DominoTableau) -> _Relocation:
+        return _relocate(t, convention)
+
+    @cache
+    def moved(t: DominoTableau, labels: FrozenSet[int]) -> Dict[Square, int]:
+        return _apply_moves(relocated(t), labels)
+
+    @cache
+    def recut(t: DominoTableau, labels: FrozenSet[int]) -> DominoTableau:
+        # `_normalized` fills in the map it is given, so it gets a copy:
+        # `moved` keeps its map for the shape check of later items
+        return _normalized(dict(moved(t, labels)), t.rank + step)
+
     out: list = []
     for item in items:
         try:
-            rank = item[0].rank + step
-            if rank < 0:
+            if item[0].rank + step < 0:
                 raise TableauError("a rank-0 tableau has no lower rank")
-            found = [_memo(rels, t, lambda: _relocate(t, convention)) for t in item]
-            keys = [(t, frozenset().union(*g)) for t, g in zip(item, _link(*found))]
-            moved = [_memo(moves, key, lambda: _apply_moves(rel, key[1]))
-                     for key, rel in zip(keys, found)]
-            _matched(moved)
-            # `_normalized` fills in the map it is given; the memo keeps the
-            # moved map for the shape check of later items
-            out.append(tuple(_memo(recut, key, lambda: _normalized(dict(cells), rank))
-                             for key, cells in zip(keys, moved)))
+            keys = [(t, frozenset().union(*g))
+                    for t, g in zip(item, _link(*map(relocated, item)))]
+            _matched([moved(*key) for key in keys])
+            out.append(tuple(recut(*key) for key in keys))
         except Exception as exc:
             out.append(exc)
     return out

@@ -46,15 +46,15 @@ tables of every weight function, so the pass never composes permutations;
 since l(sw) = l(w) +- 1, s raises the length of w exactly when it raises
 its index.  In the finished c_w, equal coefficients are one shared int:
 at n = 5 there are millions of coefficients but only thousands of
-distinct ones.  Dicts and signed permutations appear only at the
-boundary: `kl_basis`, `c_expand`, the blocks of `cells` and the cache
-file.
+distinct ones, which the table keeps in increasing order as its pool.
+Dicts and signed permutations appear only at the boundary: `kl_basis`,
+`c_expand`, the blocks of `cells` and the cache file.
 
-With a cache directory a table is kept in one binary file: each distinct
-coefficient once, in a pool, then per element the indices y of c_w, the
-pool position of each c_w[y] and the left edges of w as uint32 arrays,
-under a SHA-256 trailer.  A warm table reads the file and skips the pass;
-a file that fails any check is recomputed and rewritten.
+With a cache directory a table is kept in one binary file: its pool,
+each distinct coefficient once, then per element the indices y of c_w,
+the pool position of each c_w[y] and the left edges of w as uint32
+arrays, under a SHA-256 trailer.  A warm table reads the file and skips
+the pass; a file that fails any check is recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cells import CellPartition
@@ -196,7 +196,7 @@ class KLTable:
         self._top = max(weights.a, weights.b)  # the codes' offset: top - e is a digit
         self._c: List[IndexedDict] = []
         self._edges: Optional[List[FrozenSet[int]]] = None
-        self._left_cells: Optional[List[FrozenSet[int]]] = None
+        self._pool: List[int] = []  # the distinct codes of `_c`, in increasing order
         self.cache_dir = cache_dir
 
     # ---- Kazhdan-Lusztig basis and left-preorder edges
@@ -256,7 +256,7 @@ class KLTable:
                         f"c_s c_{elements[w]} gives another c_{elements[sw]}")
             targets.discard(w)
             edges.append(frozenset(targets))
-        self._c, self._edges = c, edges
+        self._c, self._edges, self._pool = c, edges, sorted(shared)
 
     def _c_s_times(self, lmul: Tuple[int, ...], ls: int, h: IndexedDict) -> IndexedDict:
         """c_s h where s acts by `lmul` and L(s) = ls, by c_s = T_s + v_s^{-1}:
@@ -322,6 +322,12 @@ class KLTable:
         out = self._strip(m, self.all_kl_basis(), top, dict, -1)
         return {elements[z]: p for z, p in out.items()}
 
+    @cached_property
+    def _left_cells(self) -> List[FrozenSet[int]]:
+        """The strong components of the left edges; `cells` reads them
+        after its own `left_edges()` call has filled the table."""
+        return _strong_components(self._edges)
+
     def cells(self, side: str = "L") -> CellPartition:
         if side not in ("L", "R", "LR"):
             raise ValueError("side must be L, R or LR")
@@ -334,8 +340,6 @@ class KLTable:
             ]
             comp = _strong_components(edges)
         else:
-            if self._left_cells is None:
-                self._left_cells = _strong_components(left)
             comp = self._left_cells
             if side == "R":
                 comp = [frozenset(inv[z] for z in block) for block in comp]
@@ -366,11 +370,10 @@ class KLTable:
 
     def _save_cache(self) -> None:
         from array import array
-        # Equal coefficients are one shared int, so a pool position can be
-        # found by id; the table holds every coefficient, so no id is
-        # reused while this runs.
-        pool = sorted({id(x): x for cw in self._c for x in cw.values()}.values())
-        position = {id(x): i for i, x in enumerate(pool)}
+        # The pool holds each distinct code once, so a coefficient's pool
+        # position is found by its value.
+        pool = self._pool
+        position = {x: i for i, x in enumerate(pool)}
         os.makedirs(self.cache_dir, exist_ok=True)
         # Written beside the target and renamed over it, so a reader sees
         # the old file or the new one; a file cut short has no trailer.
@@ -391,7 +394,7 @@ class KLTable:
                     ys = sorted(cw)
                     record = array("I", (len(ys), len(edges)))  # 4 bytes each
                     record.extend(ys)
-                    record.extend([position[id(cw[y])] for y in ys])
+                    record.extend([position[cw[y]] for y in ys])
                     record.extend(sorted(edges))
                     if sys.byteorder == "big":
                         record.byteswap()
@@ -454,7 +457,7 @@ class KLTable:
             # a trailer cut short, or followed by anything, is not the digest
             if fh.read(len(digest.digest()) + 1) != digest.digest():
                 return False
-        self._c, self._edges = c, edges
+        self._c, self._edges, self._pool = c, edges, pool
         return True
 
 

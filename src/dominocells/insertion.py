@@ -41,7 +41,7 @@ algorithm is implemented independently here as a cross-check.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from .shapes import (
@@ -215,8 +215,8 @@ def _rank_pairs(
     """The rank-`rank` pairs of `ws` from one walk: a list of (w, pair)
     grouped by recording tableau, and w -> error for each w whose insertion
     failed.  A failure restarts the walk after its element, so the rest
-    are still inserted.  Each distinct tableau is frozen once, so equal
-    tableaux are one object."""
+    are still inserted.  Each distinct tableau is frozen once, whether it
+    is a left or a right, so equal tableaux are one object."""
     ws = list(ws)
     by_steps: Dict[tuple, List[Tuple[SignedPerm, tuple]]] = {}
     failed: Dict[SignedPerm, Exception] = {}
@@ -232,19 +232,12 @@ def _rank_pairs(
         except Exception as exc:
             failed[ws[done]] = exc
             done += 1
-    lefts: Dict[tuple, DominoTableau] = {}
+    frozen = cache(lambda dominos: _tableau(rank, core, dominos))
     pairs = []
     for steps, group in by_steps.items():
-        try:
-            right = _tableau(rank, core, steps)
-        except Exception as exc:
-            failed.update((w, exc) for w, _ in group)
-            continue
         for w, placed in group:
             try:
-                if placed not in lefts:
-                    lefts[placed] = _tableau(rank, core, placed)
-                pairs.append((w, TableauPair(lefts[placed], right)))
+                pairs.append((w, TableauPair(frozen(placed), frozen(steps))))
             except Exception as exc:
                 failed[w] = exc
     return pairs, failed

@@ -24,9 +24,7 @@ from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
     _rank_pairs, _tableau, _walk, asymptotic_bitableaux, tableau_classes, uninsert,
 )
-from .tableaux import (
-    _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
-)
+from .tableaux import _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
     tau_invariant,
@@ -183,10 +181,9 @@ def verify_tau(n: int) -> Report:
             for k in range(1, min(r + 1, n) + 1):
                 if k < len(before) and states[k] is before[k]:
                     continue  # a prefix checked with an earlier element
-                left, _, steps = states[k]
-                dominos = _dominos(left)
+                _, where, steps = states[k]
                 for j in range(1, k + 1):
-                    a = not _vertical(dominos[abs(w[j - 1])])
+                    a = not _vertical(where[abs(w[j - 1])])
                     b = not _vertical(steps[j - 1])
                     if not (a == b == (w[j - 1] > 0)):
                         report.fail({"kind": "stepwise", "w": format_perm(w),

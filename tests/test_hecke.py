@@ -326,6 +326,9 @@ def test_a_warm_table_equals_the_cold_one(tmp_path, n):
         assert warm.all_kl_basis() == cold.all_kl_basis()
         assert warm.left_edges() == cold.left_edges()
         assert all(warm.cells(side) == cold.cells(side) for side in ("L", "R", "LR"))
+        # the pool read from the file is the one the pass built
+        codes = {x for cw in cold.all_kl_basis() for x in cw.values()}
+        assert warm._pool == cold._pool == sorted(codes)
 
 
 # -- the kl_v4 file: a header line, a pool line, uint32 records, a digest

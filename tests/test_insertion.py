@@ -204,11 +204,12 @@ def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
         pairs, failed = _rank_pairs(elems, r)
         assert failed == {}
         assert tuple(sorted(w for w, _ in pairs)) == elems
-        lefts, rights = {}, {}
+        # one dict for both sides: a tableau that is a left and a right is one object
+        seen = {}
         for w, pair in pairs:
             assert pair == _insert(w, r)
-            assert lefts.setdefault(pair.left, pair.left) is pair.left
-            assert rights.setdefault(pair.right, pair.right) is pair.right
+            for t in (pair.left, pair.right):
+                assert seen.setdefault(t, t) is t
 
 
 def test_walk_never_changes_a_yielded_state():
