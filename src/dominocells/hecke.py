@@ -35,26 +35,29 @@ exact, multiplying by v^{-L} or v^{L} is a shift by 32 L bits, a product of
 codes is one multiplication and a shift, and "has an exponent >= 0" is a
 test of the low top + 1 digits.  Every product the pass forms has its
 exponents at most top, since each c_w has them at most 0, so every digit
-index is non-negative.  Codes are decoded to dicts only where a
-bar-symmetric part is taken, and at the boundary; each decode and encode
-checks that every coefficient is far inside the digit range.
+index is non-negative.  Codes are decoded to dicts only at the boundary;
+the bar-symmetric part of a code is read off its digits directly.  Each
+decode, encode and new code checks that every coefficient is far inside
+the digit range.
 
 Inside a table an element is its index 0..N-1 in (length, one-line form)
-order, and a Hecke algebra element is a dict from indices to codes.  The
-left action of each generator on indices is one table per n shared by the
-tables of every weight function, so the pass never composes permutations;
-since l(sw) = l(w) +- 1, s raises the length of w exactly when it raises
-its index.  In the finished c_w, equal coefficients are one shared int:
-at n = 5 there are millions of coefficients but only thousands of
-distinct ones, which the table keeps in increasing order as its pool.
-Dicts and signed permutations appear only at the boundary: `kl_basis`,
-`c_expand`, the blocks of `cells` and the cache file.
+order.  The left action of each generator on indices is one table per n
+shared by the tables of every weight function, so the pass never composes
+permutations; since l(sw) = l(w) +- 1, s raises the length of w exactly
+when it raises its index.  At n = 5 there are millions of coefficients but
+only thousands of distinct ones, which the table keeps once each, in
+increasing order, as its pool.  A finished c_w is two uint32 arrays: the
+indices y of its terms in increasing order, and the pool position of each
+c_w[y], 8 bytes a term.  The product being formed, c_s c_w, and the strip
+that turns it into c_{sw} work on a dict from indices to codes.  Dicts
+and signed permutations appear only there and at the boundary:
+`kl_basis`, `c_expand`, the blocks of `cells` and the cache file.
 
 With a cache directory a table is kept in one binary file: its pool,
-each distinct coefficient once, then per element the indices y of c_w,
-the pool position of each c_w[y] and the left edges of w as uint32
-arrays, under a SHA-256 trailer.  A warm table reads the file and skips
-the pass; a file that fails any check is recomputed and rewritten.
+each distinct coefficient once, then per element the two arrays of c_w
+and the left edges of w as uint32s, under a SHA-256 trailer.  A warm
+table reads the file and skips the pass; a file that fails any check is
+recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from operator import eq
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .cells import CellPartition
@@ -73,7 +77,7 @@ from .wgroup import (
     SignedPerm, compose, group_elements, inverse, length, simple_generators,
 )
 
-__all__ = ["WeightFunction", "poly_symmetric_part", "kl_cells", "KLTable"]
+__all__ = ["WeightFunction", "kl_cells", "KLTable"]
 
 
 # -- Laurent polynomials: dicts at the boundary, codes inside a table -----
@@ -85,20 +89,7 @@ _K = 32  # bits per digit of a code
 # would spill into the next digit and decode as another polynomial, so
 # decoding and encoding refuse anything from 2^16 on, far below that.
 _LIMIT = 1 << 16
-
-
-def poly_symmetric_part(a: Poly) -> Poly:
-    """The unique bar-invariant m with a - m supported in negative degrees."""
-    out: Poly = {}
-    if 0 in a:
-        out[0] = a[0]
-    for e, c in a.items():
-        if e > 0:
-            out[e] = c
-            out[-e] = out.get(-e, 0) + c
-            if not out[-e]:
-                del out[-e]
-    return out
+_HALF = 1 << (_K - 1)
 
 
 def _check_digit(k: int) -> None:
@@ -115,20 +106,61 @@ def _encode(p: Poly, top: int) -> int:
     return x
 
 
+@lru_cache(maxsize=None)
+def _per_digit(value: int, size: int) -> int:
+    """The word `value` in each of `size` digits."""
+    return int.from_bytes(value.to_bytes(4, "little") * size, "little")
+
+
+def _size(x: int) -> int:
+    return x.bit_length() // _K + 2  # digits enough for x and its sign
+
+
+def _check_code(x: int) -> None:
+    """Refuse x when a digit is outside the digit range.  Adding L - 1 to
+    every digit of x leaves them all below 2L exactly when they are in
+    -L + 1..L, and adding L when they are in -L..L - 1; 2L is 2^17, so
+    "below 2L" is a mask test of each digit's top 15 bits."""
+    size = _size(x)
+    high = _per_digit((1 << _K) - 2 * _LIMIT, size)
+    if (x + _per_digit(_LIMIT - 1, size)) & high or (x + _per_digit(_LIMIT, size)) & high:
+        for u in _words(x, size):
+            _check_digit(u - _HALF)
+
+
+# A code plus 2^31 in every digit has each balanced digit k as the word
+# k + 2^31, so its bytes are the digits.  Words are native uint32s, lowest
+# digit first, in a memoryview: `array` would cost every run its import.
+
+def _words(x: int, size: int) -> memoryview:
+    """The digits of x plus 2^31 each, as `size` words; they must hold x
+    and its sign."""
+    words = memoryview((x + _per_digit(_HALF, size)).to_bytes(4 * size, sys.byteorder))
+    words = words.cast("I")
+    return words if sys.byteorder == "little" else words[::-1]
+
+
+def _from_words(data: bytes) -> int:
+    """The code whose digits plus 2^31 are the words of `data`."""
+    if sys.byteorder == "big":
+        data = bytes(memoryview(data).cast("I")[::-1])  # highest digit first
+    return int.from_bytes(data, sys.byteorder) - _per_digit(_HALF, len(data) // 4)
+
+
 def _decode(x: int, top: int) -> Poly:
-    """The polynomial whose code at `top` is x, one balanced digit at a time."""
-    out: Poly = {}
-    e = top
-    while x:
-        k = x & ((1 << _K) - 1)
-        if k >> (_K - 1):
-            k -= 1 << _K
-        if k:
-            _check_digit(k)
-            out[e] = k
-        x = (x - k) >> _K
-        e -= 1
-    return out
+    """The polynomial whose code at `top` is x."""
+    _check_code(x)
+    return {top - i: u - _HALF for i, u in enumerate(_words(x, _size(x))) if u != _HALF}
+
+
+def _symmetric(x: int, top: int) -> int:
+    """The code of the bar-symmetric part of the polynomial a coded x at
+    `top`, the unique bar-invariant m with a - m supported in negative
+    degrees: the digits of a's exponents top..0 (its first top + 1), then
+    those of exponents 1..top mirrored to -1..-top."""
+    _check_code(x)
+    words = _words(x, max(_size(x), top + 1))
+    return _from_words(bytes(words[:top + 1]) + bytes(words[top - 1::-1]))
 
 
 def _low_digits(top: int) -> int:
@@ -177,6 +209,9 @@ def _indexed_group(n: int) -> _IndexedGroup:
 
 HeckeDict = Dict[SignedPerm, Poly]
 IndexedDict = Dict[int, int]  # index -> code
+# c_w as array("I")s: the indices y in increasing order, and the pool
+# position of each c_w[y]
+Basis = Tuple["array", "array"]
 
 
 class KLTable:
@@ -194,7 +229,7 @@ class KLTable:
             (s, weights.b if s[0] < 0 else weights.a) for s in simple_generators(n)
         ]
         self._top = max(weights.a, weights.b)  # the codes' offset: top - e is a digit
-        self._c: List[IndexedDict] = []
+        self._c: List[Basis] = []
         self._edges: Optional[List[FrozenSet[int]]] = None
         self._pool: List[int] = []  # the distinct codes of `_c`, in increasing order
         self.cache_dir = cache_dir
@@ -202,18 +237,19 @@ class KLTable:
     # ---- Kazhdan-Lusztig basis and left-preorder edges
 
     def kl_basis(self, w: SignedPerm) -> HeckeDict:
-        """c_w on the T basis.
+        """c_w on the T basis, its terms in (length, w) order.
 
         >>> KLTable(1, WeightFunction(1, 2)).kl_basis((-1,))
-        {(-1,): {0: 1}, (1,): {-2: 1}}
+        {(1,): {-2: 1}, (-1,): {0: 1}}
         """
-        cw = self.all_kl_basis()[self._group.index[w]]
-        return {self.elements[y]: _decode(x, self._top) for y, x in cw.items()}
+        ys, ps = self.all_kl_basis()[self._group.index[w]]
+        pool, top = self._pool, self._top
+        return {self.elements[y]: _decode(pool[p], top) for y, p in zip(ys, ps)}
 
-    def all_kl_basis(self) -> List[IndexedDict]:
-        """c_w for the whole group, by index, with each coefficient as its
-        code; read from the cache file when it passes its checks, otherwise
-        computed by one pass and written once."""
+    def all_kl_basis(self) -> List[Basis]:
+        """c_w for the whole group, by index, as its indices and pool
+        positions; read from the cache file when it passes its checks,
+        otherwise computed by one pass and written once."""
         if self._edges is None and not self._load_cache():
             self._pass()
             if self.cache_dir:
@@ -223,85 +259,130 @@ class KLTable:
     def _pass(self) -> None:
         """For w in length order and each s with sw > w, strip c_s c_w of
         the bar-symmetric part of every coefficient below sw.  The first
-        product that reaches sw sets c_{sw}; every later one must agree."""
+        product that reaches sw sets c_{sw}; every later one must agree.
+        Codes get positions in `codes` in the order the pass meets them,
+        and are renumbered once, at the end, to the sorted pool."""
+        from array import array
         group, elements, top = self._group, self.elements, self._top
         one, low = _encode({0: 1}, top), _low_digits(top)
-        shared: Dict[int, int] = {}
-        c: List[Optional[IndexedDict]] = [None] * len(elements)
-        c[0] = _shared({0: one}, shared, top)  # the identity comes first
+        symmetric = partial(_symmetric, top=top)
+        codes = [one]  # each distinct code once, in the order met
+        position = {one: 0}  # code -> its index in `codes`
+        c: List[Optional[Basis]] = [None] * len(elements)
+        c[0] = (array("I", [0]), array("I", [0]))  # the identity comes first
         edges: List[FrozenSet[int]] = []
         actions = [(lmul, ls) for lmul, (_, ls) in zip(group.lmul, self.gens)]
+
+        def not_negative(sw: int, z: int, x: int) -> AssertionError:
+            return AssertionError(f"c_{elements[sw]} coefficient at {elements[z]} "
+                                  f"not negative: {_decode(x, top)}")
+
         for w, cw in enumerate(c):
             targets = set()
             for lmul, ls in actions:
                 sw = lmul[w]
                 if sw < w:
                     continue  # c_s c_w = (v_s + v_s^{-1}) c_w
-                m = self._c_s_times(lmul, ls, cw)
+                m = self._c_s_times(lmul, ls, cw, codes)
                 # M^s_{z,w} is what is stripped at z; what is left is c_sw
-                targets.update(self._strip(m, c, top, poly_symmetric_part, low, keep=sw))
+                targets.update(self._strip(m, c, codes, symmetric, low, keep=sw))
                 targets.add(sw)
                 known = c[sw]
                 if known is None:
-                    assert m.get(sw) == one, f"c_{elements[sw]} is not unitriangular"
-                    for z, x in m.items():
-                        if z != sw and x & low:
-                            raise AssertionError(
-                                f"c_{elements[sw]} coefficient at {elements[z]} "
-                                f"not negative: {_decode(x, top)}"
-                            )
-                    c[sw] = _shared(m, shared, top)
-                elif known != m:
+                    ys = sorted(m)
+                    xs = [m[y] for y in ys]
+                    # every other term is shorter than sw, so it comes first
+                    assert ys and ys[-1] == sw and xs[-1] == one, \
+                        f"c_{elements[sw]} is not unitriangular"
+                    ps = [position.get(x) for x in xs]
+                    if None in ps:  # new codes, each one checked once
+                        for i, x in enumerate(xs):
+                            if ps[i] is None:
+                                if x not in position:
+                                    if x & low:
+                                        raise not_negative(sw, ys[i], x)
+                                    _check_code(x)
+                                    position[x] = len(codes)
+                                    codes.append(x)
+                                ps[i] = position[x]
+                    # every code met but `one`, at position 0, passed that test
+                    if ps.count(0) > 1:
+                        raise not_negative(sw, ys[ps.index(0)], one)
+                    c[sw] = (array("I", ys), array("I", ps))
+                elif len(m) != len(known[0]) or not all(
+                        map(eq, map(m.get, known[0]), map(codes.__getitem__, known[1]))):
                     raise AssertionError(
                         f"c_s c_{elements[w]} gives another c_{elements[sw]}")
             targets.discard(w)
             edges.append(frozenset(targets))
-        self._c, self._edges, self._pool = c, edges, sorted(shared)
+        pool = sorted(codes)
+        position.update(zip(pool, range(len(pool))))
+        renumber = [position[x] for x in codes]
+        for _, ps in c:
+            ps[:] = array("I", [renumber[p] for p in ps])
+        self._c, self._edges, self._pool = c, edges, pool
 
-    def _c_s_times(self, lmul: Tuple[int, ...], ls: int, h: IndexedDict) -> IndexedDict:
+    def _c_s_times(self, lmul: Tuple[int, ...], ls: int, h: Basis,
+                   pool: List[int]) -> IndexedDict:
         """c_s h where s acts by `lmul` and L(s) = ls, by c_s = T_s + v_s^{-1}:
         a term T_y goes to T_{sy} + v_s^{-1} T_y when sy > y, to
-        T_{sy} + v_s T_y otherwise.  Every exponent of h is at most top - ls,
-        so the shift for v_s drops only zero digits."""
+        T_{sy} + v_s T_y otherwise.  h holds positions in `pool`.  Every
+        exponent of h is at most top - ls, so the shift for v_s drops only
+        zero digits."""
         shift = _K * ls
-        out: IndexedDict = {lmul[y]: x for y, x in h.items()}
-        for y, x in h.items():
-            s = out.get(y, 0) + (x << shift if lmul[y] > y else x >> shift)
-            if s:
-                out[y] = s
-            else:
-                del out[y]
+        ys = h[0].tolist()
+        xs = [pool[p] for p in h[1]]
+        out: IndexedDict = {lmul[y]: x for y, x in zip(ys, xs)}
+        get = out.get
+        for y, x in zip(ys, xs):
+            out[y] = get(y, 0) + (x << shift if lmul[y] > y else x >> shift)
+        if not all(out.values()):
+            out = {y: x for y, x in out.items() if x}
         return out
 
-    def _strip(self, m: IndexedDict, c: List[IndexedDict], top: int, part, mask: int,
-               keep: Optional[int] = None) -> Dict[int, Poly]:
+    def _strip(self, m: IndexedDict, c: List[Basis], pool: List[int], part, mask: int,
+               keep: Optional[int] = None) -> IndexedDict:
         """For every z but `keep` whose code in m has a digit in `mask`,
-        longest first, subtract part(m[z]) c_z from m in place, where m holds
-        codes at `top` and `part` is nonzero exactly where `mask` is; return
-        z -> part(m[z]) where it is nonzero.  Subtracting a multiple of c_z
-        only reaches elements shorter than z, which come earlier in the
-        index order, so one heap-ordered sweep visits each z once, and only
-        the z whose code passes the mask are queued.  The c_z are codes at
-        the table's top and are only read."""
+        longest first, subtract part(m[z]) c_z from m in place, where `part`
+        maps a code to a code that is nonzero exactly where `mask` is;
+        return z -> part(m[z]) where it is nonzero.  Subtracting a multiple
+        of c_z only reaches elements shorter than z, which come earlier in
+        the index order, so one heap-ordered sweep visits each z once, and
+        only the z whose code passes the mask are queued.  The c_z hold
+        positions in `pool`, codes at the table's top, and are only read."""
         shift = _K * self._top
+        # c_z[y] has only negative exponents for y != z, so subtracting an
+        # integer multiple of it leaves the table's digits of exponents >= 0
+        # as they were: when `mask` covers no others, nothing new is queued.
+        fixed = not mask & ~_low_digits(self._top)
         heap = [-z for z, x in m.items() if x & mask and z != keep]
         heapq.heapify(heap)
         queued = {-z for z in heap}
-        out: Dict[int, Poly] = {}
+        out: IndexedDict = {}
+        get = m.get
         while heap:
             z = -heapq.heappop(heap)
-            x = m.get(z, 0)
+            x = get(z, 0)
             if not x & mask:
                 continue
-            p = out[z] = part(_decode(x, top))
-            px = _encode(p, top)
-            for y, coef in c[z].items():  # m[y] -= p c_z[y]
-                s = m.get(y, 0) - (px * coef >> shift)
+            px = out[z] = part(x)
+            ys, ps = c[z]
+            k = px >> shift
+            scalar = k << shift == px  # part(x) is the integer k
+            if scalar and k == 1:
+                coefs = [pool[p] for p in ps]  # c_z[y]
+            elif scalar:
+                coefs = [k * pool[p] for p in ps]
+            else:
+                coefs = [px * pool[p] >> shift for p in ps]
+            scan = not (scalar and fixed)
+            for y, pc in zip(ys, coefs):  # m[y] -= part(x) c_z[y]
+                s = get(y, 0) - pc
                 if not s:
                     del m[y]
                     continue
                 m[y] = s
-                if s & mask and y not in queued:
+                if scan and s & mask and y not in queued:
                     queued.add(y)
                     heapq.heappush(heap, -y)
         return out
@@ -319,8 +400,8 @@ class KLTable:
         index, elements = self._group.index, self.elements
         top = max((e for p in h.values() for e in p), default=0)
         m = {index[y]: _encode(p, top) for y, p in h.items()}
-        out = self._strip(m, self.all_kl_basis(), top, dict, -1)
-        return {elements[z]: p for z, p in out.items()}
+        out = self._strip(m, self.all_kl_basis(), self._pool, lambda x: x, -1)
+        return {elements[z]: _decode(x, top) for z, x in out.items()}
 
     @cached_property
     def _left_cells(self) -> List[FrozenSet[int]]:
@@ -370,10 +451,7 @@ class KLTable:
 
     def _save_cache(self) -> None:
         from array import array
-        # The pool holds each distinct code once, so a coefficient's pool
-        # position is found by its value.
         pool = self._pool
-        position = {x: i for i, x in enumerate(pool)}
         os.makedirs(self.cache_dir, exist_ok=True)
         # Written beside the target and renamed over it, so a reader sees
         # the old file or the new one; a file cut short has no trailer.
@@ -387,14 +465,14 @@ class KLTable:
                     fh.write(data)
 
                 write(json.dumps(self._header(len(pool))).encode() + b"\n")
-                # the pool line is json.dumps of the list, one entry at a time
-                texts = (json.dumps(sorted(_decode(x, self._top).items())) for x in pool)
+                # the pool line, as json.dumps writes the list of sorted pairs
+                entries = (sorted(_decode(x, self._top).items()) for x in pool)
+                texts = ("[" + ", ".join(f"[{e}, {k}]" for e, k in p) + "]" for p in entries)
                 write(f"[{', '.join(texts)}]\n".encode())
-                for cw, edges in zip(self._c, self._edges):
-                    ys = sorted(cw)
+                for (ys, ps), edges in zip(self._c, self._edges):
                     record = array("I", (len(ys), len(edges)))  # 4 bytes each
-                    record.extend(ys)
-                    record.extend([position[cw[y]] for y in ys])
+                    record += ys
+                    record += ps
                     record.extend(sorted(edges))
                     if sys.byteorder == "big":
                         record.byteswap()
@@ -429,8 +507,7 @@ class KLTable:
                     words.byteswap()
                 return words
 
-            keys = list(range(size))  # one int object per index
-            c: List[IndexedDict] = []
+            c: List[Basis] = []
             edges: List[FrozenSet[int]] = []
             try:
                 line = fh.readline()
@@ -444,15 +521,19 @@ class KLTable:
                 pool = [_encode(dict(pairs), self._top) for pairs in json.loads(line)]
                 if len(pool) != header["pool"]:
                     return False
-                for _ in keys:
+                for _ in range(size):
                     terms, count = read(2)
                     if terms > size or count > size:
                         return False  # no record is that long: read no further
                     words = read(2 * terms + count)
-                    ys = map(keys.__getitem__, words[:terms])
-                    c.append(dict(zip(ys, map(pool.__getitem__, words[terms:2 * terms]))))
-                    edges.append(frozenset(map(keys.__getitem__, words[2 * terms:])))
-            except (ValueError, TypeError, KeyError, IndexError, EOFError):
+                    ys, ps, ends = words[:terms], words[terms:2 * terms], words[2 * terms:]
+                    # indices and edges name elements, positions name pool entries
+                    if (max(ys, default=-1) >= size or max(ends, default=-1) >= size
+                            or max(ps, default=-1) >= len(pool)):
+                        return False
+                    c.append((ys, ps))
+                    edges.append(frozenset(ends))
+            except (ValueError, TypeError, KeyError, EOFError):
                 return False  # a short file, or bytes that are not a record
             # a trailer cut short, or followed by anything, is not the digest
             if fh.read(len(digest.digest()) + 1) != digest.digest():
@@ -473,19 +554,6 @@ def _sha256():
         except ImportError:
             from hashlib import sha256
     return sha256()
-
-
-def _shared(h: IndexedDict, pool: Dict[int, int], top: int) -> IndexedDict:
-    """h with each code replaced, in place, by the one int that `pool`
-    keeps for its value.  Each new value is decoded once, so every stored
-    coefficient passes the digit check."""
-    for y, x in h.items():
-        shared = pool.get(x)
-        if shared is None:
-            _decode(x, top)
-            shared = pool[x] = x
-        h[y] = shared
-    return h
 
 
 def _strong_components(edges: List[FrozenSet[int]]) -> List[FrozenSet[int]]:

@@ -100,7 +100,7 @@ class DominoTableau:
 
     @property
     def shape(self) -> Shape:
-        return tuple(len(r) for r in self.rows)
+        return tuple([len(r) for r in self.rows])
 
     @property
     def n(self) -> int:

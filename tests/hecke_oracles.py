@@ -1,13 +1,14 @@
 """
 Reference computations that the Hecke tests compare against: Bruhat order
 (by the dominance criterion, and by reachability straight from the
-definition), Laurent-polynomial sums and products and the bar map on
-coefficients, the strictly-negative test on coefficients, multiplication on
-the T basis (by T_s, and by T_u along a reduced word), the bar
-involution, and the retired `kl_v3` JSON-lines rendering of a table, which
-pins its contents by digest.  No pipeline in `dominocells` needs them, so they
-live beside the tests; the T-basis product here shares no code with the
-c_s product that builds the Kazhdan-Lusztig basis.
+definition), Laurent-polynomial sums and products, the bar map and the
+bar-symmetric part of coefficients, the strictly-negative test on
+coefficients, multiplication on the T basis (by T_s, and by T_u along a
+reduced word), the bar involution, and the retired `kl_v3` JSON-lines
+rendering of a table, which pins its contents by digest.  No pipeline in
+`dominocells` needs them, so they live beside the tests; the T-basis
+product here shares no code with the c_s product that builds the
+Kazhdan-Lusztig basis.
 """
 
 import hashlib
@@ -49,6 +50,20 @@ def poly_mul(a, b):
 
 def poly_bar(a):
     return {-e: c for e, c in a.items()}
+
+
+def poly_symmetric_part(a):
+    """The unique bar-invariant m with a - m supported in negative degrees."""
+    out = {}
+    if 0 in a:
+        out[0] = a[0]
+    for e, c in a.items():
+        if e > 0:
+            out[e] = c
+            out[-e] = out.get(-e, 0) + c
+            if not out[-e]:
+                del out[-e]
+    return out
 
 
 def poly_is_strictly_negative(a):
@@ -211,10 +226,10 @@ def kl_v3_bytes(table) -> bytes:
     header = {"v": 3, "n": table.n, "a": table.weights.a, "b": table.weights.b,
               "records": len(table.elements)}
     lines = [json.dumps(header)]
-    for cw, edges in zip(table.all_kl_basis(), table.left_edges()):
+    for (ys, ps), edges in zip(table.all_kl_basis(), table.left_edges()):
         terms = ", ".join(
-            f"[{y}, {json.dumps(sorted(_decode(cw[y], table._top).items()))}]"
-            for y in sorted(cw)
+            f"[{y}, {json.dumps(sorted(_decode(table._pool[p], table._top).items()))}]"
+            for y, p in zip(ys, ps)
         )
         lines.append(f'{{"c": [{terms}], "edges": {json.dumps(sorted(edges))}}}')
     body = "".join(line + "\n" for line in lines).encode()

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -14,14 +15,15 @@ import dominocells
 from dominocells.cells import combinatorial_cells
 from dominocells.hecke import (
     _K, _LIMIT, KLTable, WeightFunction, _decode, _encode, _indexed_group,
-    _low_digits, _sha256, kl_cells, poly_symmetric_part,
+    _low_digits, _sha256, _symmetric, kl_cells,
 )
 from dominocells.wgroup import (
     compose, group_elements, identity, inverse, length, simple_generators,
 )
 from hecke_oracles import (
     add_term, bar, bruhat_leq, bruhat_leq_bfs, kl_v3_bytes, poly_add, poly_bar,
-    poly_is_strictly_negative, poly_mul, t_multiply_left, t_multiply_left_word,
+    poly_is_strictly_negative, poly_mul, poly_symmetric_part, t_multiply_left,
+    t_multiply_left_word,
 )
 
 
@@ -63,6 +65,7 @@ def test_codes_follow_the_dict_oracles(top, offset, data):
     assert _decode(_encode(low, top) << _K * ls, top) == poly_mul(low, {-ls: 1})
     assert _decode(_encode(low, top) >> _K * ls, top) == poly_mul(low, {ls: 1})
     sym = poly_symmetric_part(a)
+    assert _symmetric(_encode(a, top), top) == _encode(sym, top)
     product = _encode(sym, top) * _encode(cz, top) >> _K * top
     assert _decode(product, top) == poly_mul(sym, cz)
     product = _encode(p, offset) * _encode(cz, top) >> _K * top
@@ -76,6 +79,8 @@ def test_a_coefficient_outside_the_digit_range_is_refused():
     for k in (_LIMIT, -_LIMIT):
         with pytest.raises(ValueError, match="digit range"):
             _decode(k << _K * 5, 2)
+        with pytest.raises(ValueError, match="digit range"):
+            _symmetric(k << _K * 5, 2)
         with pytest.raises(ValueError, match="digit range"):
             _encode({-3: k}, 2)
 
@@ -296,6 +301,60 @@ def test_c_expand_takes_exponents_above_the_table_weights(n):
         assert total == h
 
 
+def _corrupt(monkeypatch, name, edit):
+    """Wrap KLTable.<name> so that edit(table, m, calls) may change the
+    product m it returns or strips, where calls counts the calls so far."""
+    original = getattr(KLTable, name)
+    calls = []
+
+    def corrupted(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        m = out if name == "_c_s_times" else args[0]
+        calls.append(max(m))  # the top term of c_s c_w is sw
+        edit(self, m, calls)
+        return out
+
+    monkeypatch.setattr(KLTable, name, corrupted)
+
+
+def test_a_product_whose_top_coefficient_is_not_1_is_refused(monkeypatch):
+    def double_the_first_top(table, m, tops):
+        if len(tops) == 1:
+            m[tops[0]] *= 2
+
+    _corrupt(monkeypatch, "_c_s_times", double_the_first_top)
+    with pytest.raises(AssertionError, match="is not unitriangular"):
+        KLTable(2, WeightFunction(1, 2)).all_kl_basis()
+
+
+@pytest.mark.parametrize("old", [0, 1])
+def test_a_coefficient_with_an_exponent_0_is_refused(monkeypatch, old):
+    # every coefficient below sw that the strip leaves has only negative
+    # exponents, whatever the product, so the strip's output is corrupted:
+    # the identity's coefficient becomes 1 (a code the table has met) or
+    # gets 1 added (a new one)
+    def add_1_at_the_identity(table, m, calls):
+        if len(calls) == 1:
+            m[0] = old * m.get(0, 0) + _encode({0: 1}, table._top)
+
+    _corrupt(monkeypatch, "_strip", add_1_at_the_identity)
+    with pytest.raises(AssertionError, match="not negative"):
+        KLTable(2, WeightFunction(1, 2)).all_kl_basis()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_second_product_that_disagrees_is_refused(monkeypatch, n):
+    # the first product that reaches sw sets c_sw; the next one gets an
+    # extra v^-1 T_e, which no strip removes
+    def add_to_a_repeated_top(table, m, tops):
+        if tops[-1] in tops[:-1]:
+            m[0] = m.get(0, 0) + _encode({-1: 1}, table._top)
+
+    _corrupt(monkeypatch, "_c_s_times", add_to_a_repeated_top)
+    with pytest.raises(AssertionError, match="gives another c_"):
+        KLTable(n, WeightFunction(1, 2)).all_kl_basis()
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     L = WeightFunction(1, 2)
     products = _count_calls(monkeypatch, "_c_s_times")
@@ -327,8 +386,7 @@ def test_a_warm_table_equals_the_cold_one(tmp_path, n):
         assert warm.left_edges() == cold.left_edges()
         assert all(warm.cells(side) == cold.cells(side) for side in ("L", "R", "LR"))
         # the pool read from the file is the one the pass built
-        codes = {x for cw in cold.all_kl_basis() for x in cw.values()}
-        assert warm._pool == cold._pool == sorted(codes)
+        assert warm._pool == cold._pool
 
 
 # -- the kl_v4 file: a header line, a pool line, uint32 records, a digest
@@ -441,7 +499,7 @@ def test_cache_file_layout(tmp_path):
     assert trailer == hashlib.sha256(data[:-32]).digest()
     # each distinct coefficient once, in increasing order of its code
     codes = [_encode(dict(pairs), 2) for pairs in pool]
-    assert codes == sorted({x for cw in table.all_kl_basis() for x in cw.values()})
+    assert codes == table._pool
     assert all(pairs == sorted(pairs) for pairs in pool)
     # c_t = T_t + v^-2 T_e, and c_s c_t = c_st
     t, st = (table.elements.index(w) for w in ((-1, 2), (-2, 1)))
@@ -449,13 +507,45 @@ def test_cache_file_layout(tmp_path):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_equal_coefficients_are_one_object(tmp_path, warm):
+def test_the_pool_holds_every_coefficient_once(tmp_path, warm):
     L = WeightFunction(1, 2)
     if warm:
         KLTable(3, L, cache_dir=str(tmp_path)).all_kl_basis()
     table = KLTable(3, L, cache_dir=str(tmp_path))
-    coefs = [x for cw in table.all_kl_basis() for x in cw.values()]
-    assert len({id(x) for x in coefs}) == len(set(coefs)) < len(coefs)
+    positions = [p for _, ps in table.all_kl_basis() for p in ps]
+    pool = table._pool
+    assert pool == sorted(set(pool))  # sorted and distinct
+    assert set(positions) == set(range(len(pool))) and len(pool) < len(positions)
+
+
+@pytest.mark.parametrize("n,ratio", [(n, r) for n in (1, 2, 3, 4) for r in range(1, n + 2)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_each_basis_element_is_two_uint32_arrays(tmp_path, n, ratio, warm):
+    L = WeightFunction(1, ratio)
+    if warm:
+        KLTable(n, L, cache_dir=str(tmp_path)).all_kl_basis()
+    table = KLTable(n, L, cache_dir=str(tmp_path))
+    basis = table.all_kl_basis()
+    assert len(basis) == len(table.elements)
+    for w, (ys, ps) in enumerate(basis):
+        assert (type(ys), ys.typecode, type(ps), ps.typecode) == (array, "I", array, "I")
+        assert len(ys) == len(ps) and ys[-1] == w
+        assert all(y < z for y, z in zip(ys, ys[1:]))
+        assert max(ps) < len(table._pool)
+
+
+def test_a_cold_table_is_small():
+    # c_w as two uint32 arrays over the pool: the n = 4, ratio 3 table
+    # traces 0.59 MiB, where one dict per c_w traced 1.67 MiB
+    _indexed_group(4)
+    tracemalloc.start()
+    try:
+        table = KLTable(4, WeightFunction(1, 3))
+        table.all_kl_basis()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size <= 1.0 * 2 ** 20
 
 
 @pytest.mark.parametrize("n,ratio,digest", [
