@@ -26,11 +26,11 @@ from .verify import (
 )
 from .wgroup import parse_perm
 
-# The Kazhdan-Lusztig oracle keeps c_w for every element of W_n.  At n = 5 a
-# cold table takes about 12 s at 144 MB peak, and `verify conjecture --ratio
-# all` 60 s at 150 MB; with `--cache` a warm table loads in 1 s at 137 MB,
-# and the warm `--ratio all` run takes 6 s at 153 MB (2-CPU box, Python
-# 3.11).  |W_6| = 46,080 is out of reach.
+# The Kazhdan-Lusztig oracle keeps c_w for every element of W_n, 8 bytes a
+# term.  At n = 5 a cold table takes 11-14 s at 53 MB peak, and `verify
+# conjecture --ratio all` 54-59 s at 58 MB; with `--cache` a warm table loads
+# in 0.6 s at 47 MB, and the warm `--ratio all` run takes 4 s at 62 MB (2-CPU
+# box, Python 3.11).  |W_6| = 46,080 is out of reach.
 KL_MAX_N = 5
 # Every suite and cell partition holds W_n: `group_elements(7)` alone peaks
 # at 105 MB, so W_8 needs about 1.7 GB before any check.
