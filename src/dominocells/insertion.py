@@ -11,7 +11,11 @@ both), and one column right when it kept only column-direction claims;
 a vertical that lost just its top square re-enters the next row as a
 horizontal, a horizontal that lost just its left square re-enters the
 next column as a vertical.  Evictions are resolved smallest label first.
-The right tableau records which two squares each step added.
+The right tableau records which two squares each step added: the squares
+the step filled while they were empty, less those that re-entering labels
+vacated, so no step reads the whole map.  Row or column idx <= r starts
+with r + 1 - idx core squares, all 0, and a step's scan of it for where
+a label lands starts after them.
 
 Every insertion runs through `_walk`.  It inserts a run of signed
 permutations in order, and each element restarts from the state of the
@@ -66,10 +70,12 @@ def _reentry(domino, lost) -> Tuple[str, int]:
     return ("col", j2) if lost == {(i1, j1)} else ("row", i1 + 1)
 
 
-def _target(cells: Dict[Square, int], label: int, mode: str, idx: int):
+def _target(cells: Dict[Square, int], label: int, mode: str, idx: int, rank: int):
     """The two squares of row or column `idx` after its leading run of
-    labels below `label`."""
-    c = 0
+    labels below `label`.  The scan starts after the row's or column's
+    squares of the rank-`rank` staircase, which hold 0 wherever the core is
+    intact; rank 0 scans from the first square."""
+    c = rank + 1 - idx if idx <= rank else 0
     if mode == "row":
         while cells.get((idx, c + 1), label) < label:
             c += 1
@@ -80,38 +86,46 @@ def _target(cells: Dict[Square, int], label: int, mode: str, idx: int):
 
 
 def _step(cells: Dict[Square, int], where: Dict[int, Tuple[Square, Square]],
-          value: int, step: int) -> Tuple[Square, Square]:
+          value: int, step: int, rank: int) -> Tuple[Square, Square]:
     """Insert one value, as step `step`, into the live square -> label map
-    `cells`; `where` maps each label to the domino it was last placed on.
-    Returns the two squares the step added, sorted."""
-    before = set(cells)
-    m = abs(value)
+    `cells` of a rank-`rank` walk; `where` maps each label to the domino it
+    was last placed on.  Returns the two squares the step added, sorted:
+    the squares it filled while they were empty, less the squares that
+    re-entering labels vacated, each as often as it was vacated."""
+    u = abs(value)
+    mode, idx = ("row", 1) if value > 0 else ("col", 1)
     losses: Dict[int, Set[Square]] = {}  # evicted label -> squares it lost
-    heap = [m]
-    while heap:
-        u = heapq.heappop(heap)
-        if u == m:
-            mode, idx = ("row", 1) if value > 0 else ("col", 1)
-        else:
-            mode, idx = _reentry(where[u], losses.pop(u))
-            for sq in where[u]:
-                if cells.get(sq) == u:
-                    del cells[sq]
-        where[u] = target = _target(cells, u, mode, idx)
+    heap: List[int] = []
+    filled: List[Square] = []
+    vacated: List[Square] = []
+    while True:
+        where[u] = target = _target(cells, u, mode, idx, rank)
         for sq in target:
             old = cells.get(sq)
-            if old == 0:
+            if old is None:
+                filled.append(sq)
+            elif old == 0:
                 raise AssertionError(f"insertion target {sq} is a core square")
-            if old is not None:
-                if old not in losses:
-                    losses[old] = set()
-                    heapq.heappush(heap, old)
+            elif old in losses:
                 losses[old].add(sq)
+            else:
+                losses[old] = {sq}
+                heapq.heappush(heap, old)
             cells[sq] = u
-    added = cells.keys() - before
-    if len(added) != 2:
-        raise AssertionError(f"step {step} added squares {sorted(added)}")
-    a, b = added
+        if not heap:
+            break
+        u = heapq.heappop(heap)
+        mode, idx = _reentry(where[u], losses.pop(u))
+        for sq in where[u]:
+            if cells.get(sq) == u:
+                del cells[sq]
+                vacated.append(sq)
+    for sq in vacated:
+        if sq in filled:
+            filled.remove(sq)
+    if len(filled) != 2:
+        raise AssertionError(f"step {step} added squares {sorted(filled)}")
+    a, b = filled
     return (a, b) if a < b else (b, a)
 
 
@@ -128,14 +142,16 @@ def _walk(ws: Iterable[SignedPerm], rank: int) -> Iterator[Tuple[SignedPerm, tup
     prev: SignedPerm = ()
     for w in ws:
         k = 0
-        while k < len(prev) and k < len(w) and prev[k] == w[k]:
+        for a, b in zip(prev, w):
+            if a != b:
+                break
             k += 1
         del states[k + 1:]
-        for step in range(k + 1, len(w) + 1):
-            left, where, steps = states[-1]
+        left, where, steps = states[k]
+        for step, value in enumerate(w[k:], start=k + 1):
             left, where = dict(left), dict(where)
-            added = _step(left, where, w[step - 1], step)
-            states.append((left, where, steps + (added,)))
+            steps += (_step(left, where, value, step, rank),)
+            states.append((left, where, steps))
         prev = w
         yield w, tuple(states)
 
@@ -203,7 +219,7 @@ def tableau_classes(n: int, rank: int,
     by_key: Dict[tuple, List[SignedPerm]] = {}
     for w, states in _walk(group_elements(n), rank):
         _, where, steps = states[-1]
-        key = steps if side == "L" else tuple(where[k] for k in range(1, n + 1))
+        key = steps if side == "L" else tuple([where[k] for k in range(1, n + 1)])
         by_key.setdefault(key, []).append(w)
     core = states[0][0]
     return {_tableau(rank, core, key): frozenset(ws) for key, ws in by_key.items()}
@@ -226,7 +242,7 @@ def _rank_pairs(
             for w, states in _walk(ws[done:], rank):
                 _, where, steps = states[-1]
                 core = states[0][0]
-                placed = tuple(where[k] for k in range(1, len(w) + 1))
+                placed = tuple([where[k] for k in range(1, len(w) + 1)])
                 by_steps.setdefault(steps, []).append((w, placed))
                 done += 1
         except Exception as exc:
@@ -367,10 +383,12 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
         region = shape_from_cells(
             [sq for sq, x in cells.items() if x <= lbl and sq not in loose]
         )
+        # `uninsert` takes any top-left region of 0s as the core, so the
+        # scan starts at the first square (rank 0)
         ways = [
             d for d in removable_dominos(region)
             if set(_target(cells, lbl, *_reentry(
-                d, {sq for sq in d if cells[sq] < lbl}))) == now
+                d, {sq for sq in d if cells[sq] < lbl}), 0)) == now
         ]
         if len(ways) != 1:
             raise TableauError(f"domino {lbl} has {len(ways)} ways back, not one")

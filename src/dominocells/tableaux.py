@@ -94,7 +94,7 @@ class DominoTableau:
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple([tuple(r) for r in self.rows]))
 
     # -- basic geometry -------------------------------------------------
 

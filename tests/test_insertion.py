@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 
 from dominocells import insertion as insertion_mod
@@ -210,6 +213,38 @@ def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
             assert pair == _insert(w, r)
             for t in (pair.left, pair.right):
                 assert seen.setdefault(t, t) is t
+
+
+def test_rank_pair_images_are_pinned():
+    # every image (w, left, right) for n <= 5 and ranks up to n + 1, as a digest
+    digest = hashlib.sha256()
+    for n in range(6):
+        for rank in range(n + 2):
+            pairs, failed = _rank_pairs(group_elements(n), rank)
+            assert failed == {}
+            for w, pair in sorted(pairs, key=lambda item: item[0]):
+                digest.update(repr((w, pair.left.rows, pair.right.rows)).encode())
+    assert digest.hexdigest() == (
+        "be83cca7599a8e4750adcf1c11377a81206efc2236abbdfdcee9ebe77cbc6de0")
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_walk_makes_one_step_per_signed_prefix(monkeypatch, n):
+    # the signed prefixes of length k number 2^k n!/(n-k)!: 6,330 at n = 5
+    prefixes = sum(2 ** k * math.perm(n, k) for k in range(1, n + 1))
+    healthy = insertion_mod._step
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return healthy(*args)
+
+    monkeypatch.setattr(insertion_mod, "_step", counted)
+    for r in (0, n):
+        for elems in (group_elements(n), sorted(group_elements(n), reverse=True)):
+            calls.clear()
+            assert sum(1 for _ in _walk(elems, r)) == 2 ** n * math.factorial(n)
+            assert len(calls) == prefixes
 
 
 def test_walk_never_changes_a_yielded_state():

@@ -148,11 +148,11 @@ def test_verify_insertion_restarts_the_walk_after_a_failing_step(monkeypatch):
     # the walk; rank 0 inserts every element
     healthy = insertion_mod._step
 
-    def failing(cells, where, value, step):
+    def failing(cells, where, value, step, rank):
         if (step == 2 and value == -2 and cells.get((1, 1)) == 0 and 1 in where
                 and where[1][0][0] == where[1][1][0] == 1):
             raise AssertionError("injected step failure")
-        return healthy(cells, where, value, step)
+        return healthy(cells, where, value, step, rank)
 
     monkeypatch.setattr(insertion_mod, "_step", failing)
     expected = set()
