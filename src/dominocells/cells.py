@@ -4,9 +4,13 @@ Combinatorial cell partitions of the signed permutation group.
 Two elements share a left combinatorial r-cell when their right insertion
 tableaux agree up to moving through a set of non-core open cycles; right
 cells use the left tableaux, and two-sided cells are the transitive
-closure of both.  Each one-sided partition reads `tableau_classes`, with
-one cycle fingerprint per class.  For r >= n - 1 the partitions stabilize
-("asymptotic" cells).  Partitions are stored with canonically sorted
+closure of both.  Every partition reads the one class map,
+`tableau_classes`, once, with one cycle fingerprint per class, and numbers
+the left cells.  The left tableau of w is the right tableau of w^-1, so w
+lies in right cell i exactly when w^-1 lies in left cell i, and the
+two-sided cells join the cells that share an element: a union-find over
+the left and right cell numbers, not over W_n.  For r >= n - 1 the
+partitions stabilize ("asymptotic" cells).  Partitions are stored with canonically sorted
 blocks so they can be compared and serialized deterministically.  A block
 is looked up by element through one element -> block map, built on the
 first lookup; `CellPartition.misfits` compares two partitions block by
@@ -28,12 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .cycles import REGULAR, components, noncore_orbit
 from .insertion import tableau_classes
 from .tableaux import DominoTableau
-from .wgroup import SignedPerm, group_elements
+from .wgroup import SignedPerm, group_elements, inverse
 
 __all__ = [
     "CellPartition", "class_of_tableau", "cell_fingerprint",
@@ -89,7 +93,7 @@ def class_of_tableau(t: DominoTableau, n: int) -> FrozenSet[SignedPerm]:
     """All w whose rank-r recording tableau equals t."""
     if t.n != n:
         raise ValueError(f"tableau has {t.n} dominos, expected {n}")
-    return tableau_classes(n, t.rank, "L").get(t, frozenset())
+    return tableau_classes(n, t.rank).get(t, frozenset())
 
 
 @lru_cache(maxsize=1 << 17)
@@ -105,19 +109,31 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
         raise ValueError("side must be L, R or LR")
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    if side in ("L", "R"):
-        groups: Dict[Tuple, set] = {}
-        for t, ws in tableau_classes(n, rank, side).items():
-            groups.setdefault(cell_fingerprint(t), set()).update(ws)
-        blocks = tuple(frozenset(g) for g in groups.values())
-        return CellPartition(n, f"comb r={rank} {side}", blocks)
-    links = []
-    for side in ("L", "R"):
-        for block in combinatorial_cells(n, rank, side).blocks:
-            ws = list(block)
-            links.extend(zip(ws, ws[1:]))
-    blocks = tuple(frozenset(g) for g in components(group_elements(n), links))
-    return CellPartition(n, f"comb r={rank} LR", blocks)
+    # the element -> cell map of `_cell_lists` is freed before the blocks are
+    # frozen, and the lists before the partition checks them
+    blocks = tuple(frozenset(b) for b in _cell_lists(n, rank, side))
+    return CellPartition(n, f"comb r={rank} {side}", blocks)
+
+
+def _cell_lists(n: int, rank: int, side: str) -> List[List[SignedPerm]]:
+    """The elements of each cell on one side, read from the one class map."""
+    groups: Dict[Tuple, List[SignedPerm]] = {}
+    for t, ws in tableau_classes(n, rank).items():
+        groups.setdefault(cell_fingerprint(t), []).extend(ws)
+    left = list(groups.values())
+    if side == "L":
+        return left
+    cell = {w: i for i, ws in enumerate(left) for w in ws}  # w -> its left cell
+    if side == "R":
+        right: List[List[SignedPerm]] = [[] for _ in left]
+        for w in group_elements(n):
+            right[cell[inverse(w)]].append(w)
+        return right
+    # left cell i is node i, right cell j node k + j; w links its two cells
+    k = len(left)
+    links = ((cell[w], k + cell[inverse(w)]) for w in group_elements(n))
+    return [[w for i in nodes if i < k for w in left[i]]
+            for nodes in components(range(2 * k), links)]
 
 
 def asymptotic_cells(n: int, side: str = "L") -> CellPartition:

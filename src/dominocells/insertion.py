@@ -23,12 +23,16 @@ prefix it shares with the element before it, so on `group_elements(n)`,
 in increasing order, each signed prefix is inserted once; one element is
 a walk of length one.  A state holds the squares each step added and each
 label's domino, which `_tableau` freezes into the recording and the
-insertion tableau.  `tableau_classes` groups W_n by either and freezes
-each distinct tableau once.  Every reader of all of W_n reads the walk:
-the cell partitions, `verify classes` and `intermediate` (its split
-elements too) the classes, `verify tau` its live states, freezing each
-distinct recording tableau once, and `verify insertion` each rank's pairs
-through `_rank_pairs`.  No suite reads back the memo on `insert`.
+insertion tableau.  `tableau_classes` groups W_n by recording tableau and
+freezes each distinct one once; it is the one class map.  The insertion
+tableau of w is the recording tableau of w^-1 (van Leeuwen; Lam), so the
+classes of insertion tableaux are these classes inverted, and no code
+groups W_n by them.  `verify insertion` checks that symmetry at every rank
+it walks.  Every reader of all of W_n reads the walk: the cell partitions,
+`verify classes` and `intermediate` (its split elements too) the classes,
+`verify tau` its live states, freezing each distinct recording tableau
+once, and `verify insertion` each rank's pairs through `_rank_pairs`.  No
+suite reads back the memo on `insert`.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
@@ -61,11 +65,12 @@ __all__ = [
 
 
 def _reentry(domino, lost) -> Tuple[str, int]:
-    """Where an evicted domino re-enters, given the squares it lost: the row
-    below when it kept only row-direction claims, the column to the right
-    when it kept only column-direction claims."""
-    (i1, j1), (i2, j2) = sorted(domino)
-    if j1 == j2:  # vertical; sorted puts the top first
+    """Where an evicted domino, its two squares in order, re-enters, given
+    the squares it lost: the row below when it kept only row-direction
+    claims, the column to the right when it kept only column-direction
+    claims."""
+    (i1, j1), (i2, j2) = domino
+    if j1 == j2:  # vertical, the top square first
         return ("row", i2) if lost == {(i1, j1)} else ("col", j1 + 1)
     return ("col", j2) if lost == {(i1, j1)} else ("row", i1 + 1)
 
@@ -197,32 +202,29 @@ def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     ]
 
 
-# Two entries: the class check compares rank r with r+1, and a two-sided
-# partition reads both sides of a rank.
+# Two entries: the class check compares rank r with r+1.
 @lru_cache(maxsize=2)
-def tableau_classes(n: int, rank: int,
-                    side: str) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
-    """Tableau -> its class for all of W_n at one rank: side "L" groups by
-    recording tableau, side "R" by insertion tableau.
+def tableau_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPerm]]:
+    """Recording tableau -> its class, for all of W_n at one rank.
 
     One walk over `group_elements(n)`, in increasing order, inserts each
-    signed prefix once, groups W_n by the squares each step added or by each
-    label's domino, and freezes each distinct tableau once.  The classes
-    hold the tuples of `group_elements(n)`.  At rank 1 there is one class per
-    standard domino tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3
-    (I(k) counts the involutions of k letters), and they cover |W_3| = 48:
+    signed prefix once, groups W_n by the squares each step added, and
+    freezes each distinct recording tableau once.  The classes hold the
+    tuples of `group_elements(n)`.  The insertion tableau of w is the
+    recording tableau of w^-1, so grouping by insertion tableau gives these
+    classes inverted.  At rank 1 there is one class per standard domino
+    tableau, sum_k C(3,k) I(k) I(3-k) = 20 of them for n = 3 (I(k) counts
+    the involutions of k letters), and they cover |W_3| = 48:
 
-    >>> classes = tableau_classes(3, 1, "R")
+    >>> classes = tableau_classes(3, 1)
     >>> len(classes), sum(map(len, classes.values()))
     (20, 48)
     """
-    by_key: Dict[tuple, List[SignedPerm]] = {}
+    by_steps: Dict[tuple, List[SignedPerm]] = {}
     for w, states in _walk(group_elements(n), rank):
-        _, where, steps = states[-1]
-        key = steps if side == "L" else tuple([where[k] for k in range(1, n + 1)])
-        by_key.setdefault(key, []).append(w)
+        by_steps.setdefault(states[-1][2], []).append(w)
     core = states[0][0]
-    return {_tableau(rank, core, key): frozenset(ws) for key, ws in by_key.items()}
+    return {_tableau(rank, core, steps): frozenset(ws) for steps, ws in by_steps.items()}
 
 
 def _rank_pairs(
@@ -388,7 +390,7 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
         ways = [
             d for d in removable_dominos(region)
             if set(_target(cells, lbl, *_reentry(
-                d, {sq for sq in d if cells[sq] < lbl}), 0)) == now
+                sorted(d), {sq for sq in d if cells[sq] < lbl}), 0)) == now
         ]
         if len(ways) != 1:
             raise TableauError(f"domino {lbl} has {len(ways)} ways back, not one")

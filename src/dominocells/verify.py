@@ -27,7 +27,7 @@ from .insertion import (
 from .tableaux import _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
-    tau_invariant,
+    inverse, tau_invariant,
 )
 
 __all__ = [
@@ -96,17 +96,22 @@ def _timed(fn):
 @_timed
 def verify_insertion(n: int, rmax: int) -> Report:
     """Bijectivity, roundtrips, the counting identity, bitableau agreement
-    in the stable range, and compatibility of the rank-raising map with
-    insertion at the next rank."""
+    in the stable range, compatibility of the rank-raising map with
+    insertion at the next rank, and, at every rank walked, the symmetry
+    P(w) = Q(w^-1): the left tableau of w is the right tableau of w^-1."""
     report = Report("insertion", {"n": n, "rmax": rmax})
     elems = group_elements(n)
     order = (2 ** n) * math.factorial(n)
     report.counts["elements"] = len(elems)
-    # two ranks at a time: rank r's pairs are checked against rank r + 1's
+    # two ranks at a time: rank r's pairs are checked against rank r + 1's,
+    # and each rank's w -> pair map serves the rank-raise check one rank
+    # below and the symmetry check at its own rank
     pairs, failed = _rank_pairs(elems, 0)
+    by_w = dict(pairs)
     for r in range(rmax + 1):
         upper, upper_failed = _rank_pairs(elems, r + 1)
         raised = dict(upper)
+        _check_symmetry(report, pairs, by_w, r)
         for w, exc in failed.items():
             report.fail({"kind": "insert", "w": format_perm(w), "r": r,
                          "error": str(exc)})
@@ -146,9 +151,20 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
         if len(seen) != order:
             report.fail({"kind": "image-size", "r": r, "size": len(seen)})
-        pairs, failed = upper, upper_failed
+        pairs, failed, by_w = upper, upper_failed, raised
+    _check_symmetry(report, pairs, by_w, rmax + 1)
     report.counts["ranks"] = rmax + 1
     return report
+
+
+def _check_symmetry(report: Report, pairs, by_w: Dict, r: int) -> None:
+    """Fail each w of the rank-r `pairs` whose left tableau is not the right
+    tableau of w^-1 in `by_w`; a w^-1 whose insertion failed is reported
+    as such already."""
+    for w, pair in pairs:
+        other = by_w.get(inverse(w))
+        if other is not None and other.right != pair.left:
+            report.fail({"kind": "symmetry", "w": format_perm(w), "r": r})
 
 
 @_timed
@@ -281,9 +297,13 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     if n < 2:
         raise ValueError("needs n >= 2")
     report = Report("intermediate", {"n": n})
-    split = {w for r in range(n - 1) for t, ws in tableau_classes(n, r, "R").items()
+    # splitness is a property of the shape, and the insertion and recording
+    # tableaux of w share theirs, so the recording classes give the split set
+    split = {w for r in range(n - 1) for t, ws in tableau_classes(n, r).items()
              if t.is_split() for w in ws}
     nonsplit = set(group_elements(n)) - split
+    # rank n - 2 is still in the class map's cache here
+    comb = combinatorial_cells(n, n - 2, "L")
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
     asym = asymptotic_cells(n, "L")
     report.counts["kl_blocks"] = len(kl.blocks)
@@ -312,7 +332,7 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         if frozenset(tau_classes[tau_invariant(min(block))]) != block:
             report.fail({"kind": "tau-class-mismatch", "size": len(block)})
     # (iv) rank n-1 recording tableaux of non-split elements with equal tau
-    right = {w: t for t, ws in tableau_classes(n, n - 1, "L").items() for w in ws}
+    right = {w: t for t, ws in tableau_classes(n, n - 1).items() for w in ws}
     for tau, ws in tau_classes.items():
         tabs = [right[w] for w in ws]
         reps = {t.rows for t in tabs}
@@ -323,7 +343,6 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
         if reps != {moved.rows for _, moved in orbit}:
             report.fail({"kind": "two-tableaux", "tau": str(tau), "count": len(reps)})
     # (v) the closing equivalence at rank n-2
-    comb = combinatorial_cells(n, n - 2, "L")
     if not comb.same_partition(kl):
         report.fail({"kind": "closing-iff"})
     # cross-count emitted in the report

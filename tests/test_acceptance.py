@@ -148,7 +148,7 @@ def test_c04_bijectivity_and_counting():
     t0 = time.perf_counter()
     failures = []
     kinds = {"insert", "collision", "roundtrip", "bitableaux", "counting",
-             "image-size"}
+             "image-size", "symmetry"}
     for n in (1, 2, 3, 4, 5):
         report = _insertion_report(n)
         bad = [c for c in report.counterexamples if c.get("kind") in kinds]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -57,6 +58,18 @@ def test_right_cells_are_left_cells_of_inverses():
                 n, "flip", tuple(frozenset(inverse(w) for w in b) for b in left.blocks)
             )
             assert right.same_partition(flipped)
+
+
+def test_partitions_are_pinned():
+    # every left, right and two-sided partition for n <= 5 and ranks 0..n,
+    # as one digest of their JSON
+    digest = hashlib.sha256()
+    for n in range(6):
+        for rank in range(n + 1):
+            for side in ("L", "R", "LR"):
+                digest.update(combinatorial_cells(n, rank, side).to_json().encode())
+    assert digest.hexdigest() == (
+        "f0f2851e749006ca1fc7b360642b3c6991a0bc4d35de9891be4066c85a9e7747")
 
 
 def test_asymptotic_block_counts():

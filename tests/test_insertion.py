@@ -12,7 +12,7 @@ from dominocells.insertion import (
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical,
 )
-from dominocells.wgroup import group_elements
+from dominocells.wgroup import group_elements, inverse
 from wgroup_oracles import is_nonsplit, split_ranks
 
 W = (4, 1, -3, -2)
@@ -183,8 +183,11 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
         for w in group_elements(n):
             expected.setdefault(_insert(w, r).right, set()).add(w)
             by_left.setdefault(_insert(w, r).left, set()).add(w)
-        assert tableau_classes(n, r, "L") == {t: frozenset(ws) for t, ws in expected.items()}
-        assert tableau_classes(n, r, "R") == {t: frozenset(ws) for t, ws in by_left.items()}
+        classes = tableau_classes(n, r)
+        assert classes == {t: frozenset(ws) for t, ws in expected.items()}
+        # the classes of insertion tableaux are the recording classes inverted
+        assert {t: frozenset(map(inverse, ws)) for t, ws in classes.items()} == {
+            t: frozenset(ws) for t, ws in by_left.items()}
         for elems in orders:
             walked = {}
             for w, states in _walk(elems, r):
@@ -229,6 +232,17 @@ def test_rank_pair_images_are_pinned():
 
 
 @pytest.mark.parametrize("n", range(6))
+def test_left_tableau_is_the_right_tableau_of_the_inverse(n):
+    # P(w) = Q(w^-1) at every rank up to n + 1
+    for rank in range(n + 2):
+        pairs, failed = _rank_pairs(group_elements(n), rank)
+        assert failed == {}
+        by_w = dict(pairs)
+        for w, pair in pairs:
+            assert pair.left == by_w[inverse(w)].right
+
+
+@pytest.mark.parametrize("n", range(6))
 def test_walk_makes_one_step_per_signed_prefix(monkeypatch, n):
     # the signed prefixes of length k number 2^k n!/(n-k)!: 6,330 at n = 5
     prefixes = sum(2 ** k * math.perm(n, k) for k in range(1, n + 1))
@@ -270,7 +284,7 @@ def test_both_insertion_paths_run_the_step_assertions(monkeypatch, target, rank,
 def test_recording_classes_hold_the_group_elements_themselves():
     held = {id(w) for w in group_elements(4)}
     for r in range(6):
-        for ws in tableau_classes(4, r, "L").values():
+        for ws in tableau_classes(4, r).values():
             assert all(id(w) in held for w in ws)
 
 

@@ -11,7 +11,7 @@ from dominocells.cells import CellPartition, combinatorial_cells
 from dominocells.cli import _build_parser, main
 from dominocells.hecke import KLTable, WeightFunction, kl_cells
 from dominocells.insertion import insert
-from dominocells.tableaux import DominoTableau
+from dominocells.tableaux import DominoTableau, TableauPair
 from dominocells.verify import (
     Report, verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
@@ -118,6 +118,31 @@ def test_verify_insertion_reports_moved_shapes_that_do_not_match(monkeypatch):
         {"kind": "rank-raise", "w": format_perm(w), "r": 1, "error": error}]
     assert report.counts["pairs_checked"] == 24
     assert verify_insertion(2, 2).status == "pass"
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
+    # one pair of the rank gets the left tableau of another pair of its
+    # shape; ranks 0 and 2 are the first and the last that the run walks
+    healthy = verify_mod._rank_pairs
+    swapped = []
+
+    def one_swapped(ws, r):
+        pairs, failed = healthy(ws, r)
+        for k, (w, pair) in enumerate(pairs if r == rank else ()):
+            others = [p.left for _, p in pairs
+                      if p.left.shape == pair.left.shape and p.left != pair.left]
+            if others:
+                pairs[k] = (w, TableauPair(others[0], pair.right))
+                swapped.append(w)
+                break
+        return pairs, failed
+
+    monkeypatch.setattr(verify_mod, "_rank_pairs", one_swapped)
+    report = verify_insertion(2, 1)
+    (w,) = swapped
+    assert report.failures["symmetry"] == 1
+    assert {"kind": "symmetry", "w": format_perm(w), "r": rank} in report.counterexamples
 
 
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):

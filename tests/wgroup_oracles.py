@@ -35,11 +35,12 @@ def right_descends(w, kind, index):
 @lru_cache(maxsize=None)
 def split_ranks(n):
     """w -> the least rank r at which the insertion tableau of w is split,
-    for all of W_n: the rank-r classes of split insertion tableaux, read
-    the way `verify intermediate` reads its split elements."""
+    for all of W_n: the rank-r classes of split recording tableaux, of the
+    same shapes, read the way `verify intermediate` reads its split
+    elements."""
     ranks = {}
     for r in range(max(n, 1)):
-        for t, ws in tableau_classes(n, r, "R").items():
+        for t, ws in tableau_classes(n, r).items():
             if t.is_split():
                 for w in ws:
                     ranks.setdefault(w, r)
