@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import eq
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .cycles import REGULAR, components, noncore_orbit
@@ -56,8 +57,10 @@ class CellPartition:
         if frozenset() in blocks:
             raise ValueError(f"block {blocks.index(frozenset())} of {self.label!r} is empty")
         object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
-        covered = tuple(sorted(w for b in self.blocks for w in b))
-        if covered != group_elements(self.n):
+        # one sorted list, compared item by item with the sorted group
+        covered = sorted(w for b in self.blocks for w in b)
+        elements = group_elements(self.n)
+        if len(covered) != len(elements) or not all(map(eq, covered, elements)):
             raise ValueError(f"blocks do not partition W_{self.n}")
 
     @cached_property

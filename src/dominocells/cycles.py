@@ -296,7 +296,9 @@ def extended_cycles(left: DominoTableau, right: DominoTableau) -> ExtendedCycles
 def _link(*rels: _Relocation) -> list:
     """The extended cycles of one pass or a same-shape pair of passes, as
     sorted label groups per pass.  A lone pass has no cross-side links, so
-    its groups are its core cycles."""
+    its groups are its core cycles, which the pass holds in sorted order."""
+    if len(rels) == 1:
+        return [tuple([c.labels for c in rels[0].cycles if c.kind == "core-open"])]
     nodes = [  # (side, labels, is_core, shape-delta) per open cycle
         (side, c.labels, c.kind == "core-open", c.squares)
         for side, rel in enumerate(rels)

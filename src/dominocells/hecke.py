@@ -198,10 +198,10 @@ def _indexed_group(n: int) -> _IndexedGroup:
     # a stable sort of the increasing one-line order is (length, w) order
     elements = tuple(sorted(group_elements(n), key=length))
     index = {w: i for i, w in enumerate(elements)}
-    lmul = tuple(
-        tuple(index[compose(s, w)] for w in elements) for s in simple_generators(n)
-    )
-    inv = tuple(index[inverse(w)] for w in elements)
+    lmul = tuple([
+        tuple([index[compose(s, w)] for w in elements]) for s in simple_generators(n)
+    ])
+    inv = tuple([index[inverse(w)] for w in elements])
     return _IndexedGroup(elements, index, lmul, inv)
 
 

@@ -38,7 +38,11 @@ The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
 a step, the labels largest first, finding each moved domino's old place
 as the one removable domino that the re-entry rule sends onto its new
-place.
+place.  `uninsert` validates its argument: `check_standard` checks the
+left tableau and hands back the square -> label and label -> squares maps
+that the undo runs on.  `verify insertion` undoes every pair of a rank
+through the same core, `_uninsert`, and validates each distinct left
+tableau once per rank, not once per pair.
 
 For rank >= n-1 the signs never interact and the whole map degenerates to
 a pair of ordinary Robinson-Schensted insertions, one on the positive
@@ -53,9 +57,10 @@ from functools import cache, lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from .shapes import (
-    Shape, Square, cells_of_shape, removable_dominos, shape_from_cells, staircase,
+    Shape, Square, cells_of_shape, is_removable, removable_dominos, shape_from_cells,
+    staircase,
 )
-from .tableaux import DominoTableau, TableauError, TableauPair, _dominos
+from .tableaux import DominoTableau, TableauError, TableauPair
 from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
@@ -315,10 +320,10 @@ def _transpose(t):
     """Conjugate of an ordinary tableau given as rows."""
     if not t:
         return ()
-    return tuple(
-        tuple(t[a][b] for a in range(len(t)) if len(t[a]) > b)
+    return tuple([
+        tuple([t[a][b] for a in range(len(t)) if len(t[a]) > b])
         for b in range(len(t[0]))
-    )
+    ])
 
 
 def asymptotic_bitableaux(w: SignedPerm, rank: int) -> TableauPair:
@@ -333,13 +338,37 @@ def asymptotic_bitableaux(w: SignedPerm, rank: int) -> TableauPair:
     neg_steps = [k for k, x in enumerate(w, start=1) if x < 0]
     pos_p, pos_q = rs_insert([w[k - 1] for k in pos_steps])
     neg_p, neg_q = rs_insert([-w[k - 1] for k in neg_steps])
-    pos_q = tuple(tuple(pos_steps[s - 1] for s in row) for row in pos_q)
-    neg_q = tuple(tuple(neg_steps[s - 1] for s in row) for row in neg_q)
+    pos_q = tuple([tuple([pos_steps[s - 1] for s in row]) for row in pos_q])
+    neg_q = tuple([tuple([neg_steps[s - 1] for s in row]) for row in neg_q])
     left = _embed_bitableaux(pos_p, _transpose(neg_p), rank)
     right = _embed_bitableaux(pos_q, _transpose(neg_q), rank)
     return TableauPair(
         DominoTableau.from_cells(rank, left), DominoTableau.from_cells(rank, right)
     )
+
+
+def _cut(rows: List[int], squares) -> List[int]:
+    """The row lengths `rows` of a diagram, less `squares` taken rightmost
+    first, when each is the last square of its row as it goes; [] when one
+    is not."""
+    rows = list(rows)
+    for i, j in sorted(squares, reverse=True):
+        if not 0 < i <= len(rows) or rows[i - 1] != j:
+            return []
+        rows[i - 1] = j - 1
+    return rows
+
+
+def _region(cells: Dict[Square, int], lbl: int, loose, below: List[int]) -> Shape:
+    """The shape of the squares of `cells` that hold labels up to `lbl` and
+    are not `loose`.  `below` holds the row lengths of the squares that
+    hold labels up to `lbl`, or [] when they are not known; when cutting
+    `loose` from them leaves a diagram, that is the region.  Otherwise the
+    map is read, and raises ValueError when the squares are no diagram."""
+    rows = below and _cut(below, loose)
+    if rows and all(a >= b for a, b in zip(rows, rows[1:])):
+        return tuple([x for x in rows if x])
+    return shape_from_cells([sq for sq, x in cells.items() if x <= lbl and sq not in loose])
 
 
 def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
@@ -357,47 +386,46 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
     vertical one in column 1 is the inserted value: no evicted domino
     re-enters there.  Any other label was evicted from the one removable
     domino of "core plus labels up to it, less `loose`" that re-enters onto
-    its current squares.
+    its current squares.  That region is read from `below`, the row lengths
+    of the core plus the labels not yet passed: each label passed cuts its
+    domino from them, which on a standard tableau always leaves the ends of
+    rows, so the map is read only when it does not.
     """
-    if frozenset(added) not in removable_dominos(shape):
+    if not is_removable(shape, added):
         raise TableauError(f"squares {sorted(added)} are not a removable domino")
     loose = set(added)
     moved: Dict[int, FrozenSet[Square]] = {}
+    below = list(shape)
     for lbl in sorted(dominos, reverse=True):
         now = dominos[lbl]
-        if not now & loose:
-            continue
-        (i1, j1), (i2, j2) = sorted(now)
-        if i1 == i2 == 1 or j1 == j2 == 1:
-            if now != loose:
-                raise TableauError(f"entry domino {lbl} is not the step's squares")
-            for k in (lbl, *moved):
-                for sq in dominos[k]:
-                    del cells[sq]
-            del dominos[lbl]
-            for k, d in moved.items():
-                cells.update(dict.fromkeys(d, k))
-                dominos[k] = d
-            rows = list(shape)
-            for i, _ in added:
-                rows[i - 1] -= 1
-            return (lbl if i1 == i2 else -lbl), tuple(x for x in rows if x)
-        region = shape_from_cells(
-            [sq for sq, x in cells.items() if x <= lbl and sq not in loose]
-        )
-        # `uninsert` takes any top-left region of 0s as the core, so the
-        # scan starts at the first square (rank 0)
-        ways = [
-            d for d in removable_dominos(region)
-            if set(_target(cells, lbl, *_reentry(
-                sorted(d), {sq for sq in d if cells[sq] < lbl}), 0)) == now
-        ]
-        if len(ways) != 1:
-            raise TableauError(f"domino {lbl} has {len(ways)} ways back, not one")
-        moved[lbl] = ways[0]
-        # the smaller labels gained the old domino and whatever is still
-        # loose, except the squares this label holds now
-        loose = (loose | ways[0]) - now
+        if now & loose:
+            (i1, j1), (i2, j2) = sorted(now)
+            if i1 == i2 == 1 or j1 == j2 == 1:
+                if now != loose:
+                    raise TableauError(f"entry domino {lbl} is not the step's squares")
+                for k in (lbl, *moved):
+                    for sq in dominos[k]:
+                        del cells[sq]
+                del dominos[lbl]
+                for k, d in moved.items():
+                    cells.update(dict.fromkeys(d, k))
+                    dominos[k] = d
+                before = tuple([x for x in _cut(shape, added) if x])
+                return (lbl if i1 == i2 else -lbl), before
+            # `uninsert` takes any top-left region of 0s as the core, so the
+            # scan starts at the first square (rank 0)
+            ways = [
+                d for d in removable_dominos(_region(cells, lbl, loose, below))
+                if set(_target(cells, lbl, *_reentry(
+                    sorted(d), {sq for sq in d if cells[sq] < lbl}), 0)) == now
+            ]
+            if len(ways) != 1:
+                raise TableauError(f"domino {lbl} has {len(ways)} ways back, not one")
+            moved[lbl] = ways[0]
+            # the smaller labels gained the old domino and whatever is still
+            # loose, except the squares this label holds now
+            loose = (loose | ways[0]) - now
+        below = below and _cut(below, now)
     raise TableauError(f"no entry domino covers the squares {sorted(added)}")
 
 
@@ -405,21 +433,30 @@ def uninsert(pair: TableauPair) -> SignedPerm:
     """The signed permutation mapping to `pair` under rank-`pair.rank`
     insertion, by reverse bumping: the steps the right tableau records are
     undone last first, on one square -> label map and one label -> squares
-    map of the left tableau.
+    map of the left tableau, which `check_standard` validates and hands
+    back.
 
     >>> uninsert(insert((4, 1, -3, -2), 2))
     (4, 1, -3, -2)
     """
-    pair.left.check_standard(strict_core=False)
-    cells, shape = pair.left.cells(), pair.shape
-    dominos = _dominos(cells)
-    recorded = pair.right.dominos
+    cells, dominos = pair.left.check_standard(strict_core=False)
+    return _uninsert(cells, dominos, pair.shape, pair.right.dominos, pair.rank)
+
+
+def _uninsert(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
+              shape: Shape, recorded: Dict[int, FrozenSet[Square]],
+              rank: int) -> SignedPerm:
+    """`uninsert` of a pair whose left tableau is checked already: its
+    square -> label map `cells` and label -> squares map `dominos`, which
+    are undone in place, its shape, and the label -> squares map
+    `recorded` of the right tableau."""
     w: List[int] = []
     for k in range(len(recorded), 0, -1):
         if k not in recorded:
             raise TableauError(f"no domino labeled {k}")
         value, shape = _undo_step(cells, dominos, shape, recorded[k])
         w.append(value)
-    if shape != staircase(pair.rank):
-        raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")
-    return tuple(reversed(w))
+    if shape != staircase(rank):
+        raise TableauError(f"core squares do not form the rank-{rank} staircase")
+    w.reverse()
+    return tuple(w)

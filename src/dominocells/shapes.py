@@ -17,7 +17,8 @@ from typing import FrozenSet, Iterator, List, Tuple
 
 __all__ = [
     "Shape", "Square", "staircase", "is_young", "cells_of_shape", "rows_of_cells",
-    "addable_dominos", "removable_dominos", "diagonal", "shape_from_cells",
+    "addable_dominos", "removable_dominos", "is_removable", "diagonal",
+    "shape_from_cells",
 ]
 
 Shape = tuple  # weakly decreasing tuple[int, ...]
@@ -121,6 +122,26 @@ def removable_dominos(shape: Shape) -> FrozenSet[FrozenSet[Square]]:
         if ln == rows[i] > rows[i + 1]:
             out.add(frozenset({(i, ln), (i + 1, ln)}))
     return frozenset(out)
+
+
+def is_removable(shape: Shape, squares) -> bool:
+    """True when `squares` is one of `removable_dominos(shape)`, read from
+    the rows it would end without building the others.
+
+    >>> is_removable((3, 1, 1), {(2, 1), (3, 1)})
+    True
+    >>> is_removable((3, 1, 1), {(1, 1), (1, 2)})
+    False
+    """
+    if len(squares) != 2:
+        return False
+    (i1, j1), (i2, j2) = sorted(squares)
+    rows = tuple(shape) + (0, 0)
+    if not 1 <= i1 <= len(shape) or rows[i1 - 1] != j2:
+        return False
+    if i1 == i2:
+        return j2 == j1 + 1 and rows[i1] <= j1 - 1
+    return i2 == i1 + 1 and j1 == j2 == rows[i2 - 1] > rows[i2]
 
 
 def diagonal(k: int) -> FrozenSet[Square]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .cells import asymptotic_cells, class_of_tableau, combinatorial_cells
 from .cycles import (
@@ -22,9 +22,11 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _rank_pairs, _tableau, _walk, asymptotic_bitableaux, tableau_classes, uninsert,
+    _rank_pairs, _tableau, _uninsert, _walk, asymptotic_bitableaux, tableau_classes,
 )
-from .tableaux import _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau
+from .tableaux import (
+    _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
+)
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
     inverse, tau_invariant,
@@ -118,18 +120,17 @@ def verify_insertion(n: int, rmax: int) -> Report:
         seen = {}
         # unnamed, the raised list is gone before the next rank's walk
         sides = ((pair.left, pair.right) for _, pair in pairs)
-        for (w, pair), up in zip(pairs, _shift(sides, REGULAR)):
+        for (w, pair), up, back in zip(pairs, _shift(sides, REGULAR), _undone(pairs)):
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
                              "w": format_perm(w), "other": format_perm(seen[key])})
             seen[key] = w
-            try:
-                if uninsert(pair) != w:
-                    report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
-            except Exception as exc:
+            if isinstance(back, Exception):
                 report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
-                             "error": str(exc)})
+                             "error": str(back)})
+            elif back != w:
+                report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
             if r >= n - 1:
                 bit = asymptotic_bitableaux(w, r)
                 if bit.left != pair.left or bit.right != pair.right:
@@ -155,6 +156,38 @@ def verify_insertion(n: int, rmax: int) -> Report:
     _check_symmetry(report, pairs, by_w, rmax + 1)
     report.counts["ranks"] = rmax + 1
     return report
+
+
+def _undone(pairs) -> Iterator:
+    """`uninsert` of each of one rank's `pairs`, in order, or the exception
+    it met.  Each distinct left tableau is checked once: the first pair
+    that holds it undoes the maps its check read, and later pairs read
+    them again from its rows, so no maps outlive their pair.  The pairs
+    come grouped by recording tableau, so the right tableau's dominos are
+    read once per group."""
+    checked: Dict = {}  # left tableau -> the error its check met, or None
+    right = recorded = None
+    for _, pair in pairs:
+        if pair.right is not right:
+            right, recorded = pair.right, pair.right.dominos
+        left = pair.left
+        if left not in checked:
+            try:
+                cells, dominos = left.check_standard(strict_core=False)
+                checked[left] = None
+            except Exception as exc:
+                checked[left] = exc
+        elif checked[left] is None:
+            cells = left.cells()
+            dominos = _dominos(cells)
+        if checked[left] is not None:
+            yield checked[left]
+            continue
+        try:
+            back = _uninsert(cells, dominos, pair.shape, recorded, pair.rank)
+        except Exception as exc:
+            back = exc
+        yield back
 
 
 def _check_symmetry(report: Report, pairs, by_w: Dict, r: int) -> None:

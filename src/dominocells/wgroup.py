@@ -66,7 +66,7 @@ def compose(u: SignedPerm, w: SignedPerm) -> SignedPerm:
     """
     if len(u) != len(w):
         raise ValueError("rank mismatch")
-    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in w)
+    return tuple([u[x - 1] if x > 0 else -u[-x - 1] for x in w])
 
 
 def inverse(w: SignedPerm) -> SignedPerm:

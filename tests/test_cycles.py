@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -383,6 +384,19 @@ def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
         assert len(moved) == len(calls["_apply_moves"]) == len(calls["_normalized"])
         moves.append(len(moved))
     assert moves == [102, 104, 90, 76, 76]
+
+
+def test_core_raise_is_pinned():
+    # a lone tableau's extended cycles are its core cycles; digest of every
+    # raised tableau for n <= 5, ranks 0..n, computed before the one-pass
+    # link
+    digest = hashlib.sha256()
+    for n in range(6):
+        for rank in range(n + 1):
+            for t in enumerate_sdt(n, rank):
+                digest.update(repr(core_raise(t).rows).encode())
+    assert digest.hexdigest() == (
+        "f0ab1c615c33fb7a44ca6b1083af0d18aece7b83234549ae8ffc40acbcea7dd3")
 
 
 def test_core_raise_and_lower_are_mutually_inverse():

@@ -95,6 +95,15 @@ def test_undo_step_fails_loudly():
         _undo_step(swapped, _dominos(swapped), (2, 2), {(1, 2), (2, 2)})
 
 
+def test_undo_step_reads_a_region_that_is_no_diagram_from_the_map():
+    # labels 1 and 3 of ((1, 1, 3, 3), (2, 2)) swapped: once label 3 has
+    # left the end of row 1, the squares of labels up to 2, less the
+    # step's, are no diagram, and the map's own reading says so
+    mixed = {(1, 1): 3, (1, 2): 3, (1, 3): 1, (1, 4): 1, (2, 1): 2, (2, 2): 2}
+    with pytest.raises(ValueError, match="cells do not form a Young diagram"):
+        _undo_step(mixed, _dominos(mixed), (4, 2), {(2, 1), (2, 2)})
+
+
 def test_uninsert_rejects_invalid_pairs():
     pair = insert(W, 2)
     with pytest.raises(TableauError, match="staircase"):

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dominocells.shapes import (
-    addable_dominos, cells_of_shape, diagonal, is_young, removable_dominos,
-    shape_from_cells, staircase,
+    addable_dominos, cells_of_shape, diagonal, is_removable, is_young,
+    removable_dominos, shape_from_cells, staircase,
 )
 
 
@@ -120,6 +122,20 @@ def test_removable_dominos_fixtures():
             assert removable_dominos(shape) == {
                 d for d in positions if delete_domino(shape, d) is not None
             }, shape
+
+
+def test_is_removable_agrees_with_the_removable_dominos():
+    # every partition of size <= 8, against every set of one to three
+    # squares of a box one row and one column larger, edges included
+    for size in range(9):
+        for shape in _all_partitions(size):
+            box = [(i, j) for i in range(len(shape) + 2)
+                   for j in range((shape[0] if shape else 0) + 2)]
+            dominos = removable_dominos(shape)
+            for k in (1, 2, 3):
+                for squares in itertools.combinations(box, k):
+                    assert is_removable(shape, set(squares)) == (
+                        frozenset(squares) in dominos), (shape, squares)
 
 
 def test_addable_dominos_are_the_removable_dominos_of_the_grown_shapes():

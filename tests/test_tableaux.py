@@ -18,6 +18,12 @@ def test_validate_accepts_fixture():
     assert Q2.n == 4
 
 
+def test_validate_returns_the_maps_it_read():
+    for t in (Q2, Q3):
+        cells, dominos = t.check_standard()
+        assert cells == t.cells() and dominos == t.dominos
+
+
 def test_validate_rejects_split_label():
     bad = DominoTableau(0, ((1, 2), (2, 1)))
     with pytest.raises(TableauError):

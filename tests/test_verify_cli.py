@@ -11,12 +11,12 @@ from dominocells.cells import CellPartition, combinatorial_cells
 from dominocells.cli import _build_parser, main
 from dominocells.hecke import KLTable, WeightFunction, kl_cells
 from dominocells.insertion import insert
-from dominocells.tableaux import DominoTableau, TableauPair
+from dominocells.tableaux import DominoTableau, TableauError, TableauPair
 from dominocells.verify import (
     Report, verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
 )
-from dominocells.wgroup import DescentSet, format_perm, group_elements
+from dominocells.wgroup import DescentSet, format_perm, group_elements, parse_perm
 
 
 @pytest.fixture
@@ -143,6 +143,63 @@ def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
     (w,) = swapped
     assert report.failures["symmetry"] == 1
     assert {"kind": "symmetry", "w": format_perm(w), "r": rank} in report.counterexamples
+
+
+def _swapped_labels(t):
+    """t with labels 1 and 2 exchanged."""
+    return DominoTableau(t.rank, tuple(tuple({1: 2, 2: 1}.get(x, x) for x in row)
+                                       for row in t.rows))
+
+
+def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monkeypatch):
+    # every pair of rank 1 holding the chosen left tableau gets the same
+    # copy with labels 1 and 2 exchanged in the row holding both; each of
+    # those pairs fails its roundtrip with the copy's check error
+    healthy = verify_mod._rank_pairs
+    pairs, _ = healthy(group_elements(3), 1)
+    holders = {}
+    for w, pair in pairs:
+        if any(1 in row and 2 in row for row in pair.left.rows):
+            holders.setdefault(pair.left, []).append(w)
+    chosen, victims = max(holders.items(), key=lambda item: len(item[1]))
+    bad = _swapped_labels(chosen)
+    with pytest.raises(TableauError, match="decreases") as error:
+        bad.check_standard(strict_core=False)
+    assert len(victims) > 1
+
+    def non_standard(ws, r):
+        pairs, failed = healthy(ws, r)
+        if r == 1:
+            pairs = [(w, TableauPair(bad, pair.right) if pair.left == chosen else pair)
+                     for w, pair in pairs]
+        return pairs, failed
+
+    monkeypatch.setattr(verify_mod, "_rank_pairs", non_standard)
+    report = verify_insertion(3, 1)
+    assert report.failures["roundtrip"] == len(victims)
+    for c in report.counterexamples:
+        if c["kind"] == "roundtrip":
+            assert c["r"] == 1 and c["error"] == str(error.value)
+            assert parse_perm(c["w"]) in victims
+
+
+def test_verify_insertion_checks_each_left_tableau_once_per_rank(monkeypatch):
+    checked = []
+    healthy = DominoTableau.check_standard
+
+    def counted(self, strict_core=True):
+        if not strict_core:  # the counting check enumerates with the strict core
+            checked.append(self)
+        return healthy(self, strict_core)
+
+    monkeypatch.setattr(DominoTableau, "check_standard", counted)
+    report = verify_insertion(3, 3)
+    assert report.status == "pass"
+    expected = [{pair.left for _, pair in insertion_mod._rank_pairs(group_elements(3), r)[0]}
+                for r in range(4)]
+    assert [len(s) for s in expected] == [20, 20, 20, 20]
+    assert len(checked) == sum(map(len, expected))
+    assert [{t for t in checked if t.rank == r} for r in range(4)] == expected
 
 
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
