@@ -7,11 +7,13 @@ cells use the left tableaux, and two-sided cells are the transitive
 closure of both.  Every partition reads the one class map,
 `tableau_classes`, once, with one cycle fingerprint per class, and numbers
 the left cells.  The left tableau of w is the right tableau of w^-1, so w
-lies in right cell i exactly when w^-1 lies in left cell i, and the
-two-sided cells join the cells that share an element: a union-find over
-the left and right cell numbers, not over W_n.  For r >= n - 1 the
-partitions stabilize ("asymptotic" cells).  Partitions are stored with canonically sorted
-blocks so they can be compared and serialized deterministically.  A block
+lies in right cell i exactly when w^-1 lies in left cell i.  Right cell
+i meets left cell i, at the involution of the class with P(w) = Q(w), so
+the two-sided cells join the left cell of each w to the left cell of
+w^-1: a union-find over the left cell numbers, not over W_n.  For
+r >= n - 1 the partitions stabilize ("asymptotic" cells).  Partitions are
+stored with canonically sorted blocks so they can be compared and
+serialized deterministically.  A block
 is looked up by element through one element -> block map, built on the
 first lookup; `CellPartition.misfits` compares two partitions block by
 block, and `same_partition` tests equality alone.
@@ -132,11 +134,11 @@ def _cell_lists(n: int, rank: int, side: str) -> List[List[SignedPerm]]:
         for w in group_elements(n):
             right[cell[inverse(w)]].append(w)
         return right
-    # left cell i is node i, right cell j node k + j; w links its two cells
-    k = len(left)
-    links = ((cell[w], k + cell[inverse(w)]) for w in group_elements(n))
-    return [[w for i in nodes if i < k for w in left[i]]
-            for nodes in components(range(2 * k), links)]
+    # right cell j meets left cell j, at the involution of its recording
+    # class, so w joins its left cell to the left cell of w^-1
+    links = ((cell[w], cell[inverse(w)]) for w in group_elements(n))
+    return [[w for i in nodes for w in left[i]]
+            for nodes in components(range(len(left)), links)]
 
 
 def asymptotic_cells(n: int, side: str = "L") -> CellPartition:

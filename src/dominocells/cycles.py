@@ -304,10 +304,10 @@ def _link(*rels: _Relocation) -> list:
         for side, rel in enumerate(rels)
         for c in rel.cycles if c.kind != "closed"
     ]
-    links = (
-        (a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))
-        if nodes[a][0] != nodes[b][0] and nodes[a][3] & nodes[b][3]
-    )
+    # the open cycles of one pass disturb disjoint squares, so linking each
+    # node to the first node that disturbs the same square links the sides
+    first: Dict[Square, int] = {}
+    links = ((first.setdefault(sq, i), i) for i, node in enumerate(nodes) for sq in node[3])
     groups = [[] for _ in rels]
     for comp in components(range(len(nodes)), links):
         if not any(nodes[i][2] for i in comp):

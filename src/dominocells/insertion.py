@@ -38,11 +38,12 @@ The inverse runs the same local rules backwards (van Leeuwen's view of
 insertion as growth): it undoes the recorded steps last first and, within
 a step, the labels largest first, finding each moved domino's old place
 as the one removable domino that the re-entry rule sends onto its new
-place.  `uninsert` validates its argument: `check_standard` checks the
-left tableau and hands back the square -> label and label -> squares maps
-that the undo runs on.  `verify insertion` undoes every pair of a rank
-through the same core, `_uninsert`, and validates each distinct left
-tableau once per rank, not once per pair.
+place.  Every undo runs through one driver, `_uninserted`: it undoes a
+run of pairs in order, checks each distinct left tableau once with
+`check_standard`, which validates and returns nothing, and reads each
+pair's maps from the left tableau's rows.  `uninsert` is its one-pair
+call, and `verify insertion` undoes each rank's pairs through one call,
+so each distinct left tableau is checked once per rank, not once per pair.
 
 For rank >= n-1 the signs never interact and the whole map degenerates to
 a pair of ordinary Robinson-Schensted insertions, one on the positive
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 import heapq
 from functools import cache, lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .shapes import (
     Shape, Square, cells_of_shape, is_removable, removable_dominos, shape_from_cells,
     staircase,
 )
-from .tableaux import DominoTableau, TableauError, TableauPair
+from .tableaux import DominoTableau, TableauError, TableauPair, _dominos
 from .wgroup import SignedPerm, group_elements, validate_signed_perm
 
 __all__ = [
@@ -431,32 +432,51 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
 
 def uninsert(pair: TableauPair) -> SignedPerm:
     """The signed permutation mapping to `pair` under rank-`pair.rank`
-    insertion, by reverse bumping: the steps the right tableau records are
-    undone last first, on one square -> label map and one label -> squares
-    map of the left tableau, which `check_standard` validates and hands
-    back.
+    insertion, by reverse bumping: the one-pair call of `_uninserted`,
+    raising what it met.
 
     >>> uninsert(insert((4, 1, -3, -2), 2))
     (4, 1, -3, -2)
     """
-    cells, dominos = pair.left.check_standard(strict_core=False)
-    return _uninsert(cells, dominos, pair.shape, pair.right.dominos, pair.rank)
+    (back,) = _uninserted((pair,))
+    if isinstance(back, Exception):
+        raise back
+    return back
 
 
-def _uninsert(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
-              shape: Shape, recorded: Dict[int, FrozenSet[Square]],
-              rank: int) -> SignedPerm:
-    """`uninsert` of a pair whose left tableau is checked already: its
-    square -> label map `cells` and label -> squares map `dominos`, which
-    are undone in place, its shape, and the label -> squares map
-    `recorded` of the right tableau."""
-    w: List[int] = []
-    for k in range(len(recorded), 0, -1):
-        if k not in recorded:
-            raise TableauError(f"no domino labeled {k}")
-        value, shape = _undo_step(cells, dominos, shape, recorded[k])
-        w.append(value)
-    if shape != staircase(rank):
-        raise TableauError(f"core squares do not form the rank-{rank} staircase")
-    w.reverse()
-    return tuple(w)
+def _uninserted(pairs: Iterable[TableauPair]) -> Iterator:
+    """The undo of each pair, in order: the signed permutation, or the
+    exception it met.  The steps the right tableau records are undone last
+    first, on a square -> label map and a label -> squares map read from
+    the left tableau's rows for that pair alone.  `check_standard` runs
+    once per distinct left tableau, and the right tableau's dominos are
+    read once per run of pairs that share it: one rank's pairs come
+    grouped by recording tableau."""
+    checked: Dict[DominoTableau, Optional[Exception]] = {}  # the check's error
+    right = recorded = None
+    for pair in pairs:
+        if pair.right is not right:
+            right, recorded = pair.right, pair.right.dominos
+        if pair.left not in checked:
+            try:
+                pair.left.check_standard(strict_core=False)
+                checked[pair.left] = None
+            except Exception as exc:
+                checked[pair.left] = exc
+        back = checked[pair.left]
+        if back is None:
+            cells = pair.left.cells()
+            dominos, shape, w = _dominos(cells), pair.shape, []
+            try:
+                for k in range(len(recorded), 0, -1):
+                    if k not in recorded:
+                        raise TableauError(f"no domino labeled {k}")
+                    value, shape = _undo_step(cells, dominos, shape, recorded[k])
+                    w.append(value)
+                if shape != staircase(pair.rank):
+                    raise TableauError(
+                        f"core squares do not form the rank-{pair.rank} staircase")
+                back = tuple(reversed(w))
+            except Exception as exc:
+                back = exc
+        yield back

@@ -10,11 +10,11 @@ which arise midway through cycle moves.
 
 Where the checks run.  Input from outside is validated at the edges:
 `DominoTableau(...)` stores the rows it is given, and `check_standard`
-validates them and hands back the square -> label and label -> squares
-maps it read; signed permutations from the command line, JSON included,
-go through `parse_perm`.  `uninsert` validates its argument and undoes
-the pair on the maps of that check; `verify insertion` validates each
-distinct left tableau once per rank, however many pairs hold it.  A tableau
+validates them and returns nothing; signed permutations from the command
+line, JSON included, go through `parse_perm`.  `uninsert`, the one-pair
+call of the undo driver `insertion._uninserted`, validates its argument;
+the driver checks each distinct left tableau once, so `verify insertion`
+checks each once per rank, however many pairs hold it.  A tableau
 that the library builds is checked once, where it is built, by one pass
 over the square -> label map that built it: `from_cells` reads the rows
 with `shapes.rows_of_cells`, the one Young-diagram reader, which rejects
@@ -23,7 +23,7 @@ dominos and the core.  `_check_tiling` is the one statement of those
 rules: the cycle layer runs it on each moved map, and `check_standard`
 runs it on the grid of a tableau from outside.  It groups the squares
 by label with `_dominos`, the one label -> squares scan, which
-`dominos`, the cycle layer and `verify insertion` share.
+`dominos`, the cycle layer and the undo driver share.
 
 Tableaux and pairs are slotted records that hold only their fields;
 `shape`, `n` and `dominos` are computed on each read.
@@ -66,11 +66,10 @@ def _dominos(cells: Dict[Square, int]) -> Dict[int, FrozenSet[Square]]:
     return {k: frozenset(v) for k, v in squares.items()}
 
 
-def _check_tiling(cells: Dict[Square, int], core=None) -> Dict[int, FrozenSet[Square]]:
+def _check_tiling(cells: Dict[Square, int], core=None) -> None:
     """One pass over a square -> label map whose squares form a Young
     diagram: the labels are 1..n, each on two adjacent squares, and the 0
-    squares are exactly `core` when it is given.  Returns the label ->
-    squares map that the pass read."""
+    squares are exactly `core` when it is given."""
     dominos = _dominos(cells)
     if dominos.keys() != set(range(1, len(dominos) + 1)):
         raise TableauError(f"labels {sorted(dominos)} are not 1..n")
@@ -84,7 +83,6 @@ def _check_tiling(cells: Dict[Square, int], core=None) -> Dict[int, FrozenSet[Sq
         zeros = {sq for sq, k in cells.items() if k == 0}
         if zeros != core:
             raise TableauError(f"core squares {sorted(zeros)} are not the staircase")
-    return dominos
 
 
 def _vertical(squares: FrozenSet[Square]) -> bool:
@@ -150,13 +148,8 @@ class DominoTableau:
 
     # -- validation ------------------------------------------------------
 
-    def check_standard(
-        self, strict_core: bool = True
-    ) -> Tuple[Dict[Square, int], Dict[int, FrozenSet[Square]]]:
-        """Full validation; reports the first violated invariant.  Returns
-        the square -> label and label -> squares maps that the check read,
-        fresh dicts, so a caller that goes on to read the tableau's squares
-        need not build them again.
+    def check_standard(self, strict_core: bool = True) -> None:
+        """Full validation; reports the first violated invariant.
 
         With strict_core the 0 squares must form the staircase of the rank;
         otherwise any top-left-justified 0 region (order ideal) is accepted.
@@ -164,8 +157,7 @@ class DominoTableau:
         if not is_young(self.shape):
             raise TableauError(f"rows {self.shape} are not weakly decreasing")
         core = set(cells_of_shape(staircase(self.rank))) if strict_core else None
-        cells = self.cells()
-        dominos = _check_tiling(cells, core)
+        _check_tiling(self.cells(), core)
         # Weak increase along rows and columns, ties only inside one domino
         # (adjacency of the two squares of each label is already checked),
         # is equivalent to: core plus the dominos labeled <= k is a Young
@@ -183,7 +175,6 @@ class DominoTableau:
                     raise TableauError(
                         f"column {j + 1} decreases at row {i}: {upper[j]} then {lower[j]}"
                     )
-        return cells, dominos
 
     # -- predicates ------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .cells import asymptotic_cells, class_of_tableau, combinatorial_cells
 from .cycles import (
@@ -22,11 +22,9 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _rank_pairs, _tableau, _uninsert, _walk, asymptotic_bitableaux, tableau_classes,
+    _rank_pairs, _tableau, _uninserted, _walk, asymptotic_bitableaux, tableau_classes,
 )
-from .tableaux import (
-    _dominos, _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau,
-)
+from .tableaux import _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau
 from .wgroup import (
     DescentSet, SignedPerm, enhanced_tau_invariant, format_perm, group_elements,
     inverse, tau_invariant,
@@ -118,9 +116,11 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "insert", "w": format_perm(w), "r": r,
                          "error": str(exc)})
         seen = {}
-        # unnamed, the raised list is gone before the next rank's walk
+        # unnamed, the raised list and the undo driver are gone before the
+        # next rank's walk
         sides = ((pair.left, pair.right) for _, pair in pairs)
-        for (w, pair), up, back in zip(pairs, _shift(sides, REGULAR), _undone(pairs)):
+        for (w, pair), up, back in zip(
+                pairs, _shift(sides, REGULAR), _uninserted(p for _, p in pairs)):
             key = (pair.left.rows, pair.right.rows)
             if key in seen:
                 report.fail({"kind": "collision", "r": r,
@@ -158,38 +158,6 @@ def verify_insertion(n: int, rmax: int) -> Report:
     return report
 
 
-def _undone(pairs) -> Iterator:
-    """`uninsert` of each of one rank's `pairs`, in order, or the exception
-    it met.  Each distinct left tableau is checked once: the first pair
-    that holds it undoes the maps its check read, and later pairs read
-    them again from its rows, so no maps outlive their pair.  The pairs
-    come grouped by recording tableau, so the right tableau's dominos are
-    read once per group."""
-    checked: Dict = {}  # left tableau -> the error its check met, or None
-    right = recorded = None
-    for _, pair in pairs:
-        if pair.right is not right:
-            right, recorded = pair.right, pair.right.dominos
-        left = pair.left
-        if left not in checked:
-            try:
-                cells, dominos = left.check_standard(strict_core=False)
-                checked[left] = None
-            except Exception as exc:
-                checked[left] = exc
-        elif checked[left] is None:
-            cells = left.cells()
-            dominos = _dominos(cells)
-        if checked[left] is not None:
-            yield checked[left]
-            continue
-        try:
-            back = _uninsert(cells, dominos, pair.shape, recorded, pair.rank)
-        except Exception as exc:
-            back = exc
-        yield back
-
-
 def _check_symmetry(report: Report, pairs, by_w: Dict, r: int) -> None:
     """Fail each w of the rank-r `pairs` whose left tableau is not the right
     tableau of w^-1 in `by_w`; a w^-1 whose insertion failed is reported
@@ -207,18 +175,7 @@ def verify_tau(n: int) -> Report:
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
     elems = group_elements(n)
-    for w in elems:
-        # t_j lies in xi(w) at ratio >= j exactly when w(j) < 0; ranks up to
-        # n reach every ratio up to n + 1
-        for ratio in range(1, n + 2):
-            xi = enhanced_tau_invariant(w, ratio)
-            for j in range(1, min(ratio, n) + 1):
-                name = "t" if j == 1 else f"t{j}"
-                present = name in xi.simple or name in xi.extended
-                if present == (w[j - 1] > 0):
-                    report.fail({"kind": "stepwise-xi", "w": format_perm(w),
-                                 "j": j, "ratio": ratio})
-        report.bump("elements")
+    report.counts["elements"] = len(elems)
     for r in range(n + 1):
         # one walk per rank groups W_n by recording steps and checks the
         # step-wise dichotomy on the partial insertions of up to r + 1 values,
@@ -247,9 +204,17 @@ def verify_tau(n: int) -> Report:
                 if tau_invariant(w) != tau:
                     report.fail({"kind": "tau", "w": format_perm(w), "r": r})
                 for ratio, xi in enumerate(xis, start=1):
-                    if enhanced_tau_invariant(w, ratio) != xi:
+                    mine = enhanced_tau_invariant(w, ratio)
+                    if mine != xi:
                         report.fail({"kind": "xi", "w": format_perm(w), "r": r,
                                      "ratio": ratio})
+                # `mine` is xi(w, r + 1) now: t_j, j <= r + 1, lies in it
+                # exactly when w(j) < 0; ranks 0..n reach ratios 1..n + 1
+                for j in range(1, min(r + 1, n) + 1):
+                    name = "t" if j == 1 else f"t{j}"
+                    if (name in mine.simple or name in mine.extended) == (w[j - 1] > 0):
+                        report.fail({"kind": "stepwise-xi", "w": format_perm(w),
+                                     "j": j, "ratio": r + 1})
     # cycle moves preserve the descent set
     moves = 0
     for r in range(n + 1):

@@ -293,6 +293,18 @@ def test_cycle_squares_are_what_its_move_adds_or_removes():
                         )
 
 
+def test_open_cycles_of_one_pass_disturb_disjoint_squares():
+    # `_link` links each open cycle to the first one that disturbs the same
+    # square, which links only cycles of different sides because of this
+    for n in range(1, 6):
+        for r in range(n + 2):
+            for t in enumerate_sdt(n, r):
+                for conv in (REGULAR, OPPOSITE):
+                    squares = [sq for c in cycle_partition(t, conv)
+                               if c.kind != "closed" for sq in c.squares]
+                    assert len(squares) == len(set(squares))
+
+
 def test_overlapping_relocations_are_rejected(monkeypatch):
     # label 1 stays put and label 2 is relocated onto it
     monkeypatch.setattr(cycles_mod, "_pivot",

@@ -202,6 +202,26 @@ def test_verify_insertion_checks_each_left_tableau_once_per_rank(monkeypatch):
     assert [{t for t in checked if t.rank == r} for r in range(4)] == expected
 
 
+def test_verify_insertion_reads_each_right_tableau_once_per_rank(monkeypatch):
+    # the undo driver reads a recording tableau's dominos once per run of
+    # pairs that share it, and one rank's pairs come grouped by it
+    read = []
+    healthy = DominoTableau.dominos.fget
+
+    def counted(self):
+        read.append(self)
+        return healthy(self)
+
+    monkeypatch.setattr(DominoTableau, "dominos", property(counted))
+    report = verify_insertion(3, 3)
+    assert report.status == "pass"
+    expected = [{pair.right for _, pair in insertion_mod._rank_pairs(group_elements(3), r)[0]}
+                for r in range(4)]
+    assert [len(s) for s in expected] == [20, 20, 20, 20]
+    assert len(read) == sum(map(len, expected))
+    assert [{t for t in read if t.rank == r} for r in range(4)] == expected
+
+
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
     healthy = insertion_mod._walk
 
