@@ -15,22 +15,25 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from typing import List
 
 from .cells import combinatorial_cells
 from .hecke import WeightFunction, kl_cells
 from .insertion import insert, insertion_states
 from .verify import (
-    Report, verify_class_decomposition, verify_conjecture, verify_insertion,
-    verify_intermediate_structure, verify_tau,
+    Report, _halves, _in_two, verify_class_decomposition, verify_conjecture,
+    verify_insertion, verify_intermediate_structure, verify_tau,
 )
 from .wgroup import parse_perm
 
 # The Kazhdan-Lusztig oracle keeps c_w for every element of W_n, 8 bytes a
-# term.  At n = 5 a cold table takes 11-14 s at 53 MB peak, and `verify
-# conjecture --ratio all` 54-59 s at 58 MB; with `--cache` a warm table loads
-# in 0.6 s at 47 MB, and the warm `--ratio all` run takes 4 s at 62 MB (2-CPU
-# box, Python 3.11).  |W_6| = 46,080 is out of reach.
+# term.  At n = 5 a cold table takes 5-8 s, and `verify conjecture --ratio
+# all` 28 s at a 55.1 MB peak in one process; split over two processes it
+# takes 17 s, the calling process peaking at 54.5 MB and the forked child at
+# 51.7 MB.  With `--cache` a warm table loads in 0.6 s at 47 MB, and the warm
+# `--ratio all` run takes 1.4 s at 60.0 and 56.5 MB (2.2 s at 61.1 MB in one
+# process; 2-CPU box, Python 3.11).  |W_6| = 46,080 is out of reach.
 KL_MAX_N = 5
 # Every suite and cell partition holds W_n: `group_elements(7)` alone peaks
 # at 105 MB, so W_8 needs about 1.7 GB before any check.
@@ -102,7 +105,10 @@ def _run_verify(args) -> List[Report]:
         return [verify_tau(args.n)]
     if args.suite == "classes":
         ranks = [args.rank] if args.rank is not None else list(range(args.n + 1))
-        return [verify_class_decomposition(args.n, r) for r in ranks]
+        # contiguous halves: rank r reads the walks at ranks r and r + 1,
+        # and the class map keeps the last two
+        first, second = _halves(ranks, lambda r: 1)
+        return _in_two(partial(verify_class_decomposition, args.n), first, second, args.n)
     if args.suite == "conjecture":
         return [verify_conjecture(args.n, args.ratio or "all", cache_dir=args.cache)]
     if args.suite == "intermediate":

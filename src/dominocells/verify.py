@@ -6,14 +6,26 @@ checks one family of identities exactly, and returns a machine-readable
 report: check name, parameters, pass/fail, summary counts, a bounded list
 of counterexamples, and wall time.  Reports are deterministic apart from
 the wall-time field.
+
+`verify_tau` and `verify_conjecture`, and the CLI's `verify classes`, cut
+their pieces (ranks or ratios) into two contiguous halves of about equal
+cost.  For n >= 4, when the process may run on two CPUs, `_in_two` maps the
+first half in one forked child while the calling process maps the second,
+and each suite merges the pieces' results in their serial order, so its
+report is the one a single process gives.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cells import asymptotic_cells, class_of_tableau, combinatorial_cells
 from .cycles import (
@@ -58,6 +70,19 @@ class Report:
     def bump(self, key: str, amount: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + amount
 
+    def absorb(self, part: "Report") -> None:
+        """Take in the counts and failures of `part`, a report on a later
+        piece of the same check, as if they had been reported here: the
+        first failure of a kind sets its place in `failures`, and `part`
+        keeps the first COUNTEREXAMPLE_LIMIT of its counterexamples."""
+        for key, amount in part.counts.items():
+            self.bump(key, amount)
+        for kind, count in part.failures.items():
+            self.failures[kind] = self.failures.get(kind, 0) + count
+            self.status = "fail"
+        room = COUNTEREXAMPLE_LIMIT - len(self.counterexamples)
+        self.counterexamples += part.counterexamples[:room]
+
     def to_dict(self) -> dict:
         out = {
             "check": self.check,
@@ -82,6 +107,91 @@ class Report:
         if self.counterexamples:
             line += f"\n  first counterexample: {self.counterexamples[0]}"
         return line
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _halves(pieces: Sequence, cost: Callable) -> Tuple[list, list]:
+    """`pieces` cut into a prefix and the rest where the costs of the two
+    are most nearly equal."""
+    sums = list(accumulate(map(cost, pieces), initial=0))
+    cut = min(range(len(sums)), key=lambda i: max(sums[i], sums[-1] - sums[i]))
+    return list(pieces[:cut]), list(pieces[cut:])
+
+
+def _in_two(fn: Callable, first: Sequence, second: Sequence, n: int) -> list:
+    """`[fn(x) for x in (*first, *second)]`.  For n >= 4, when the process
+    may run on two CPUs, `first` is mapped in one forked child while this
+    process maps `second`; the child sends back its results, or the
+    exception it met, pickled through a pipe, and the exception is raised
+    here.  Below n = 4 a suite takes tens of milliseconds, and a second
+    process makes it slower."""
+    if n <= 3 or not first or not second or not hasattr(os, "fork") or _cpus() < 2:
+        return [fn(x) for x in (*first, *second)]
+    sys.stdout.flush()  # the child inherits no unwritten output
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child(fn, first, read_end, write_end)
+    os.close(write_end)
+    reaped = False
+    try:
+        with open(read_end, "rb") as pipe:
+            mine = [fn(x) for x in second]
+            # imported after this half: its modules, 0.25-0.43 MB, would
+            # otherwise add to the half's peak
+            import pickle
+
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:  # this process raised, and the child's results are moot
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the forked child exited with status {code} and sent no result")
+    done, value = pickle.loads(data)
+    if not done:
+        raise value
+    return value + mine
+
+
+def _child(fn: Callable, items: Sequence, read_end: int, write_end: int) -> None:
+    """The forked child's whole life: it maps `fn` over `items`, writes the
+    pickled outcome to `write_end` and leaves through `os._exit`, so none of
+    the parent's code after the fork runs twice.  Its standard output and
+    error, as files and as descriptors, go to the null device."""
+    import pickle
+
+    status = 1
+    try:
+        os.close(read_end)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        sys.stdout = sys.stderr = open(null, "w")
+        try:
+            data = pickle.dumps((True, [fn(x) for x in items]))
+        except BaseException as exc:  # KeyboardInterrupt too: the caller raises it
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(
+                    f"the forked child raised {type(exc).__name__}: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _timed(fn):
@@ -174,68 +284,80 @@ def verify_tau(n: int) -> Report:
     tableau descent set under eligible cycle moves, and the step-wise
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
-    elems = group_elements(n)
-    report.counts["elements"] = len(elems)
-    for r in range(n + 1):
-        # one walk per rank groups W_n by recording steps and checks the
-        # step-wise dichotomy on the partial insertions of up to r + 1 values,
-        # read from the live states; elements share their prefix states
-        classes: Dict[tuple, List[SignedPerm]] = {}
-        before: tuple = ()
-        for w, states in _walk(elems, r):
-            classes.setdefault(states[-1][2], []).append(w)
-            for k in range(1, min(r + 1, n) + 1):
-                if k < len(before) and states[k] is before[k]:
-                    continue  # a prefix checked with an earlier element
-                _, where, steps = states[k]
-                for j in range(1, k + 1):
-                    a = not _vertical(where[abs(w[j - 1])])
-                    b = not _vertical(steps[j - 1])
-                    if not (a == b == (w[j - 1] > 0)):
-                        report.fail({"kind": "stepwise", "w": format_perm(w),
-                                     "r": r, "k": k, "j": j})
-            before = states
-        # each recording tableau is frozen once and its class checked against it
-        for steps, ws in classes.items():
-            q = _tableau(r, before[0][0], steps)
-            tau = tau_of_tableau(q)
-            xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
-            for w in ws:
-                if tau_invariant(w) != tau:
-                    report.fail({"kind": "tau", "w": format_perm(w), "r": r})
-                for ratio, xi in enumerate(xis, start=1):
-                    mine = enhanced_tau_invariant(w, ratio)
-                    if mine != xi:
-                        report.fail({"kind": "xi", "w": format_perm(w), "r": r,
-                                     "ratio": ratio})
-                # `mine` is xi(w, r + 1) now: t_j, j <= r + 1, lies in it
-                # exactly when w(j) < 0; ranks 0..n reach ratios 1..n + 1
-                for j in range(1, min(r + 1, n) + 1):
-                    name = "t" if j == 1 else f"t{j}"
-                    if (name in mine.simple or name in mine.extended) == (w[j - 1] > 0):
-                        report.fail({"kind": "stepwise-xi", "w": format_perm(w),
-                                     "j": j, "ratio": r + 1})
-    # cycle moves preserve the descent set
-    moves = 0
-    for r in range(n + 1):
-        for t in enumerate_sdt(n, r):
-            tau = tau_of_tableau(t)
-            for conv in (REGULAR, OPPOSITE):
-                if conv == OPPOSITE and r == 0:
-                    continue
-                for cyc in cycle_partition(t, conv):
-                    if cyc.kind == "closed" and len(cyc.labels) == 2:
-                        lo, hi = sorted(cyc.labels)
-                        if hi == lo + 1:
-                            continue
-                    moves += 1
-                    moved = move_through(t, cyc.labels, conv)
-                    if tau_of_tableau(moved) != tau:
-                        report.fail({"kind": "cycle-tau",
-                                     "rows": [list(x) for x in t.rows],
-                                     "labels": sorted(cyc.labels), "conv": conv})
-    report.counts["cycle_moves"] = moves
+    report.counts["elements"] = len(group_elements(n))
+    # rank r takes about r + 3 units: 1.2 s at rank 0 to 2.6 s at rank 6
+    # for n = 6
+    first, second = _halves(range(n + 1), lambda r: r + 3)
+    parts = _in_two(partial(_tau_at, n), first, second, n)
+    # every rank's walk checks come before any rank's cycle moves
+    for walked, _ in parts:
+        report.absorb(walked)
+    for _, moved in parts:
+        report.absorb(moved)
     return report
+
+
+def _tau_at(n: int, r: int) -> Tuple[Report, Report]:
+    """The checks of `verify_tau` at rank r: those on the walk, and those on
+    the cycle moves."""
+    walked = Report("tau", {"n": n, "rank": r})
+    # one walk groups W_n by recording steps and checks the step-wise
+    # dichotomy on the partial insertions of up to r + 1 values, read from
+    # the live states; elements share their prefix states
+    classes: Dict[tuple, List[SignedPerm]] = {}
+    before: tuple = ()
+    for w, states in _walk(group_elements(n), r):
+        classes.setdefault(states[-1][2], []).append(w)
+        for k in range(1, min(r + 1, n) + 1):
+            if k < len(before) and states[k] is before[k]:
+                continue  # a prefix checked with an earlier element
+            _, where, steps = states[k]
+            for j in range(1, k + 1):
+                a = not _vertical(where[abs(w[j - 1])])
+                b = not _vertical(steps[j - 1])
+                if not (a == b == (w[j - 1] > 0)):
+                    walked.fail({"kind": "stepwise", "w": format_perm(w),
+                                 "r": r, "k": k, "j": j})
+        before = states
+    # each recording tableau is frozen once and its class checked against it
+    for steps, ws in classes.items():
+        q = _tableau(r, before[0][0], steps)
+        tau = tau_of_tableau(q)
+        xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
+        for w in ws:
+            if tau_invariant(w) != tau:
+                walked.fail({"kind": "tau", "w": format_perm(w), "r": r})
+            for ratio, xi in enumerate(xis, start=1):
+                mine = enhanced_tau_invariant(w, ratio)
+                if mine != xi:
+                    walked.fail({"kind": "xi", "w": format_perm(w), "r": r,
+                                 "ratio": ratio})
+            # `mine` is xi(w, r + 1) now: t_j, j <= r + 1, lies in it
+            # exactly when w(j) < 0; ranks 0..n reach ratios 1..n + 1
+            for j in range(1, min(r + 1, n) + 1):
+                name = "t" if j == 1 else f"t{j}"
+                if (name in mine.simple or name in mine.extended) == (w[j - 1] > 0):
+                    walked.fail({"kind": "stepwise-xi", "w": format_perm(w),
+                                 "j": j, "ratio": r + 1})
+    # cycle moves preserve the descent set
+    moved = Report("tau", {"n": n, "rank": r})
+    moved.counts["cycle_moves"] = 0
+    for t in enumerate_sdt(n, r):
+        tau = tau_of_tableau(t)
+        for conv in (REGULAR, OPPOSITE):
+            if conv == OPPOSITE and r == 0:
+                continue
+            for cyc in cycle_partition(t, conv):
+                if cyc.kind == "closed" and len(cyc.labels) == 2:
+                    lo, hi = sorted(cyc.labels)
+                    if hi == lo + 1:
+                        continue
+                moved.bump("cycle_moves")
+                if tau_of_tableau(move_through(t, cyc.labels, conv)) != tau:
+                    moved.fail({"kind": "cycle-tau",
+                                "rows": [list(x) for x in t.rows],
+                                "labels": sorted(cyc.labels), "conv": conv})
+    return walked, moved
 
 
 @_timed
@@ -269,19 +391,27 @@ def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
     to max(n, 1)."""
     ratios = list(range(1, max(n, 1) + 1)) if ratio == "all" else [int(ratio)]
     report = Report("conjecture", {"n": n, "ratios": ratios})
-    for rt in ratios:
-        # one table per ratio, released when the next one replaces it
-        table = KLTable(n, WeightFunction(1, rt), cache_dir=cache_dir)
-        for side in ("L", "R", "LR"):
-            comb = combinatorial_cells(n, rt - 1, side)
-            kl = table.cells(side)
-            report.counts[f"blocks_r{rt}_{side}"] = len(comb.blocks)
-            # comb's first block that kl lacks, and kl's block of its least element
-            witness = next(comb.misfits(kl), None)
-            if witness:
-                a, b = (sorted(map(format_perm, block))[:4] for block in witness)
-                where = {"w": format_perm(min(witness[0])), "block_a": a, "block_b": b}
-                report.fail({"kind": "partition", "ratio": rt, "side": side, "where": where})
+    # a cold table at ratio r takes about n + r units: 5.2 s to 8.2 s at n = 5
+    first, second = _halves(ratios, lambda rt: n + rt)
+    for part in _in_two(partial(_conjecture_at, n, cache_dir), first, second, n):
+        report.absorb(part)
+    return report
+
+
+def _conjecture_at(n: int, cache_dir: Optional[str], rt: int) -> Report:
+    """The checks of `verify_conjecture` at ratio rt, all three sides."""
+    report = Report("conjecture", {"n": n, "ratio": rt})
+    table = KLTable(n, WeightFunction(1, rt), cache_dir=cache_dir)  # freed on return
+    for side in ("L", "R", "LR"):
+        comb = combinatorial_cells(n, rt - 1, side)
+        kl = table.cells(side)
+        report.counts[f"blocks_r{rt}_{side}"] = len(comb.blocks)
+        # comb's first block that kl lacks, and kl's block of its least element
+        witness = next(comb.misfits(kl), None)
+        if witness:
+            a, b = (sorted(map(format_perm, block))[:4] for block in witness)
+            where = {"w": format_perm(min(witness[0])), "block_a": a, "block_b": b}
+            report.fail({"kind": "partition", "ratio": rt, "side": side, "where": where})
     return report
 
 

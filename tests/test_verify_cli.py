@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import time
 from functools import lru_cache
 
 import pytest
@@ -733,3 +735,212 @@ def test_cli_cache_dir(tmp_path, capsys):
     code = main(["verify", "conjecture", "--n", "2", "--ratio", "1",
                  "--cache", str(tmp_path)])
     assert code == 0
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the calls to `os.fork`; after the test no child is left."""
+    real = os.fork
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _classes_reports(tmp_path):
+    out = tmp_path / "classes.json"
+    main(["verify", "classes", "--n", "4", "--json", str(out)])
+    return json.loads(out.read_text())
+
+
+SPLIT_SUITES = {
+    "tau": lambda tmp_path: [verify_tau(4).to_dict()],
+    "conjecture": lambda tmp_path: [verify_conjecture(4, "all").to_dict()],
+    "classes": _classes_reports,
+}
+
+
+def _reports_in_one_and_two_processes(suite, monkeypatch, tmp_path):
+    """The reports of `suite` at n = 4 without `ms`, first from two
+    processes, then from one."""
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(verify_mod, "_cpus", lambda: cpus)
+        reports = SPLIT_SUITES[suite](tmp_path)
+        for report in reports:
+            report.pop("ms")
+        runs.append(reports)
+    return runs
+
+
+@pytest.mark.parametrize("suite", SPLIT_SUITES)
+def test_a_split_suite_reports_what_one_process_reports(suite, monkeypatch, forks,
+                                                        tmp_path):
+    two, one = _reports_in_one_and_two_processes(suite, monkeypatch, tmp_path)
+    assert len(forks) == 1
+    assert all(report["status"] == "pass" for report in two)
+    assert two == one
+
+
+def test_a_split_tau_merges_failures_in_the_serial_order(monkeypatch, forks, tmp_path):
+    # one "tau" failure at each of the five ranks, and a "cycle-tau" failure
+    # for most cycle moves; both processes see both kinds
+    healthy, target = verify_mod.tau_invariant, group_elements(4)[7]
+    monkeypatch.setattr(verify_mod, "tau_invariant", lambda w: (
+        DescentSet(frozenset({"s9"})) if w == target else healthy(w)))
+    monkeypatch.setattr(verify_mod, "move_through",
+                        lambda t, labels, conv: DominoTableau(0, ((1, 1), (2, 2))))
+    (two,), (one,) = _reports_in_one_and_two_processes("tau", monkeypatch, tmp_path)
+    assert len(forks) == 1
+    assert [c["kind"] for c in two["counterexamples"]] == ["tau"] * 5 + ["cycle-tau"] * 5
+    assert [c["r"] for c in two["counterexamples"][:5]] == [0, 1, 2, 3, 4]
+    assert list(two["failures"]) == ["tau", "cycle-tau"]
+    assert two["counterexamples_truncated"] > 0
+    assert two == one
+
+
+def test_a_split_conjecture_merges_failures_in_the_serial_order(monkeypatch, forks,
+                                                                tmp_path):
+    class MergedTable(KLTable):
+        def cells(self, side="L"):
+            return _merge(super().cells(side), 0, 1)
+
+    monkeypatch.setattr(verify_mod, "KLTable", MergedTable)
+    (two,), (one,) = _reports_in_one_and_two_processes("conjecture", monkeypatch,
+                                                       tmp_path)
+    assert len(forks) == 1
+    # a failure per ratio and side, past the counterexample limit
+    assert two["failures"] == {"partition": 12}
+    assert [(c["ratio"], c["side"]) for c in two["counterexamples"]] == [
+        (rt, side) for rt in (1, 2, 3, 4) for side in ("L", "R", "LR")][:10]
+    assert two["counterexamples_truncated"] == 2
+    assert two == one
+
+
+def test_split_classes_reports_the_failures_of_one_process(monkeypatch, forks, tmp_path):
+    # no class at even ranks: the unions across one rank differ at every rank
+    healthy = verify_mod.class_of_tableau
+    monkeypatch.setattr(verify_mod, "class_of_tableau",
+                        lambda t, n: healthy(t, n) if t.rank % 2 else frozenset())
+    two, one = _reports_in_one_and_two_processes("classes", monkeypatch, tmp_path)
+    assert len(forks) == 1
+    assert all(report["failures"] for report in two)
+    assert two == one
+
+
+def _squares(x):
+    return x * x
+
+
+@pytest.mark.parametrize("n, cpus, expected", [
+    pytest.param(3, {0, 1}, 0, id="n3"),
+    pytest.param(4, {0}, 0, id="one-cpu"),
+    pytest.param(4, {0, 1}, 1, id="n4-two-cpus"),
+    pytest.param(6, set(range(64)), 1, id="n6-many-cpus"),
+])
+def test_in_two_forks_once_at_most(monkeypatch, forks, n, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert verify_mod._in_two(_squares, [1, 2], [3, 4, 5], n) == [1, 4, 9, 16, 25]
+    assert len(forks) == expected
+
+
+def test_in_two_runs_in_one_process_without_fork(monkeypatch, forks):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert verify_mod._in_two(_squares, [1], [2], 4) == [1, 4]
+    assert not forks
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_suites_fork_from_n_4_on(monkeypatch, forks, n):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    assert verify_tau(n).status == "pass"
+    assert len(forks) == (n >= 4)
+
+
+def test_in_two_raises_the_exception_of_the_child(monkeypatch, forks):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fails_in_the_child(x):
+        if os.getpid() != parent:
+            raise ValueError(f"piece {x} failed")
+        return x
+
+    with pytest.raises(ValueError, match="^piece 1 failed$"):
+        verify_mod._in_two(fails_in_the_child, [1], [2], 4)
+    assert len(forks) == 1
+
+
+def test_in_two_names_an_exception_that_cannot_be_pickled(monkeypatch, forks):
+    class Local(Exception):  # a local class pickles by a name no module holds
+        pass
+
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fails_in_the_child(x):
+        if os.getpid() != parent:
+            raise Local("lost")
+        return x
+
+    with pytest.raises(RuntimeError, match="raised Local: lost"):
+        verify_mod._in_two(fails_in_the_child, [1], [2], 4)
+
+
+def test_in_two_reports_a_child_that_sent_nothing(monkeypatch, forks):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def exits_in_the_child(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        verify_mod._in_two(exits_in_the_child, [1], [2], 4)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_in_two_reaps_the_child_when_this_process_raises(monkeypatch, forks, error):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fails_here(x):
+        if os.getpid() == parent:
+            raise error("this half failed")
+        time.sleep(60)  # the child is stopped, not waited for
+        return x
+
+    t0 = time.monotonic()
+    with pytest.raises(error, match="this half failed"):
+        verify_mod._in_two(fails_here, [1], [2], 4)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+
+
+def test_in_two_child_prints_nothing_and_repeats_no_pending_output(monkeypatch, forks,
+                                                                    capfd):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    print("once", end="")
+
+    def prints(x):
+        print("never")  # printed by this process alone
+        return x
+
+    assert verify_mod._in_two(prints, [1], [2], 4) == [1, 2]
+    assert capfd.readouterr().out == "once" + "never\n"
+
+
+def test_halves_cut_where_the_costs_are_most_nearly_equal():
+    assert verify_mod._halves(range(6), lambda r: 1) == ([0, 1, 2], [3, 4, 5])
+    assert verify_mod._halves(range(5), lambda r: r + 3) == ([0, 1, 2], [3, 4])
+    assert verify_mod._halves([1, 2, 3, 4, 5], lambda rt: 5 + rt) == ([1, 2, 3], [4, 5])
+    assert verify_mod._halves([7], lambda x: 1) == ([], [7])
+    assert verify_mod._halves([], lambda x: 1) == ([], [])
