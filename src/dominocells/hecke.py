@@ -571,7 +571,7 @@ def _strong_components(edges: List[FrozenSet[int]]) -> List[FrozenSet[int]]:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(sorted(edges[root])))]
+        work = [(root, iter(edges[root]))]
         while work:
             node, it = work[-1]
             for nxt in it:
@@ -580,7 +580,7 @@ def _strong_components(edges: List[FrozenSet[int]]) -> List[FrozenSet[int]]:
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
-                    work.append((nxt, iter(sorted(edges[nxt]))))
+                    work.append((nxt, iter(edges[nxt])))
                     break
                 if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])

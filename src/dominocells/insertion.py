@@ -58,8 +58,7 @@ from functools import cache, lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .shapes import (
-    Shape, Square, cells_of_shape, is_removable, removable_dominos, shape_from_cells,
-    staircase,
+    Shape, Square, cells_of_shape, is_removable, removable_dominos, staircase,
 )
 from .tableaux import DominoTableau, TableauError, TableauPair, _dominos
 from .wgroup import SignedPerm, group_elements, validate_signed_perm
@@ -360,18 +359,6 @@ def _cut(rows: List[int], squares) -> List[int]:
     return rows
 
 
-def _region(cells: Dict[Square, int], lbl: int, loose, below: List[int]) -> Shape:
-    """The shape of the squares of `cells` that hold labels up to `lbl` and
-    are not `loose`.  `below` holds the row lengths of the squares that
-    hold labels up to `lbl`, or [] when they are not known; when cutting
-    `loose` from them leaves a diagram, that is the region.  Otherwise the
-    map is read, and raises ValueError when the squares are no diagram."""
-    rows = below and _cut(below, loose)
-    if rows and all(a >= b for a, b in zip(rows, rows[1:])):
-        return tuple([x for x in rows if x])
-    return shape_from_cells([sq for sq, x in cells.items() if x <= lbl and sq not in loose])
-
-
 def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
                shape: Shape, added) -> Tuple[int, Shape]:
     """Undo the insertion step that added the domino `added` to the left
@@ -390,7 +377,8 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
     its current squares.  That region is read from `below`, the row lengths
     of the core plus the labels not yet passed: each label passed cuts its
     domino from them, which on a standard tableau always leaves the ends of
-    rows, so the map is read only when it does not.
+    rows, and the region is what cutting `loose` leaves.  When either cut
+    leaves no diagram, the step raises TableauError.
     """
     if not is_removable(shape, added):
         raise TableauError(f"squares {sorted(added)} are not a removable domino")
@@ -415,8 +403,11 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
                 return (lbl if i1 == i2 else -lbl), before
             # `uninsert` takes any top-left region of 0s as the core, so the
             # scan starts at the first square (rank 0)
+            rows = _cut(below, loose)
+            if not rows or any(a < b for a, b in zip(rows, rows[1:])):
+                raise TableauError("cells do not form a Young diagram")
             ways = [
-                d for d in removable_dominos(_region(cells, lbl, loose, below))
+                d for d in removable_dominos(tuple([x for x in rows if x]))
                 if set(_target(cells, lbl, *_reentry(
                     sorted(d), {sq for sq in d if cells[sq] < lbl}), 0)) == now
             ]
@@ -426,7 +417,7 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
             # the smaller labels gained the old domino and whatever is still
             # loose, except the squares this label holds now
             loose = (loose | ways[0]) - now
-        below = below and _cut(below, now)
+        below = _cut(below, now)
     raise TableauError(f"no entry domino covers the squares {sorted(added)}")
 
 

@@ -290,7 +290,11 @@ def enumerate_sdt(n: int, rank: int) -> Iterator[DominoTableau]:
     Level k holds a square -> label map for each standard tableau with
     dominos 1..k: each map of level k - 1 with domino k added at each of
     `addable_dominos` of its shape, so each tableau arises exactly once.
-    The maps of level n are frozen through `from_cells` and checked.
+    The maps of level n are frozen through `from_cells` and checked.  It
+    shares no code with the insertion walk, whose recording tableaux of a
+    rank are the same set: `verify insertion` counts these for its
+    identity sum f_shape^2 = |W_n|, and the suites that check tableaux
+    read them from the walk.
     """
     level = [dict.fromkeys(cells_of_shape(staircase(rank)), 0)]
     for k in range(1, n + 1):

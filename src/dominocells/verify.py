@@ -301,6 +301,8 @@ def _tau_at(n: int, r: int) -> Tuple[Report, Report]:
     """The checks of `verify_tau` at rank r: those on the walk, and those on
     the cycle moves."""
     walked = Report("tau", {"n": n, "rank": r})
+    moved = Report("tau", {"n": n, "rank": r})
+    moved.counts["cycle_moves"] = 0
     # one walk groups W_n by recording steps and checks the step-wise
     # dichotomy on the partial insertions of up to r + 1 values, read from
     # the live states; elements share their prefix states
@@ -319,7 +321,9 @@ def _tau_at(n: int, r: int) -> Tuple[Report, Report]:
                     walked.fail({"kind": "stepwise", "w": format_perm(w),
                                  "r": r, "k": k, "j": j})
         before = states
-    # each recording tableau is frozen once and its class checked against it
+    # each recording tableau, one per standard tableau of the rank, is
+    # frozen once; its class is checked against its descent sets, and its
+    # cycle moves preserve its descent set
     for steps, ws in classes.items():
         q = _tableau(r, before[0][0], steps)
         tau = tau_of_tableau(q)
@@ -339,23 +343,18 @@ def _tau_at(n: int, r: int) -> Tuple[Report, Report]:
                 if (name in mine.simple or name in mine.extended) == (w[j - 1] > 0):
                     walked.fail({"kind": "stepwise-xi", "w": format_perm(w),
                                  "j": j, "ratio": r + 1})
-    # cycle moves preserve the descent set
-    moved = Report("tau", {"n": n, "rank": r})
-    moved.counts["cycle_moves"] = 0
-    for t in enumerate_sdt(n, r):
-        tau = tau_of_tableau(t)
         for conv in (REGULAR, OPPOSITE):
             if conv == OPPOSITE and r == 0:
                 continue
-            for cyc in cycle_partition(t, conv):
+            for cyc in cycle_partition(q, conv):
                 if cyc.kind == "closed" and len(cyc.labels) == 2:
                     lo, hi = sorted(cyc.labels)
                     if hi == lo + 1:
                         continue
                 moved.bump("cycle_moves")
-                if tau_of_tableau(move_through(t, cyc.labels, conv)) != tau:
+                if tau_of_tableau(move_through(q, cyc.labels, conv)) != tau:
                     moved.fail({"kind": "cycle-tau",
-                                "rows": [list(x) for x in t.rows],
+                                "rows": [list(x) for x in q.rows],
                                 "labels": sorted(cyc.labels), "conv": conv})
     return walked, moved
 
@@ -366,7 +365,8 @@ def verify_class_decomposition(n: int, rank: int) -> Report:
     non-core open cycles transport to opposite cycles of T' and the unions
     of recording classes agree."""
     report = Report("classes", {"n": n, "rank": rank})
-    for t in enumerate_sdt(n, rank):
+    # the recording tableaux of a rank are its standard tableaux
+    for t in tableau_classes(n, rank):
         report.bump("tableaux")
         t_up = core_raise(t)
         opp = [c.labels for c in cycle_partition(t_up, OPPOSITE)]

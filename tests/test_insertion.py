@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from dominocells.insertion import (
     asymptotic_bitableaux, insert, insertion_states, tableau_classes, uninsert,
 )
 from dominocells.tableaux import (
-    DominoTableau, TableauError, TableauPair, _dominos, _vertical,
+    DominoTableau, TableauError, TableauPair, _dominos, _vertical, enumerate_sdt,
 )
 from dominocells.wgroup import group_elements, inverse
 from wgroup_oracles import is_nonsplit, split_ranks
@@ -102,6 +103,48 @@ def test_undo_step_reads_a_region_that_is_no_diagram_from_the_map():
     mixed = {(1, 1): 3, (1, 2): 3, (1, 3): 1, (1, 4): 1, (2, 1): 2, (2, 2): 2}
     with pytest.raises(ValueError, match="cells do not form a Young diagram"):
         _undo_step(mixed, _dominos(mixed), (4, 2), {(2, 1), (2, 2)})
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_undo_accepts_exactly_the_insertion_pairs(n):
+    # a standard left tableau and a same-shape right tableau with its labels
+    # permuted: the undo gives the w that inserts to the pair when the right
+    # tableau is standard, and refuses the pair with TableauError, never
+    # another exception, when it is not
+    rng = random.Random(n)
+    outcomes = {True: 0, False: 0}
+    for r in range(n + 2):
+        by_shape = {}
+        for t in enumerate_sdt(n, r):
+            by_shape.setdefault(t.shape, []).append(t)
+        for same in by_shape.values():
+            for left in same:
+                for _ in range(3):
+                    labels = [0, *rng.sample(range(1, n + 1), n)]
+                    rows = rng.choice(same).rows
+                    right = DominoTableau(r, tuple([tuple([labels[x] for x in row])
+                                                    for row in rows]))
+                    pair = TableauPair(left, right)
+                    try:
+                        right.check_standard()
+                        standard = True
+                    except TableauError:
+                        standard = False
+                    try:
+                        assert insert(uninsert(pair), r) == pair and standard
+                    except TableauError:
+                        assert not standard
+                    outcomes[standard] += 1
+    if n >= 2:
+        assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_recording_tableaux_are_the_standard_tableaux(n):
+    # the walk's recording tableaux at each rank, which `verify tau` and
+    # `verify classes` check, are exactly the independently grown ones
+    for r in range(n + 2):
+        assert set(tableau_classes(n, r)) == set(enumerate_sdt(n, r))
 
 
 def test_uninsert_rejects_invalid_pairs():

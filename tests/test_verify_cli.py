@@ -317,6 +317,26 @@ def test_verify_tau_walks_each_rank_once(monkeypatch, n):
     assert insertion_mod.tableau_classes.cache_info() == before
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_only_verify_insertion_grows_the_standard_tableaux(monkeypatch, n):
+    # `verify tau` and `verify classes` read a rank's tableaux from its walk;
+    # the counting identity of `verify insertion` grows them once per rank
+    healthy = verify_mod.enumerate_sdt
+    grown = []
+
+    def counted(size, rank):
+        grown.append(rank)
+        return healthy(size, rank)
+
+    monkeypatch.setattr(verify_mod, "enumerate_sdt", counted)
+    assert verify_tau(n).status == "pass"
+    for r in range(n + 1):
+        assert verify_class_decomposition(n, r).status == "pass"
+    assert grown == []
+    assert verify_insertion(n, n).status == "pass"
+    assert grown == list(range(n + 1))
+
+
 @pytest.mark.parametrize("name, fault, kind", [
     ("tau_invariant", lambda w: DescentSet(frozenset({"s9"})), "tau"),
     ("enhanced_tau_of_tableau", lambda q, ratio: DescentSet(frozenset({"s9"})), "xi"),
