@@ -193,7 +193,8 @@ def _insert(w: SignedPerm, rank: int) -> TableauPair:
                        _tableau(rank, states[0][0], steps))
 
 
-# callers that read each insertion once call `_insert` and leave this memo be
+# no suite reads this memo back; `bench/tracer.py` and the tests read its
+# `cache_info()`
 insert = lru_cache(maxsize=1 << 18)(_insert)
 
 
@@ -234,12 +235,12 @@ def tableau_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPe
 
 def _rank_pairs(
     ws: Iterable[SignedPerm], rank: int
-) -> Tuple[List[Tuple[SignedPerm, TableauPair]], Dict[SignedPerm, Exception]]:
-    """The rank-`rank` pairs of `ws` from one walk: a list of (w, pair)
-    grouped by recording tableau, and w -> error for each w whose insertion
-    failed.  A failure restarts the walk after its element, so the rest
-    are still inserted.  Each distinct tableau is frozen once, whether it
-    is a left or a right, so equal tableaux are one object."""
+) -> Tuple[Dict[SignedPerm, TableauPair], Dict[SignedPerm, Exception]]:
+    """The rank-`rank` pairs of `ws` from one walk: w -> pair, in order of
+    recording tableau, and w -> error for each w whose insertion failed.
+    A failure restarts the walk after its element, so the rest are still
+    inserted.  Each distinct tableau is frozen once, whether it is a left
+    or a right, so equal tableaux are one object."""
     ws = list(ws)
     by_steps: Dict[tuple, List[Tuple[SignedPerm, tuple]]] = {}
     failed: Dict[SignedPerm, Exception] = {}
@@ -256,11 +257,11 @@ def _rank_pairs(
             failed[ws[done]] = exc
             done += 1
     frozen = cache(lambda dominos: _tableau(rank, core, dominos))
-    pairs = []
+    pairs = {}
     for steps, group in by_steps.items():
         for w, placed in group:
             try:
-                pairs.append((w, TableauPair(frozen(placed), frozen(steps))))
+                pairs[w] = TableauPair(frozen(placed), frozen(steps))
             except Exception as exc:
                 failed[w] = exc
     return pairs, failed

@@ -54,14 +54,16 @@ COUNTEREXAMPLE_LIMIT = 10
 class Report:
     check: str
     params: Dict
-    status: str = "pass"
     counts: Dict = field(default_factory=dict)
     counterexamples: List = field(default_factory=list)
     ms: float = 0.0
     failures: Dict = field(default_factory=dict)  # kind -> failed checks
 
+    @property
+    def status(self) -> str:
+        return "fail" if self.failures else "pass"
+
     def fail(self, counterexample) -> None:
-        self.status = "fail"
         kind = counterexample["kind"]
         self.failures[kind] = self.failures.get(kind, 0) + 1
         if len(self.counterexamples) < COUNTEREXAMPLE_LIMIT:
@@ -79,7 +81,6 @@ class Report:
             self.bump(key, amount)
         for kind, count in part.failures.items():
             self.failures[kind] = self.failures.get(kind, 0) + count
-            self.status = "fail"
         room = COUNTEREXAMPLE_LIMIT - len(self.counterexamples)
         self.counterexamples += part.counterexamples[:room]
 
@@ -214,28 +215,25 @@ def verify_insertion(n: int, rmax: int) -> Report:
     order = (2 ** n) * math.factorial(n)
     report.counts["elements"] = len(elems)
     # two ranks at a time: rank r's pairs are checked against rank r + 1's,
-    # and each rank's w -> pair map serves the rank-raise check one rank
-    # below and the symmetry check at its own rank
+    # and each rank's one w -> pair map serves every check at its own rank
+    # and the rank-raise check one rank below
     pairs, failed = _rank_pairs(elems, 0)
-    by_w = dict(pairs)
     for r in range(rmax + 1):
         upper, upper_failed = _rank_pairs(elems, r + 1)
-        raised = dict(upper)
-        _check_symmetry(report, pairs, by_w, r)
+        _check_symmetry(report, pairs, r)
         for w, exc in failed.items():
             report.fail({"kind": "insert", "w": format_perm(w), "r": r,
                          "error": str(exc)})
         seen = {}
         # unnamed, the raised list and the undo driver are gone before the
         # next rank's walk
-        sides = ((pair.left, pair.right) for _, pair in pairs)
+        sides = ((pair.left, pair.right) for pair in pairs.values())
         for (w, pair), up, back in zip(
-                pairs, _shift(sides, REGULAR), _uninserted(p for _, p in pairs)):
-            key = (pair.left.rows, pair.right.rows)
-            if key in seen:
+                pairs.items(), _shift(sides, REGULAR), _uninserted(pairs.values())):
+            if pair in seen:
                 report.fail({"kind": "collision", "r": r,
-                             "w": format_perm(w), "other": format_perm(seen[key])})
-            seen[key] = w
+                             "w": format_perm(w), "other": format_perm(seen[pair])})
+            seen[pair] = w
             if isinstance(back, Exception):
                 report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
                              "error": str(back)})
@@ -251,7 +249,7 @@ def verify_insertion(n: int, rmax: int) -> Report:
             elif w in upper_failed:
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
                              "error": str(upper_failed[w])})
-            elif up != (raised[w].left, raised[w].right):
+            elif up != (upper[w].left, upper[w].right):
                 report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
         by_shape: Dict = {}
         for t in enumerate_sdt(n, r):
@@ -262,18 +260,18 @@ def verify_insertion(n: int, rmax: int) -> Report:
             report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
         if len(seen) != order:
             report.fail({"kind": "image-size", "r": r, "size": len(seen)})
-        pairs, failed, by_w = upper, upper_failed, raised
-    _check_symmetry(report, pairs, by_w, rmax + 1)
+        pairs, failed = upper, upper_failed
+    _check_symmetry(report, pairs, rmax + 1)
     report.counts["ranks"] = rmax + 1
     return report
 
 
-def _check_symmetry(report: Report, pairs, by_w: Dict, r: int) -> None:
-    """Fail each w of the rank-r `pairs` whose left tableau is not the right
-    tableau of w^-1 in `by_w`; a w^-1 whose insertion failed is reported
-    as such already."""
-    for w, pair in pairs:
-        other = by_w.get(inverse(w))
+def _check_symmetry(report: Report, pairs: Dict, r: int) -> None:
+    """Fail each w of the rank-r w -> pair map `pairs` whose left tableau
+    is not the right tableau of w^-1; a w^-1 whose insertion failed is
+    reported as such already."""
+    for w, pair in pairs.items():
+        other = pairs.get(inverse(w))
         if other is not None and other.right != pair.left:
             report.fail({"kind": "symmetry", "w": format_perm(w), "r": r})
 
@@ -429,7 +427,6 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     # tableaux of w share theirs, so the recording classes give the split set
     split = {w for r in range(n - 1) for t, ws in tableau_classes(n, r).items()
              if t.is_split() for w in ws}
-    nonsplit = set(group_elements(n)) - split
     # rank n - 2 is still in the class map's cache here
     comb = combinatorial_cells(n, n - 2, "L")
     kl = kl_cells(n, WeightFunction(1, n - 1), "L", cache_dir=cache_dir)
@@ -438,7 +435,7 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
     report.counts["split_elements"] = len(split)
     # (i) split/non-split are unions of cells
     for block in kl.blocks:
-        if block & split and block & nonsplit:
+        if block & split and not block <= split:
             report.fail({"kind": "mixed-block", "size": len(block)})
     # (ii) split cells are asymptotic cells
     for block, _ in kl.misfits(asym):
@@ -446,9 +443,10 @@ def verify_intermediate_structure(n: int, cache_dir: Optional[str] = None) -> Re
             report.fail({"kind": "split-not-asymptotic", "size": len(block)})
     # (iii) non-split cells = tau classes of non-split elements, two asymptotic cells each
     tau_classes: Dict[DescentSet, List[SignedPerm]] = {}
-    for w in sorted(nonsplit):
-        tau_classes.setdefault(tau_invariant(w), []).append(w)
-    nonsplit_blocks = [b for b in kl.blocks if b <= nonsplit]
+    for w in group_elements(n):  # increasing, so each class comes sorted
+        if w not in split:
+            tau_classes.setdefault(tau_invariant(w), []).append(w)
+    nonsplit_blocks = [b for b in kl.blocks if not b & split]
     if len(nonsplit_blocks) != len(tau_classes):
         report.fail({"kind": "tau-class-count", "cells": len(nonsplit_blocks),
                      "classes": len(tau_classes)})

@@ -348,7 +348,7 @@ def test_raising_a_rank_at_once_is_raising_each_pair(n, monkeypatch):
 
     for r in range(n + 1):
         pairs = [(pair.left, pair.right)
-                 for _, pair in _rank_pairs(group_elements(n), r)[0]]
+                 for pair in _rank_pairs(group_elements(n), r)[0].values()]
         tableaux = [(t,) for t in enumerate_sdt(n, r)]
         raised = [raise_rank(TableauPair(*pair)) for pair in pairs]
         assert _shift(pairs, REGULAR) == [(up.left, up.right) for up in raised]
@@ -383,7 +383,7 @@ def test_raising_a_rank_relocates_and_moves_each_tableau_once(monkeypatch):
         monkeypatch.setattr(cycles_mod, name, counted)
     moves = []
     for r in range(5):
-        pairs = [pair for _, pair in _rank_pairs(group_elements(4), r)[0]]
+        pairs = list(_rank_pairs(group_elements(4), r)[0].values())
         for seen in calls.values():
             seen.clear()
         ups = _shift(((pair.left, pair.right) for pair in pairs), REGULAR)

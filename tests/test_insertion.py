@@ -96,12 +96,13 @@ def test_undo_step_fails_loudly():
         _undo_step(swapped, _dominos(swapped), (2, 2), {(1, 2), (2, 2)})
 
 
-def test_undo_step_reads_a_region_that_is_no_diagram_from_the_map():
+def test_undo_step_refuses_a_region_whose_cut_rows_are_no_diagram():
     # labels 1 and 3 of ((1, 1, 3, 3), (2, 2)) swapped: once label 3 has
-    # left the end of row 1, the squares of labels up to 2, less the
-    # step's, are no diagram, and the map's own reading says so
+    # left the end of row 1, cutting the step's squares from the row
+    # lengths of the labels up to 2 leaves no diagram, and those cut row
+    # lengths refuse the region
     mixed = {(1, 1): 3, (1, 2): 3, (1, 3): 1, (1, 4): 1, (2, 1): 2, (2, 2): 2}
-    with pytest.raises(ValueError, match="cells do not form a Young diagram"):
+    with pytest.raises(TableauError, match="cells do not form a Young diagram"):
         _undo_step(mixed, _dominos(mixed), (4, 2), {(2, 1), (2, 2)})
 
 
@@ -261,10 +262,10 @@ def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
     for r in range(n + 1):
         pairs, failed = _rank_pairs(elems, r)
         assert failed == {}
-        assert tuple(sorted(w for w, _ in pairs)) == elems
+        assert tuple(sorted(pairs)) == elems
         # one dict for both sides: a tableau that is a left and a right is one object
         seen = {}
-        for w, pair in pairs:
+        for w, pair in pairs.items():
             assert pair == _insert(w, r)
             for t in (pair.left, pair.right):
                 assert seen.setdefault(t, t) is t
@@ -277,7 +278,7 @@ def test_rank_pair_images_are_pinned():
         for rank in range(n + 2):
             pairs, failed = _rank_pairs(group_elements(n), rank)
             assert failed == {}
-            for w, pair in sorted(pairs, key=lambda item: item[0]):
+            for w, pair in sorted(pairs.items()):
                 digest.update(repr((w, pair.left.rows, pair.right.rows)).encode())
     assert digest.hexdigest() == (
         "be83cca7599a8e4750adcf1c11377a81206efc2236abbdfdcee9ebe77cbc6de0")
@@ -289,9 +290,8 @@ def test_left_tableau_is_the_right_tableau_of_the_inverse(n):
     for rank in range(n + 2):
         pairs, failed = _rank_pairs(group_elements(n), rank)
         assert failed == {}
-        by_w = dict(pairs)
-        for w, pair in pairs:
-            assert pair.left == by_w[inverse(w)].right
+        for w, pair in pairs.items():
+            assert pair.left == pairs[inverse(w)].right
 
 
 @pytest.mark.parametrize("n", range(6))

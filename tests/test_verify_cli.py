@@ -64,7 +64,7 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
     # finds the pairs whose extended cycles move a side onto that map
     pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
     readers = {}
-    for w, pair in pairs:
+    for w, pair in pairs.items():
         ext = cycles_mod.extended_cycles(pair.left, pair.right)
         for t, groups in ((pair.left, ext.left_groups), (pair.right, ext.right_groups)):
             moved = cycles_mod.move_through(t, frozenset().union(*groups), cycles_mod.REGULAR)
@@ -88,7 +88,7 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
     assert report.counterexamples == [
         {"kind": "rank-raise", "w": format_perm(w), "r": 1,
          "error": "injected re-cut failure"}
-        for w, _ in pairs if format_perm(w) in ws
+        for w in pairs if format_perm(w) in ws
     ]
     assert report.counts["pairs_checked"] == 24
     # nothing of the faulty run outlives it
@@ -99,7 +99,7 @@ def test_verify_insertion_reports_moved_shapes_that_do_not_match(monkeypatch):
     # the right side of one rank-1 pair is linked to no extended cycle, so
     # only its left side moves and the moved shapes disagree
     pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
-    w, pair = pairs[3]
+    w, pair = list(pairs.items())[3]
     healthy = cycles_mod._link
 
     def one_sided(*rels):
@@ -131,11 +131,11 @@ def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
 
     def one_swapped(ws, r):
         pairs, failed = healthy(ws, r)
-        for k, (w, pair) in enumerate(pairs if r == rank else ()):
-            others = [p.left for _, p in pairs
+        for w, pair in pairs.items() if r == rank else ():
+            others = [p.left for p in pairs.values()
                       if p.left.shape == pair.left.shape and p.left != pair.left]
             if others:
-                pairs[k] = (w, TableauPair(others[0], pair.right))
+                pairs[w] = TableauPair(others[0], pair.right)
                 swapped.append(w)
                 break
         return pairs, failed
@@ -145,6 +145,29 @@ def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
     (w,) = swapped
     assert report.failures["symmetry"] == 1
     assert {"kind": "symmetry", "w": format_perm(w), "r": rank} in report.counterexamples
+
+
+def test_verify_insertion_reports_two_elements_sharing_a_pair(monkeypatch):
+    # at rank 1 the second element of the map gets the first one's pair, so
+    # the rank's image holds 7 of the 8 pairs
+    healthy = verify_mod._rank_pairs
+    shared = []
+
+    def collided(ws, r):
+        pairs, failed = healthy(ws, r)
+        if r == 1:
+            first, second = list(pairs)[:2]
+            pairs[second] = pairs[first]
+            shared.extend((first, second))
+        return pairs, failed
+
+    monkeypatch.setattr(verify_mod, "_rank_pairs", collided)
+    report = verify_insertion(2, 2)
+    first, second = shared
+    assert {"kind": "collision", "r": 1, "w": format_perm(second),
+            "other": format_perm(first)} in report.counterexamples
+    assert report.failures["collision"] == 1
+    assert {"kind": "image-size", "r": 1, "size": 7} in report.counterexamples
 
 
 def _swapped_labels(t):
@@ -160,7 +183,7 @@ def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monk
     healthy = verify_mod._rank_pairs
     pairs, _ = healthy(group_elements(3), 1)
     holders = {}
-    for w, pair in pairs:
+    for w, pair in pairs.items():
         if any(1 in row and 2 in row for row in pair.left.rows):
             holders.setdefault(pair.left, []).append(w)
     chosen, victims = max(holders.items(), key=lambda item: len(item[1]))
@@ -172,8 +195,8 @@ def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monk
     def non_standard(ws, r):
         pairs, failed = healthy(ws, r)
         if r == 1:
-            pairs = [(w, TableauPair(bad, pair.right) if pair.left == chosen else pair)
-                     for w, pair in pairs]
+            pairs = {w: TableauPair(bad, pair.right) if pair.left == chosen else pair
+                     for w, pair in pairs.items()}
         return pairs, failed
 
     monkeypatch.setattr(verify_mod, "_rank_pairs", non_standard)
@@ -197,7 +220,8 @@ def test_verify_insertion_checks_each_left_tableau_once_per_rank(monkeypatch):
     monkeypatch.setattr(DominoTableau, "check_standard", counted)
     report = verify_insertion(3, 3)
     assert report.status == "pass"
-    expected = [{pair.left for _, pair in insertion_mod._rank_pairs(group_elements(3), r)[0]}
+    expected = [{pair.left
+                 for pair in insertion_mod._rank_pairs(group_elements(3), r)[0].values()}
                 for r in range(4)]
     assert [len(s) for s in expected] == [20, 20, 20, 20]
     assert len(checked) == sum(map(len, expected))
@@ -217,7 +241,8 @@ def test_verify_insertion_reads_each_right_tableau_once_per_rank(monkeypatch):
     monkeypatch.setattr(DominoTableau, "dominos", property(counted))
     report = verify_insertion(3, 3)
     assert report.status == "pass"
-    expected = [{pair.right for _, pair in insertion_mod._rank_pairs(group_elements(3), r)[0]}
+    expected = [{pair.right
+                 for pair in insertion_mod._rank_pairs(group_elements(3), r)[0].values()}
                 for r in range(4)]
     assert [len(s) for s in expected] == [20, 20, 20, 20]
     assert len(read) == sum(map(len, expected))
