@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from typing import List
@@ -22,7 +23,7 @@ from .cells import combinatorial_cells
 from .hecke import WeightFunction, kl_cells
 from .insertion import insert, insertion_states
 from .verify import (
-    Report, _halves, _in_two, verify_class_decomposition, verify_conjecture,
+    Report, _in_two, verify_class_decomposition, verify_conjecture,
     verify_insertion, verify_intermediate_structure, verify_tau,
 )
 from .wgroup import parse_perm
@@ -97,6 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out(text: str) -> None:
+    """Print `text`.  Once the reader of standard output has closed it,
+    standard output goes to the null device, so the run goes on: the exit
+    status is the verdict's, and `--json` is still written."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _run_verify(args) -> List[Report]:
     if args.suite == "insertion":
         rmax = args.rank if args.rank is not None else args.n
@@ -105,10 +118,9 @@ def _run_verify(args) -> List[Report]:
         return [verify_tau(args.n)]
     if args.suite == "classes":
         ranks = [args.rank] if args.rank is not None else list(range(args.n + 1))
-        # contiguous halves: rank r reads the walks at ranks r and r + 1,
-        # and the class map keeps the last two
-        first, second = _halves(ranks, lambda r: 1)
-        return _in_two(partial(verify_class_decomposition, args.n), first, second, args.n)
+        # contiguous halves: rank r reads the class maps of r and r + 1, the two cached
+        return _in_two(partial(verify_class_decomposition, args.n), ranks, lambda r: 1,
+                       args.n)
     if args.suite == "conjecture":
         return [verify_conjecture(args.n, args.ratio or "all", cache_dir=args.cache)]
     if args.suite == "intermediate":
@@ -164,7 +176,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         reports = _run_verify(args)
         for report in reports:
-            print(report.summary())
+            _out(report.summary())
         if args.json:
             payload = [r.to_dict() for r in reports]
             with open(args.json, "w") as fh:
@@ -178,7 +190,7 @@ def main(argv=None) -> int:
             part = kl_cells(
                 args.n, WeightFunction(1, args.rank + 1), args.side, cache_dir=args.cache
             )
-        print(part.to_json())
+        _out(part.to_json())
         return 0
 
     if args.command == "insert":
@@ -186,9 +198,9 @@ def main(argv=None) -> int:
         if args.steps:
             states = insertion_states(w, args.rank)
             for k, pair in enumerate(states):
-                print(f"step {k}:")
-                print(pair.left.pretty())
-                print(pair.right.pretty())
+                _out(f"step {k}:")
+                _out(pair.left.pretty())
+                _out(pair.right.pretty())
             payload = {
                 "perm": list(w),
                 "rank": args.rank,
@@ -200,8 +212,8 @@ def main(argv=None) -> int:
             }
         else:
             pair = insert(w, args.rank)
-            print(pair.left.pretty())
-            print(pair.right.pretty())
+            _out(pair.left.pretty())
+            _out(pair.right.pretty())
             payload = {
                 "perm": list(w),
                 "rank": args.rank,
@@ -212,7 +224,7 @@ def main(argv=None) -> int:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
         else:
-            print(json.dumps(payload))
+            _out(json.dumps(payload))
         return 0
 
     raise AssertionError(args.command)

@@ -54,7 +54,7 @@ algorithm is implemented independently here as a cross-check.
 from __future__ import annotations
 
 import heapq
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .shapes import (
@@ -148,7 +148,7 @@ def _walk(ws: Iterable[SignedPerm], rank: int) -> Iterator[Tuple[SignedPerm, tup
     yielded state never changes.  Sorted input inserts each prefix once."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    states = [(dict.fromkeys(cells_of_shape(staircase(rank)), 0), {}, ())]
+    states = [(_core(rank), {}, ())]
     prev: SignedPerm = ()
     for w in ws:
         k = 0
@@ -175,11 +175,18 @@ def _states(w: SignedPerm, rank: int) -> tuple:
     return states
 
 
-def _tableau(rank: int, core: Dict[Square, int], dominos) -> DominoTableau:
-    """A copy of the walk's rank-`rank` core map `core` with label k on the
-    two squares `dominos[k-1]`: a state's `steps` give its recording
-    tableau, its `where` read in label order its insertion tableau."""
-    cells = dict(core)
+@cache
+def _core(rank: int) -> Dict[Square, int]:
+    """The rank-`rank` staircase, square -> 0, that each walk at the rank
+    starts from and `_tableau` copies; it is shared, so never changed."""
+    return dict.fromkeys(cells_of_shape(staircase(rank)), 0)
+
+
+def _tableau(rank: int, dominos) -> DominoTableau:
+    """A copy of the rank-`rank` staircase with label k on the two squares
+    `dominos[k-1]`: a state's `steps` give its recording tableau, its
+    `where` read in label order its insertion tableau."""
+    cells = dict(_core(rank))
     for label, squares in enumerate(dominos, start=1):
         cells.update(dict.fromkeys(squares, label))
     return DominoTableau.from_cells(rank, cells)
@@ -187,10 +194,8 @@ def _tableau(rank: int, core: Dict[Square, int], dominos) -> DominoTableau:
 
 def _insert(w: SignedPerm, rank: int) -> TableauPair:
     """The image of w under rank-`rank` domino insertion."""
-    states = _states(w, rank)
-    left, _, steps = states[-1]
-    return TableauPair(DominoTableau.from_cells(rank, left),
-                       _tableau(rank, states[0][0], steps))
+    left, _, steps = _states(w, rank)[-1]
+    return TableauPair(DominoTableau.from_cells(rank, left), _tableau(rank, steps))
 
 
 # no suite reads this memo back; `bench/tracer.py` and the tests read its
@@ -200,11 +205,9 @@ insert = lru_cache(maxsize=1 << 18)(_insert)
 
 def insertion_states(w: SignedPerm, rank: int) -> List[TableauPair]:
     """The partial pairs after 0, 1, ..., n insertion steps."""
-    states = _states(w, rank)
-    core = states[0][0]
     return [
-        TableauPair(DominoTableau.from_cells(rank, left), _tableau(rank, core, steps))
-        for left, _, steps in states
+        TableauPair(DominoTableau.from_cells(rank, left), _tableau(rank, steps))
+        for left, _, steps in _states(w, rank)
     ]
 
 
@@ -229,8 +232,7 @@ def tableau_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPe
     by_steps: Dict[tuple, List[SignedPerm]] = {}
     for w, states in _walk(group_elements(n), rank):
         by_steps.setdefault(states[-1][2], []).append(w)
-    core = states[0][0]
-    return {_tableau(rank, core, steps): frozenset(ws) for steps, ws in by_steps.items()}
+    return {_tableau(rank, steps): frozenset(ws) for steps, ws in by_steps.items()}
 
 
 def _rank_pairs(
@@ -249,14 +251,13 @@ def _rank_pairs(
         try:
             for w, states in _walk(ws[done:], rank):
                 _, where, steps = states[-1]
-                core = states[0][0]
                 placed = tuple([where[k] for k in range(1, len(w) + 1)])
                 by_steps.setdefault(steps, []).append((w, placed))
                 done += 1
         except Exception as exc:
             failed[ws[done]] = exc
             done += 1
-    frozen = cache(lambda dominos: _tableau(rank, core, dominos))
+    frozen = cache(partial(_tableau, rank))
     pairs = {}
     for steps, group in by_steps.items():
         for w, placed in group:

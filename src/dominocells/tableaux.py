@@ -9,13 +9,13 @@ work with "loose" tableaux whose 0 squares form an arbitrary order ideal,
 which arise midway through cycle moves.
 
 Where the checks run.  Input from outside is validated at the edges:
-`DominoTableau(...)` stores the rows it is given, and `check_standard`
-validates them and returns nothing; signed permutations from the command
-line, JSON included, go through `parse_perm`.  `uninsert`, the one-pair
-call of the undo driver `insertion._uninserted`, validates its argument;
-the driver checks each distinct left tableau once, so `verify insertion`
-checks each once per rank, however many pairs hold it.  A tableau
-that the library builds is checked once, where it is built, by one pass
+`DominoTableau(...)` checks nothing and stores the rows it is given as a
+tuple of tuples, and `check_standard` validates them and returns nothing;
+signed permutations from the command line, JSON included, go through
+`parse_perm`.  `uninsert`, the one-pair call of the undo driver
+`insertion._uninserted`, validates its argument; the driver checks each
+distinct left tableau once, so `verify insertion` checks each once per
+rank, however many pairs hold it.  A tableau that the library builds is checked once, where it is built, by one pass
 over the square -> label map that built it: `from_cells` reads the rows
 with `shapes.rows_of_cells`, the one Young-diagram reader, which rejects
 a map that is not a diagram, and `_check_tiling` checks the labels, the

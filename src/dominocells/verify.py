@@ -7,12 +7,12 @@ report: check name, parameters, pass/fail, summary counts, a bounded list
 of counterexamples, and wall time.  Reports are deterministic apart from
 the wall-time field.
 
-`verify_tau` and `verify_conjecture`, and the CLI's `verify classes`, cut
-their pieces (ranks or ratios) into two contiguous halves of about equal
-cost.  For n >= 4, when the process may run on two CPUs, `_in_two` maps the
-first half in one forked child while the calling process maps the second,
-and each suite merges the pieces' results in their serial order, so its
-report is the one a single process gives.
+`verify_tau` and `verify_conjecture`, and the CLI's `verify classes`, pass
+their pieces (ranks or ratios) and a piece's cost to `_in_two`.  It cuts
+them into two contiguous halves of about equal cost and, for n >= 4 when the
+process may run on two CPUs, maps the first in one forked child while the
+calling process maps the second; each suite merges the pieces' results in
+their serial order, so its report is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -125,15 +125,16 @@ def _halves(pieces: Sequence, cost: Callable) -> Tuple[list, list]:
     return list(pieces[:cut]), list(pieces[cut:])
 
 
-def _in_two(fn: Callable, first: Sequence, second: Sequence, n: int) -> list:
-    """`[fn(x) for x in (*first, *second)]`.  For n >= 4, when the process
-    may run on two CPUs, `first` is mapped in one forked child while this
-    process maps `second`; the child sends back its results, or the
-    exception it met, pickled through a pipe, and the exception is raised
-    here.  Below n = 4 a suite takes tens of milliseconds, and a second
-    process makes it slower."""
+def _in_two(fn: Callable, pieces: Sequence, cost: Callable, n: int) -> list:
+    """`[fn(x) for x in pieces]`.  `_halves` cuts `pieces` by `cost`, and for
+    n >= 4, when the process may run on two CPUs, the first half is mapped
+    in one forked child while this process maps the second; the child sends
+    back its results, or the exception it met, pickled through a pipe, and
+    the exception is raised here.  Below n = 4 a suite takes tens of
+    milliseconds, and a second process makes it slower."""
+    first, second = _halves(pieces, cost)
     if n <= 3 or not first or not second or not hasattr(os, "fork") or _cpus() < 2:
-        return [fn(x) for x in (*first, *second)]
+        return [fn(x) for x in pieces]
     sys.stdout.flush()  # the child inherits no unwritten output
     sys.stderr.flush()
     read_end, write_end = os.pipe()
@@ -283,10 +284,8 @@ def verify_tau(n: int) -> Report:
     horizontal/vertical dichotomy of partial insertions."""
     report = Report("tau", {"n": n})
     report.counts["elements"] = len(group_elements(n))
-    # rank r takes about r + 3 units: 1.2 s at rank 0 to 2.6 s at rank 6
-    # for n = 6
-    first, second = _halves(range(n + 1), lambda r: r + 3)
-    parts = _in_two(partial(_tau_at, n), first, second, n)
+    # rank r takes about r + 3 units: 1.2 s at rank 0 to 2.6 s at rank 6 for n = 6
+    parts = _in_two(partial(_tau_at, n), range(n + 1), lambda r: r + 3, n)
     # every rank's walk checks come before any rank's cycle moves
     for walked, _ in parts:
         report.absorb(walked)
@@ -323,7 +322,7 @@ def _tau_at(n: int, r: int) -> Tuple[Report, Report]:
     # frozen once; its class is checked against its descent sets, and its
     # cycle moves preserve its descent set
     for steps, ws in classes.items():
-        q = _tableau(r, before[0][0], steps)
+        q = _tableau(r, steps)
         tau = tau_of_tableau(q)
         xis = [enhanced_tau_of_tableau(q, ratio) for ratio in range(1, r + 2)]
         for w in ws:
@@ -390,8 +389,8 @@ def verify_conjecture(n: int, ratio, cache_dir: Optional[str] = None) -> Report:
     ratios = list(range(1, max(n, 1) + 1)) if ratio == "all" else [int(ratio)]
     report = Report("conjecture", {"n": n, "ratios": ratios})
     # a cold table at ratio r takes about n + r units: 5.2 s to 8.2 s at n = 5
-    first, second = _halves(ratios, lambda rt: n + rt)
-    for part in _in_two(partial(_conjecture_at, n, cache_dir), first, second, n):
+    for part in _in_two(partial(_conjecture_at, n, cache_dir), ratios,
+                        lambda rt: n + rt, n):
         report.absorb(part)
     return report
 

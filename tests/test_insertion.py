@@ -7,9 +7,10 @@ import pytest
 from dominocells import insertion as insertion_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
-    _insert, _rank_pairs, _states, _tableau, _undo_step, _walk,
+    _core, _insert, _rank_pairs, _states, _tableau, _undo_step, _walk,
     asymptotic_bitableaux, insert, insertion_states, tableau_classes, uninsert,
 )
+from dominocells.shapes import cells_of_shape, staircase
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical, enumerate_sdt,
 )
@@ -251,9 +252,22 @@ def test_walk_matches_insert_and_groups_the_recording_classes(n, ranks):
                 left, where, steps = states[-1]
                 pair = _insert(w, r)
                 assert left == pair.left.cells()
-                assert _tableau(r, states[0][0], steps) == pair.right
+                assert _tableau(r, steps) == pair.right
                 placed = [where[k] for k in range(1, n + 1)]
-                assert _tableau(r, states[0][0], placed) == DominoTableau.from_cells(r, left)
+                assert _tableau(r, placed) == DominoTableau.from_cells(r, left)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_the_shared_staircase_stays_the_staircase(n):
+    # every walk starts from `_core(r)` and every frozen tableau copies it,
+    # so a reader that changed it in place would shift every later tableau
+    elems = group_elements(n)
+    for r in range(n + 2):
+        tableau_classes.__wrapped__(n, r)  # past the class map's cache
+        _rank_pairs(elems, r)
+        for w in elems:
+            insertion_states(w, r)
+        assert _core(r) == dict.fromkeys(cells_of_shape(staircase(r)), 0)
 
 
 @pytest.mark.parametrize("n", range(5))

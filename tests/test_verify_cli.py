@@ -1,11 +1,14 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 from functools import lru_cache
 
 import pytest
 
+import dominocells
 import dominocells.cycles as cycles_mod
 import dominocells.insertion as insertion_mod
 import dominocells.verify as verify_mod
@@ -321,6 +324,17 @@ def test_verify_classes_reports_a_failed_transport(monkeypatch):
         in report.counterexamples
 
 
+def test_verify_classes_reports_unions_of_classes_that_differ(monkeypatch):
+    # no class at rank 2: every rank-1 union of classes meets an empty one
+    healthy = verify_mod.class_of_tableau
+    monkeypatch.setattr(verify_mod, "class_of_tableau",
+                        lambda t, n: frozenset() if t.rank == 2 else healthy(t, n))
+    data = verify_class_decomposition(3, 1).to_dict()
+    assert data["failures"] == {"class-union": 20}
+    assert all(c["kind"] == "class-union" and c["high"] == 0 and c["low"] > 0
+               for c in data["counterexamples"])
+
+
 def test_verify_tau_small():
     assert verify_tau(2).status == "pass"
 
@@ -501,6 +515,33 @@ def test_verify_intermediate_reports_wrong_kl_cells(monkeypatch, n, wrong, kinds
     assert data.get("counterexamples_truncated", 0) == sum(failures.values()) - shown
 
 
+def test_verify_intermediate_reports_an_opposite_orbit_without_its_one_cycle(monkeypatch):
+    healthy = verify_mod.noncore_orbit
+
+    def empty_union_only(t, convention):
+        orbit = healthy(t, convention)
+        return [next(orbit)] if convention == verify_mod.OPPOSITE else orbit
+
+    monkeypatch.setattr(verify_mod, "noncore_orbit", empty_union_only)
+    data = verify_intermediate_structure(3).to_dict()
+    assert data["failures"] == {"opp-ncc": 4}
+    assert {c["kind"] for c in data["counterexamples"]} == {"opp-ncc"}
+
+
+def test_verify_intermediate_reports_an_opposite_move_that_moves_nothing(monkeypatch):
+    healthy = verify_mod.noncore_orbit
+
+    def unmoved(t, convention):
+        if convention != verify_mod.OPPOSITE:
+            return healthy(t, convention)
+        return [(labels, t) for labels, _ in healthy(t, convention)]
+
+    monkeypatch.setattr(verify_mod, "noncore_orbit", unmoved)
+    data = verify_intermediate_structure(3).to_dict()
+    assert data["failures"] == {"two-tableaux": 4}
+    assert data["counterexamples"][0] == {"kind": "two-tableaux", "tau": "{t}", "count": 2}
+
+
 def test_verify_conjecture_reports_where_partitions_differ(monkeypatch):
     class MergedTable(KLTable):
         def cells(self, side="L"):
@@ -533,6 +574,30 @@ def test_cli_verify_exit_codes_and_json(tmp_path, capsys):
     assert "[PASS] conjecture" in printed
     data = json.loads(out.read_text())
     assert data["status"] == "pass"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_cli_outlives_a_reader_that_closed_standard_output(tmp_path, unbuffered):
+    # a pipe whose reader has gone before the CLI writes, as in
+    # `dominocells ... | head -c 0`
+    out = tmp_path / "report.json"
+    src = os.path.dirname(os.path.dirname(dominocells.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dominocells.cli", "verify", "tau", "--n", "2",
+             "--json", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+    assert json.loads(out.read_text())["status"] == "pass"
 
 
 def test_cli_insert_json_and_steps(tmp_path, capsys):
@@ -891,14 +956,15 @@ def _squares(x):
 ])
 def test_in_two_forks_once_at_most(monkeypatch, forks, n, cpus, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    assert verify_mod._in_two(_squares, [1, 2], [3, 4, 5], n) == [1, 4, 9, 16, 25]
+    assert verify_mod._in_two(_squares, [1, 2, 3, 4, 5], lambda x: 1, n) == [
+        1, 4, 9, 16, 25]
     assert len(forks) == expected
 
 
 def test_in_two_runs_in_one_process_without_fork(monkeypatch, forks):
     monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
-    assert verify_mod._in_two(_squares, [1], [2], 4) == [1, 4]
+    assert verify_mod._in_two(_squares, [1, 2], lambda x: 1, 4) == [1, 4]
     assert not forks
 
 
@@ -919,7 +985,7 @@ def test_in_two_raises_the_exception_of_the_child(monkeypatch, forks):
         return x
 
     with pytest.raises(ValueError, match="^piece 1 failed$"):
-        verify_mod._in_two(fails_in_the_child, [1], [2], 4)
+        verify_mod._in_two(fails_in_the_child, [1, 2], lambda x: 1, 4)
     assert len(forks) == 1
 
 
@@ -936,7 +1002,7 @@ def test_in_two_names_an_exception_that_cannot_be_pickled(monkeypatch, forks):
         return x
 
     with pytest.raises(RuntimeError, match="raised Local: lost"):
-        verify_mod._in_two(fails_in_the_child, [1], [2], 4)
+        verify_mod._in_two(fails_in_the_child, [1, 2], lambda x: 1, 4)
 
 
 def test_in_two_reports_a_child_that_sent_nothing(monkeypatch, forks):
@@ -949,7 +1015,7 @@ def test_in_two_reports_a_child_that_sent_nothing(monkeypatch, forks):
         return x
 
     with pytest.raises(RuntimeError, match="exited with status 3"):
-        verify_mod._in_two(exits_in_the_child, [1], [2], 4)
+        verify_mod._in_two(exits_in_the_child, [1, 2], lambda x: 1, 4)
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -965,7 +1031,7 @@ def test_in_two_reaps_the_child_when_this_process_raises(monkeypatch, forks, err
 
     t0 = time.monotonic()
     with pytest.raises(error, match="this half failed"):
-        verify_mod._in_two(fails_here, [1], [2], 4)
+        verify_mod._in_two(fails_here, [1, 2], lambda x: 1, 4)
     assert time.monotonic() - t0 < 30
     assert len(forks) == 1
 
@@ -979,7 +1045,7 @@ def test_in_two_child_prints_nothing_and_repeats_no_pending_output(monkeypatch, 
         print("never")  # printed by this process alone
         return x
 
-    assert verify_mod._in_two(prints, [1], [2], 4) == [1, 2]
+    assert verify_mod._in_two(prints, [1, 2], lambda x: 1, 4) == [1, 2]
     assert capfd.readouterr().out == "once" + "never\n"
 
 
