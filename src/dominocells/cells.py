@@ -5,18 +5,15 @@ Two elements share a left combinatorial r-cell when their right insertion
 tableaux agree up to moving through a set of non-core open cycles; right
 cells use the left tableaux, and two-sided cells are the transitive
 closure of both.  Every partition reads the one class map,
-`tableau_classes`, once, with one cycle fingerprint per class, and numbers
-the left cells.  The left tableau of w is the right tableau of w^-1, so w
-lies in right cell i exactly when w^-1 lies in left cell i.  Right cell
-i meets left cell i, at the involution of the class with P(w) = Q(w), so
-the two-sided cells join the left cell of each w to the left cell of
-w^-1: a union-find over the left cell numbers, not over W_n.  For
-r >= n - 1 the partitions stabilize ("asymptotic" cells).  Partitions are
-stored with canonically sorted blocks so they can be compared and
-serialized deterministically.  A block
-is looked up by element through one element -> block map, built on the
-first lookup; `CellPartition.misfits` compares two partitions block by
-block, and `same_partition` tests equality alone.
+`tableau_classes`, with one cycle fingerprint per class.  The left tableau
+of w is the right tableau of w^-1, so side R puts w in right cell i when
+w^-1 lies in left cell i, read from an element -> cell map.  Side LR joins
+the left cells of w and w^-1; as insertion is onto all same-shape pairs,
+that joins the left cells of all tableaux of one shape: a union-find over
+the fingerprints, not over W_n.  For r >= n - 1 the partitions stabilize
+("asymptotic" cells).  Blocks are sorted canonically;
+`CellPartition.block_of` reads an element -> block map built on first use,
+`misfits` pairs unequal blocks and `same_partition` tests equality alone.
 
 W_2 has 4 left cells at rank 0 and 6 at rank 1; W_3 has 10 asymptotic
 two-sided cells:
@@ -114,31 +111,33 @@ def combinatorial_cells(n: int, rank: int, side: str = "L") -> CellPartition:
         raise ValueError("side must be L, R or LR")
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    # the element -> cell map of `_cell_lists` is freed before the blocks are
-    # frozen, and the lists before the partition checks them
+    # side R's element -> cell map is freed before the blocks are frozen, and
+    # the lists before the partition checks them
     blocks = tuple(frozenset(b) for b in _cell_lists(n, rank, side))
     return CellPartition(n, f"comb r={rank} {side}", blocks)
 
 
 def _cell_lists(n: int, rank: int, side: str) -> List[List[SignedPerm]]:
     """The elements of each cell on one side, read from the one class map."""
-    groups: Dict[Tuple, List[SignedPerm]] = {}
+    groups: Dict[Tuple, List[SignedPerm]] = {}  # fingerprint -> its left cell
+    first: Dict[Tuple, Tuple] = {}  # shape -> the first fingerprint of its tableaux
+    links = []
     for t, ws in tableau_classes(n, rank).items():
-        groups.setdefault(cell_fingerprint(t), []).extend(ws)
+        fp = cell_fingerprint(t)
+        groups.setdefault(fp, []).extend(ws)
+        links.append((fp, first.setdefault(t.shape, fp)))
+    if side == "LR":
+        # Q(w^-1) = P(w) and insertion is a bijection onto all same-shape pairs:
+        # the left cells of w and w^-1 run over those of every same-shape Q, P
+        return [[w for fp in fps for w in groups[fp]] for fps in components(groups, links)]
     left = list(groups.values())
     if side == "L":
         return left
     cell = {w: i for i, ws in enumerate(left) for w in ws}  # w -> its left cell
-    if side == "R":
-        right: List[List[SignedPerm]] = [[] for _ in left]
-        for w in group_elements(n):
-            right[cell[inverse(w)]].append(w)
-        return right
-    # right cell j meets left cell j, at the involution of its recording
-    # class, so w joins its left cell to the left cell of w^-1
-    links = ((cell[w], cell[inverse(w)]) for w in group_elements(n))
-    return [[w for i in nodes for w in left[i]]
-            for nodes in components(range(len(left)), links)]
+    right: List[List[SignedPerm]] = [[] for _ in left]
+    for w in group_elements(n):
+        right[cell[inverse(w)]].append(w)
+    return right
 
 
 def asymptotic_cells(n: int, side: str = "L") -> CellPartition:

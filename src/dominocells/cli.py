@@ -172,6 +172,14 @@ def main(argv=None) -> int:
             f"--n {n} is too large: |W_{n}| = {_order(n)} elements; "
             f"{args.command} stops at n = {MAX_N}"
         )
+    # paths the run writes to are refused before anything runs
+    out, cache = getattr(args, "json", None), getattr(args, "cache", None)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        parser.error(f"--json {out}: a file cannot be written there")
+    while cache and not os.path.exists(cache):  # the longest part that exists
+        cache = os.path.dirname(cache)
+    if cache and not os.path.isdir(cache):
+        parser.error(f"--cache {args.cache}: {cache} is not a directory")
 
     if args.command == "verify":
         reports = _run_verify(args)

@@ -135,8 +135,12 @@ def _in_two(fn: Callable, pieces: Sequence, cost: Callable, n: int) -> list:
     first, second = _halves(pieces, cost)
     if n <= 3 or not first or not second or not hasattr(os, "fork") or _cpus() < 2:
         return [fn(x) for x in pieces]
-    sys.stdout.flush()  # the child inherits no unwritten output
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        try:  # the child inherits no unwritten output
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):  # its reader has gone, or it is closed
+            pass
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import dominocells.cells as cells_mod
 from dominocells.cells import (
     CellPartition, asymptotic_cells, cell_fingerprint, class_of_tableau,
     combinatorial_cells,
@@ -13,7 +14,7 @@ from dominocells.hecke import WeightFunction, kl_cells
 from dominocells.insertion import insert
 from dominocells.tableaux import DominoTableau, enumerate_sdt
 from dominocells.wgroup import group_elements, inverse
-from wgroup_oracles import split_ranks
+from wgroup_oracles import cells_from_left_cells, split_ranks
 
 W = (4, 1, -3, -2)
 
@@ -70,6 +71,25 @@ def test_partitions_are_pinned():
                 digest.update(combinatorial_cells(n, rank, side).to_json().encode())
     assert digest.hexdigest() == (
         "f0f2851e749006ca1fc7b360642b3c6991a0bc4d35de9891be4066c85a9e7747")
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_right_and_two_sided_cells_follow_the_element_level_rule(n):
+    # ranks 0..n + 1, one past the digest's, against a sweep over W_n that
+    # inverts every element
+    for rank in range(n + 2):
+        left = combinatorial_cells(n, rank, "L").blocks
+        for side in ("R", "LR"):
+            expected = {frozenset(b) for b in cells_from_left_cells(left, side)}
+            assert set(combinatorial_cells(n, rank, side).blocks) == expected, (rank, side)
+
+
+@pytest.mark.parametrize("side, calls", [("L", 0), ("R", 384), ("LR", 0)])
+def test_only_side_r_inverts_elements(side, calls, monkeypatch):
+    inverted = []
+    monkeypatch.setattr(cells_mod, "inverse", lambda w: inverted.append(w) or inverse(w))
+    combinatorial_cells(4, 2, side)
+    assert len(inverted) == calls
 
 
 def test_asymptotic_block_counts():

@@ -600,6 +600,38 @@ def test_cli_outlives_a_reader_that_closed_standard_output(tmp_path, unbuffered)
     assert json.loads(out.read_text())["status"] == "pass"
 
 
+def _run_split_cli(argv, **popen):
+    """The CLI in a fresh interpreter that splits its suites from n = 4 on
+    whatever CPUs it may use, with unwritten output of its caller."""
+    src = os.path.dirname(os.path.dirname(dominocells.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    code = ("import sys, dominocells.verify as v; v._cpus = lambda: 2; print('started'); "
+            "from dominocells.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv], stderr=subprocess.PIPE,
+                          env=env, text=True, **popen)
+
+
+@pytest.mark.parametrize("stdout", ["reader-gone", "closed"])
+def test_a_split_suite_runs_whatever_became_of_standard_output(tmp_path, stdout):
+    # the fork's flush meets a pipe whose reader has gone (`| head -c 0`) or
+    # no standard output at all (`>&-`)
+    out = tmp_path / "report.json"
+    argv = ["verify", "tau", "--n", "4", "--json", str(out)]
+    if stdout == "closed":
+        done = _run_split_cli(argv, preexec_fn=lambda: os.close(1))
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _run_split_cli(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
 def test_cli_insert_json_and_steps(tmp_path, capsys):
     out = tmp_path / "pair.json"
     code = main(["insert", "--perm", "[4,1,-3,-2]", "--rank", "2",
@@ -667,6 +699,34 @@ def test_cli_rejects_options_the_command_ignores(argv, capsys, monkeypatch):
     assert len(errors) == 1 and errors[0].startswith("dominocells")
     assert "does not use" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify tau --n 2 --json {missing}/report.json",
+    "verify tau --n 2 --json {tmp}",
+    "verify classes --n 2 --json {file}/report.json",
+    'insert --perm "2 -1" --rank 1 --json {missing}/pair.json',
+    "verify conjecture --n 2 --cache {file}",
+    "verify intermediate --n 2 --cache {file}/kl",
+    "cells --n 2 --rank 0 --kind kl --cache {file}",
+])
+def test_cli_refuses_paths_it_cannot_write_before_anything_runs(argv, tmp_path, capsys,
+                                                                monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("_run_verify", "kl_cells", "combinatorial_cells", "insert"):
+        monkeypatch.setattr(f"dominocells.cli.{name}", ran)
+    file = tmp_path / "file"
+    file.write_text("kept")
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv.format(missing=tmp_path / "missing", tmp=tmp_path, file=file)))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("dominocells")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv", [

@@ -46,3 +46,37 @@ def split_ranks(n):
                     ranks.setdefault(w, r)
     assert len(ranks) == 2 ** n * math.factorial(n), f"no split rank below n in W_{n}"
     return ranks
+
+
+def signed_inverse(w):
+    """w^-1 in one-line form: w(i) = x puts sign(x) * i at position |x|."""
+    inv = [0] * len(w)
+    for i, x in enumerate(w, 1):
+        inv[abs(x) - 1] = i if x > 0 else -i
+    return tuple(inv)
+
+
+def cells_from_left_cells(left, side):
+    """The right (side "R") or two-sided (side "LR") cells, as sets, from
+    the left cells `left` by the element-level rule: a sweep over W_n puts
+    w in right cell i when w^-1 lies in left cell i, and the two-sided cells
+    join the left cells of each w and w^-1."""
+    cell = {w: i for i, block in enumerate(left) for w in block}
+    if side == "R":
+        right = [set() for _ in left]
+        for w in cell:
+            right[cell[signed_inverse(w)]].add(w)
+        return right
+    root = list(range(len(left)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for w, i in cell.items():
+        root[find(i)] = find(cell[signed_inverse(w)])
+    joined = {}
+    for i, block in enumerate(left):
+        joined.setdefault(find(i), set()).update(block)
+    return list(joined.values())
