@@ -6,7 +6,8 @@ Command line interface.
     dominocells cells --n 3 --rank 1 --side L --kind comb
     dominocells insert --perm "4 1 -3 -2" --rank 2 --steps
 
-Exit status 0 when every requested check passes.
+Each command gives the lines it prints, its `--json` payload and its exit
+status, 0 when every requested check passes; `main` emits them once.
 """
 
 from __future__ import annotations
@@ -183,59 +184,38 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         reports = _run_verify(args)
-        for report in reports:
-            _out(report.summary())
-        if args.json:
-            payload = [r.to_dict() for r in reports]
-            with open(args.json, "w") as fh:
-                json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2)
-        return 0 if all(r.status == "pass" for r in reports) else 1
-
-    if args.command == "cells":
+        lines = [r.summary() for r in reports]
+        payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
+        status = 0 if all(r.status == "pass" for r in reports) else 1
+    elif args.command == "cells":
         if args.kind == "comb":
             part = combinatorial_cells(args.n, args.rank, args.side)
         else:
-            part = kl_cells(
-                args.n, WeightFunction(1, args.rank + 1), args.side, cache_dir=args.cache
-            )
-        _out(part.to_json())
-        return 0
-
-    if args.command == "insert":
+            part = kl_cells(args.n, WeightFunction(1, args.rank + 1), args.side,
+                            cache_dir=args.cache)
+        lines, payload, status = [part.to_json()], None, 0
+    else:
         w = args.perm
-        if args.steps:
-            states = insertion_states(w, args.rank)
-            for k, pair in enumerate(states):
-                _out(f"step {k}:")
-                _out(pair.left.pretty())
-                _out(pair.right.pretty())
-            payload = {
-                "perm": list(w),
-                "rank": args.rank,
-                "steps": [
-                    {"left": [list(r) for r in s.left.rows],
-                     "right": [list(r) for r in s.right.rows]}
-                    for s in states
-                ],
-            }
-        else:
-            pair = insert(w, args.rank)
-            _out(pair.left.pretty())
-            _out(pair.right.pretty())
-            payload = {
-                "perm": list(w),
-                "rank": args.rank,
-                "left": [list(r) for r in pair.left.rows],
-                "right": [list(r) for r in pair.right.rows],
-            }
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        else:
-            _out(json.dumps(payload))
-        return 0
+        pairs = insertion_states(w, args.rank) if args.steps else [insert(w, args.rank)]
+        lines, rows = [], []
+        for k, pair in enumerate(pairs):
+            if args.steps:
+                lines.append(f"step {k}:")
+            lines += [pair.left.pretty(), pair.right.pretty()]
+            rows.append({"left": [list(r) for r in pair.left.rows],
+                         "right": [list(r) for r in pair.right.rows]})
+        payload = {"perm": list(w), "rank": args.rank,
+                   **({"steps": rows} if args.steps else rows[0])}
+        if not out:
+            lines.append(json.dumps(payload))
+        status = 0
 
-    raise AssertionError(args.command)
+    for line in lines:
+        _out(line)
+    if out:
+        with open(out, "w") as fh:
+            json.dump(payload, fh, indent=2)
+    return status
 
 
 if __name__ == "__main__":

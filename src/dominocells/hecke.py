@@ -56,8 +56,9 @@ and signed permutations appear only there and at the boundary:
 With a cache directory a table is kept in one binary file: its pool,
 each distinct coefficient once, then per element the two arrays of c_w
 and the left edges of w as uint32s, under a SHA-256 trailer.  A warm
-table reads the file and skips the pass; a file that fails any check is
-recomputed and rewritten.
+table reads the file and skips the pass; a file that fails any check or
+cannot be opened is recomputed and rewritten.  A table that cannot be
+written is kept, and one line on standard error names its file.
 """
 
 from __future__ import annotations
@@ -253,7 +254,11 @@ class KLTable:
         if self._edges is None and not self._load_cache():
             self._pass()
             if self.cache_dir:
-                self._save_cache()
+                try:
+                    self._save_cache()
+                except OSError as exc:  # the table stands; only its file is missing
+                    print(f"dominocells: {self._cache_path()} not written: "
+                          f"{exc.strerror or exc}", file=sys.stderr)
         return self._c
 
     def _pass(self) -> None:
@@ -485,7 +490,7 @@ class KLTable:
 
     def _load_cache(self) -> bool:
         """Fill the table from the cache file, one record at a time; False
-        when there is no file or it fails a check: a header for another
+        when the file cannot be opened or fails a check: a header for another
         table, a pool of another size, a short file, an index or pool
         position out of range, a missing or wrong trailer, or anything
         after the trailer."""
@@ -493,7 +498,7 @@ class KLTable:
             return False
         try:
             fh = open(self._cache_path(), "rb")
-        except FileNotFoundError:
+        except OSError:  # missing, a directory or unreadable
             return False
         from array import array
         with fh:

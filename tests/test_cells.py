@@ -107,6 +107,15 @@ def test_asymptotic_cells_are_stable():
         assert a.same_partition(b)
 
 
+def test_asymptotic_cells_refuse_cells_that_change_past_rank_n_minus_1(monkeypatch):
+    healthy = cells_mod.combinatorial_cells
+    # rank n takes the cells of rank 0, which at n = 2 are other cells
+    monkeypatch.setattr(cells_mod, "combinatorial_cells",
+                        lambda n, rank, side: healthy(n, 0 if rank == n else rank, side))
+    with pytest.raises(AssertionError, match="asymptotic cells not stable at n=2 side=L"):
+        asymptotic_cells(2, "L")
+
+
 def test_split_blocks_are_asymptotic_blocks():
     # a split element's intermediate block equals its asymptotic block
     for n in (3, 4):

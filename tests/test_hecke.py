@@ -118,6 +118,17 @@ def test_t_multiplication_fixtures():
     }
 
 
+def test_c_s_times_drops_the_terms_that_cancel():
+    # c_t = T_t + v^-2 and c_t (T_t - v^2) = 0, with L(t) = 2 at n = 1
+    table = KLTable(1, WeightFunction(1, 2))
+    (lmul,), ((_, ls),), top = table._group.lmul, table.gens, table._top
+    pool = [_encode({0: 1}, top), _encode({ls: -1}, top)]
+    t, e = table._group.index[(-1,)], table._group.index[(1,)]
+    c_t = table._c_s_times(lmul, ls, (array("I", [e]), array("I", [0])), pool)
+    assert {y: _decode(x, top) for y, x in c_t.items()} == {t: {0: 1}, e: {-2: 1}}
+    assert table._c_s_times(lmul, ls, (array("I", [e, t]), array("I", [1, 0])), pool) == {}
+
+
 def test_associativity_spot_checks():
     rng = random.Random(7)
     for n in (2, 3):
@@ -466,11 +477,18 @@ def _index_out_of_range(data):
     return _join(head, pool, records)
 
 
+def _record_longer_than_the_group(data):
+    head, pool, records, _ = _split(data)
+    records[0][0] = len(records) + 1  # the identity's number of terms
+    return _join(head, pool, records)
+
+
 @pytest.mark.parametrize("damage", [
     _truncated, _header_for_another_n, _one_coefficient_edited,
     _trailer_missing, _line_after_the_trailer, _two_records_swapped,
     # each of these carries a trailer that matches its bytes
     _pool_count_wrong, _pool_position_out_of_range, _index_out_of_range,
+    _record_longer_than_the_group,
 ])
 def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
     L = WeightFunction(1, 2)
@@ -485,6 +503,31 @@ def test_a_damaged_cache_file_is_recomputed_and_rewritten(tmp_path, damage):
     assert [table.cells(side) for side in ("L", "R", "LR")] == cold
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_an_entry_that_cannot_be_opened_is_recomputed_and_rewritten(tmp_path, monkeypatch,
+                                                                    capsys):
+    L = WeightFunction(1, 2)
+    cold = KLTable(3, L, cache_dir=str(tmp_path))
+    cold.all_kl_basis()
+    path = tmp_path / "kl_v4_n3_a1_b2.bin"
+    good = path.read_bytes()
+    path.write_bytes(b"stale")
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+    table = KLTable(3, L, cache_dir=str(tmp_path))
+    assert table.all_kl_basis() == cold.all_kl_basis() and table._pool == cold._pool
+    assert table.left_edges() == cold.left_edges()
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_file_layout(tmp_path):

@@ -6,14 +6,19 @@ import random
 
 import pytest
 
+from dominocells.cells import class_of_tableau, combinatorial_cells
 from dominocells.cycles import (
-    OPPOSITE, REGULAR, core_raise, cycle_partition,
+    OPPOSITE, REGULAR, core_raise, cycle_partition, extended_cycles,
     move_through, noncore_orbit, raise_rank,
 )
-from dominocells.insertion import insert
+from dominocells.hecke import KLTable, WeightFunction
+from dominocells.insertion import insert, tableau_classes
 from dominocells.shapes import cells_of_shape, shape_from_cells, staircase
-from dominocells.tableaux import DominoTableau, TableauError, _check_tiling
-from dominocells.wgroup import group_elements
+from dominocells.tableaux import (
+    DominoTableau, TableauError, _check_tiling, enhanced_tau_of_tableau,
+)
+from dominocells.verify import verify_intermediate_structure
+from dominocells.wgroup import compose, enhanced_tau_invariant, group_elements
 
 
 def _is_diagram(squares):
@@ -138,3 +143,37 @@ def test_every_built_tableau_is_standard():
                     move_through(t, cyc.labels, conv).check_standard(strict_core=False)
                 for _, moved in noncore_orbit(t, conv):
                     moved.check_standard(strict_core=False)
+
+
+# outside input out of range, refused by each library call that takes it
+R0 = DominoTableau(0, ((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: class_of_tableau(R0, 3), ValueError,
+                 "tableau has 2 dominos, expected 3", id="class-of-tableau-n"),
+    pytest.param(lambda: combinatorial_cells(2, 0, "X"), ValueError, "side must be",
+                 id="combinatorial-cells-side"),
+    pytest.param(lambda: combinatorial_cells(2, -1), ValueError, "rank must be >= 0",
+                 id="combinatorial-cells-rank"),
+    pytest.param(lambda: WeightFunction(0, 1), ValueError, "must be positive",
+                 id="weight-function"),
+    pytest.param(lambda: KLTable(1, WeightFunction(1, 1)).cells("X"), ValueError,
+                 "side must be", id="kl-cells-side"),
+    pytest.param(lambda: tableau_classes(1, -1), ValueError, "rank must be >= 0",
+                 id="tableau-classes-rank"),
+    pytest.param(lambda: DominoTableau(0, ((1, 1), (2, 2, 3, 3))).check_standard(),
+                 TableauError, "not weakly decreasing", id="check-standard-rows"),
+    pytest.param(lambda: enhanced_tau_of_tableau(R0, 0), ValueError,
+                 "ratio must be a positive integer", id="enhanced-tau-of-tableau"),
+    pytest.param(lambda: compose((1, 2), (1,)), ValueError, "rank mismatch", id="compose"),
+    pytest.param(lambda: enhanced_tau_invariant((1,), 0), ValueError,
+                 "ratio must be a positive integer", id="enhanced-tau-invariant"),
+    pytest.param(lambda: extended_cycles(R0, DominoTableau(0, ((1, 1, 2, 2),))),
+                 TableauError, "pair shapes differ", id="extended-cycles"),
+    pytest.param(lambda: verify_intermediate_structure(1), ValueError, "needs n >= 2",
+                 id="verify-intermediate-n"),
+])
+def test_library_calls_refuse_arguments_out_of_their_range(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -60,6 +62,15 @@ def test_verify_insertion_reports_an_injected_fault(monkeypatch, fresh_relocatio
     assert report.status == "fail"
     assert report.counterexamples
     assert any(c.get("kind") == "rank-raise" for c in report.counterexamples)
+
+
+def test_verify_insertion_reports_a_count_of_tableaux_that_misses_one(monkeypatch):
+    healthy = verify_mod.enumerate_sdt
+    monkeypatch.setattr(verify_mod, "enumerate_sdt",
+                        lambda n, rank: list(healthy(n, rank))[1:])
+    report = verify_insertion(2, 1)
+    assert report.failures == {"counting": 2}
+    assert [c["r"] for c in report.counterexamples] == [0, 1]
 
 
 def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monkeypatch):
@@ -905,6 +916,90 @@ def test_cli_cache_dir(tmp_path, capsys):
     code = main(["verify", "conjecture", "--n", "2", "--ratio", "1",
                  "--cache", str(tmp_path)])
     assert code == 0
+
+
+# SHA-256 (first 16 hex digits) of standard output and of the `--json` file,
+# each with its timings blanked, and the exit status, for every command
+GOLDEN_OUTPUTS = {
+    "insert --perm '4 1 -3 -2' --rank 2": (0, '7faa238fe7d9416f', None),
+    "insert --perm '4 1 -3 -2' --rank 2 --steps": (0, '1b682f63d2297360', None),
+    "insert --perm '4 1 -3 -2' --rank 2 --json": (0, '9d2b86ca4fe188bc', 'b05e4f506abc8108'),
+    "insert --perm '4 1 -3 -2' --rank 2 --steps --json": (0, 'dadf143b874d8b74', '89110a9f72a677f0'),
+    'cells --kind comb --n 0 --rank 0 --side L': (0, 'a890d33ffe61952d', None),
+    'cells --kind comb --n 0 --rank 0 --side R': (0, 'b0ae9348c0d9ea1a', None),
+    'cells --kind comb --n 0 --rank 0 --side LR': (0, '9a28004793e93dd0', None),
+    'cells --kind comb --n 1 --rank 0 --side L': (0, '4cbe3c6cd3bd717b', None),
+    'cells --kind comb --n 1 --rank 0 --side R': (0, '32e22b67e3ce6ea0', None),
+    'cells --kind comb --n 1 --rank 0 --side LR': (0, '83dfa11d69b7af77', None),
+    'cells --kind comb --n 1 --rank 1 --side L': (0, '3a415b3655d004c1', None),
+    'cells --kind comb --n 1 --rank 1 --side R': (0, '2cd99e427d65c721', None),
+    'cells --kind comb --n 1 --rank 1 --side LR': (0, '0d4fc4fb91583ff9', None),
+    'cells --kind comb --n 2 --rank 0 --side L': (0, '1198134166f12dd6', None),
+    'cells --kind comb --n 2 --rank 0 --side R': (0, '69c614c45f7a1d5a', None),
+    'cells --kind comb --n 2 --rank 0 --side LR': (0, 'f50d1eb09c71ed64', None),
+    'cells --kind comb --n 2 --rank 1 --side L': (0, '5deac09e63e682b2', None),
+    'cells --kind comb --n 2 --rank 1 --side R': (0, '8bd1df030ade46a7', None),
+    'cells --kind comb --n 2 --rank 1 --side LR': (0, '39a7fa4eff3e0c45', None),
+    'cells --kind comb --n 2 --rank 2 --side L': (0, '732df575f6f2b3f0', None),
+    'cells --kind comb --n 2 --rank 2 --side R': (0, 'c09df246ff33e037', None),
+    'cells --kind comb --n 2 --rank 2 --side LR': (0, '84525bbb3b34afc4', None),
+    'cells --kind comb --n 3 --rank 0 --side L': (0, '5e40dd85a14d8362', None),
+    'cells --kind comb --n 3 --rank 0 --side R': (0, '35feb66b45ef0e64', None),
+    'cells --kind comb --n 3 --rank 0 --side LR': (0, '59f2662dd91c9c09', None),
+    'cells --kind comb --n 3 --rank 1 --side L': (0, '17c9b53ddd8b5d00', None),
+    'cells --kind comb --n 3 --rank 1 --side R': (0, '5e5994e6097c1004', None),
+    'cells --kind comb --n 3 --rank 1 --side LR': (0, '4aebe5187a31bff6', None),
+    'cells --kind comb --n 3 --rank 2 --side L': (0, '88c6ec689753a1be', None),
+    'cells --kind comb --n 3 --rank 2 --side R': (0, 'cc7e8e00ef69a946', None),
+    'cells --kind comb --n 3 --rank 2 --side LR': (0, 'f480c81f70292682', None),
+    'cells --kind comb --n 3 --rank 3 --side L': (0, '9a5b35c572509df5', None),
+    'cells --kind comb --n 3 --rank 3 --side R': (0, 'bdd3c057456b07b0', None),
+    'cells --kind comb --n 3 --rank 3 --side LR': (0, '9bc4e2273d900ed8', None),
+    'cells --kind kl --n 2 --rank 0 --side L': (0, '895878ce4b0d8a54', None),
+    'cells --kind kl --n 2 --rank 0 --side R': (0, '77b823c58b81282e', None),
+    'cells --kind kl --n 2 --rank 0 --side LR': (0, 'c00c24f4d1633d50', None),
+    'cells --kind kl --n 2 --rank 1 --side L': (0, '208da1a68774a3c2', None),
+    'cells --kind kl --n 2 --rank 1 --side R': (0, 'fa9ec20dd92ea0be', None),
+    'cells --kind kl --n 2 --rank 1 --side LR': (0, 'c5350239fd20a0c4', None),
+    'cells --kind kl --n 2 --rank 2 --side L': (0, '03268a9f3837bdfb', None),
+    'cells --kind kl --n 2 --rank 2 --side R': (0, 'bad0d3cafc575676', None),
+    'cells --kind kl --n 2 --rank 2 --side LR': (0, '349932da0057aa9e', None),
+    'verify insertion --n 3 --json': (0, 'e11d7896d8a060be', '114cb4ed418871f4'),
+    'verify tau --n 3 --json': (0, 'cd8dfedf242f5334', '2bda4d8f720fabbe'),
+    'verify classes --n 3 --json': (0, 'dbc50c7819c77b08', 'c192a3b149001e88'),
+    'verify conjecture --n 3 --json': (0, '6c24ad700e2e9032', '85c0a5a026961c08'),
+    'verify intermediate --n 3 --json': (0, '4a9bc91997365cf8', '8659f844047fb927'),
+}
+
+
+def _digest(text):
+    text = re.sub(r'"ms": [0-9.]+', '"ms"', text)
+    text = re.sub(r"\(\d+ ms\)", "(ms)", text)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command", GOLDEN_OUTPUTS)
+def test_cli_outputs_match_their_golden_digests(command, tmp_path, capsys):
+    argv = shlex.split(command)
+    out = tmp_path / "out.json"
+    if argv[-1] == "--json":
+        argv.append(str(out))
+    code = main(argv)
+    written = _digest(out.read_text()) if out.exists() else None
+    assert (code, _digest(capsys.readouterr().out), written) == GOLDEN_OUTPUTS[command]
+
+
+def test_cli_verify_outlives_a_cache_entry_it_cannot_open(tmp_path, capsys):
+    # a directory squats on the entry: it can be neither read nor replaced
+    entry = tmp_path / "kl_v4_n2_a1_b1.bin"
+    entry.mkdir()
+    code = main(["verify", "conjecture", "--n", "2", "--ratio", "1",
+                 "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.startswith("[PASS] conjecture")
+    (line,) = err.splitlines()
+    assert line.startswith(f"dominocells: {entry} not written: ")
+    assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
 
 
 @pytest.fixture
