@@ -140,8 +140,10 @@ def main(argv=None) -> int:
         try:
             args.perm = parse_perm(args.perm)
         except ValueError as exc:
-            print(f"bad --perm: {exc}", file=sys.stderr)
-            return 2
+            try:
+                parser.error(f"bad --perm: {exc}")
+            except SystemExit as refused:  # this refusal is returned, not raised
+                return refused.code
         n = len(args.perm)
     else:
         n = args.n

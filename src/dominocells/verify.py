@@ -7,12 +7,15 @@ report: check name, parameters, pass/fail, summary counts, a bounded list
 of counterexamples, and wall time.  Reports are deterministic apart from
 the wall-time field.
 
-`verify_tau` and `verify_conjecture`, and the CLI's `verify classes`, pass
-their pieces (ranks or ratios) and a piece's cost to `_in_two`.  It cuts
-them into two contiguous halves of about equal cost and, for n >= 4 when the
-process may run on two CPUs, maps the first in one forked child while the
-calling process maps the second; each suite merges the pieces' results in
-their serial order, so its report is the one a single process gives.
+`verify_insertion`, `verify_tau` and `verify_conjecture`, and the CLI's
+`verify classes`, pass their pieces (ranks or ratios) and a piece's cost to
+`_in_two`.  It cuts them into two contiguous halves of about equal cost
+and, for n >= 4 when the process may run on two CPUs, maps the first in one
+forked child while the calling process maps the second; each suite merges
+the pieces' results in their serial order, so its report is the one a
+single process gives.  A rank of `verify_insertion` is checked against the
+next rank, whose pairs it hands on to that rank within the process, so
+only the rank where the halves meet is walked twice.
 """
 
 from __future__ import annotations
@@ -164,7 +167,10 @@ def _in_two(fn: Callable, pieces: Sequence, cost: Callable, n: int) -> list:
     if not data:
         code = os.waitstatus_to_exitcode(status)
         raise RuntimeError(f"the forked child exited with status {code} and sent no result")
-    done, value = pickle.loads(data)
+    done, value, errors = pickle.loads(data)
+    if errors and sys.stderr is not None:
+        sys.stderr.write(errors)
+        sys.stderr.flush()
     if not done:
         raise value
     return value + mine
@@ -172,9 +178,11 @@ def _in_two(fn: Callable, pieces: Sequence, cost: Callable, n: int) -> list:
 
 def _child(fn: Callable, items: Sequence, read_end: int, write_end: int) -> None:
     """The forked child's whole life: it maps `fn` over `items`, writes the
-    pickled outcome to `write_end` and leaves through `os._exit`, so none of
-    the parent's code after the fork runs twice.  Its standard output and
-    error, as files and as descriptors, go to the null device."""
+    pickled outcome and the text written to `sys.stderr` to `write_end` and
+    leaves through `os._exit`, so none of the parent's code after the fork
+    runs twice.  Its standard output, as a file, and both descriptors go to
+    the null device; the caller writes the child's error text."""
+    import io
     import pickle
 
     status = 1
@@ -183,16 +191,18 @@ def _child(fn: Callable, items: Sequence, read_end: int, write_end: int) -> None
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.dup2(null, 2)
-        sys.stdout = sys.stderr = open(null, "w")
+        sys.stdout = open(null, "w")
+        sys.stderr = errors = io.StringIO()
         try:
-            data = pickle.dumps((True, [fn(x) for x in items]))
+            data = pickle.dumps((True, [fn(x) for x in items], errors.getvalue()))
         except BaseException as exc:  # KeyboardInterrupt too: the caller raises it
             try:
-                data = pickle.dumps((False, exc))
+                data = pickle.dumps((False, exc, errors.getvalue()))
                 pickle.loads(data)
             except Exception:
                 data = pickle.dumps((False, RuntimeError(
-                    f"the forked child raised {type(exc).__name__}: {exc}")))
+                    f"the forked child raised {type(exc).__name__}: {exc}"),
+                    errors.getvalue()))
         with open(write_end, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -216,58 +226,72 @@ def verify_insertion(n: int, rmax: int) -> Report:
     insertion at the next rank, and, at every rank walked, the symmetry
     P(w) = Q(w^-1): the left tableau of w is the right tableau of w^-1."""
     report = Report("insertion", {"n": n, "rmax": rmax})
+    report.counts["elements"] = len(group_elements(n))
+    # rank r + 1's pairs, built while checking rank r, wait here for rank
+    # r + 1 when the same process checks it next; a half's first rank walks
+    # its own.  Ranks from n - 1 on add the bitableau check: at n = 4 ranks
+    # 3-4 take about 1.5 times as long as ranks 0-2
+    handoff: Dict[int, tuple] = {}
+    for part in _in_two(partial(_insertion_at, n, rmax, handoff), range(rmax + 1),
+                        lambda r: 3 if r >= n - 1 else 2, n):
+        report.absorb(part)
+    report.counts["ranks"] = rmax + 1
+    return report
+
+
+def _insertion_at(n: int, rmax: int, handoff: Dict[int, tuple], r: int) -> Report:
+    """The checks of `verify_insertion` at rank r, against rank r + 1, and
+    at rank rmax also the symmetry at rmax + 1.  Rank r's pairs come from
+    `handoff` when the previous rank left them there, and rank r + 1's are
+    left there for the next rank, so two ranks are held at a time."""
+    report = Report("insertion", {"n": n, "rank": r})
     elems = group_elements(n)
     order = (2 ** n) * math.factorial(n)
-    report.counts["elements"] = len(elems)
-    # two ranks at a time: rank r's pairs are checked against rank r + 1's,
-    # and each rank's one w -> pair map serves every check at its own rank
-    # and the rank-raise check one rank below
-    pairs, failed = _rank_pairs(elems, 0)
-    for r in range(rmax + 1):
-        upper, upper_failed = _rank_pairs(elems, r + 1)
-        _check_symmetry(report, pairs, r)
-        for w, exc in failed.items():
-            report.fail({"kind": "insert", "w": format_perm(w), "r": r,
-                         "error": str(exc)})
-        seen = {}
-        # unnamed, the raised list and the undo driver are gone before the
-        # next rank's walk
-        sides = ((pair.left, pair.right) for pair in pairs.values())
-        for (w, pair), up, back in zip(
-                pairs.items(), _shift(sides, REGULAR), _uninserted(pairs.values())):
-            if pair in seen:
-                report.fail({"kind": "collision", "r": r,
-                             "w": format_perm(w), "other": format_perm(seen[pair])})
-            seen[pair] = w
-            if isinstance(back, Exception):
-                report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
-                             "error": str(back)})
-            elif back != w:
-                report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
-            if r >= n - 1:
-                bit = asymptotic_bitableaux(w, r)
-                if bit.left != pair.left or bit.right != pair.right:
-                    report.fail({"kind": "bitableaux", "w": format_perm(w), "r": r})
-            if isinstance(up, Exception):
-                report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
-                             "error": str(up)})
-            elif w in upper_failed:
-                report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
-                             "error": str(upper_failed[w])})
-            elif up != (upper[w].left, upper[w].right):
-                report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
-        by_shape: Dict = {}
-        for t in enumerate_sdt(n, r):
-            by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
-        total = sum(c * c for c in by_shape.values())
-        report.bump("pairs_checked", len(elems))
-        if total != order:
-            report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
-        if len(seen) != order:
-            report.fail({"kind": "image-size", "r": r, "size": len(seen)})
-        pairs, failed = upper, upper_failed
-    _check_symmetry(report, pairs, rmax + 1)
-    report.counts["ranks"] = rmax + 1
+    pairs, failed = handoff.pop(r, None) or _rank_pairs(elems, r)
+    upper, upper_failed = _rank_pairs(elems, r + 1)
+    _check_symmetry(report, pairs, r)
+    for w, exc in failed.items():
+        report.fail({"kind": "insert", "w": format_perm(w), "r": r, "error": str(exc)})
+    seen = {}
+    # unnamed, the raised list and the undo driver are gone before the
+    # next rank's walk
+    sides = ((pair.left, pair.right) for pair in pairs.values())
+    for (w, pair), up, back in zip(
+            pairs.items(), _shift(sides, REGULAR), _uninserted(pairs.values())):
+        if pair in seen:
+            report.fail({"kind": "collision", "r": r,
+                         "w": format_perm(w), "other": format_perm(seen[pair])})
+        seen[pair] = w
+        if isinstance(back, Exception):
+            report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
+                         "error": str(back)})
+        elif back != w:
+            report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
+        if r >= n - 1:
+            bit = asymptotic_bitableaux(w, r)
+            if bit.left != pair.left or bit.right != pair.right:
+                report.fail({"kind": "bitableaux", "w": format_perm(w), "r": r})
+        if isinstance(up, Exception):
+            report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
+                         "error": str(up)})
+        elif w in upper_failed:
+            report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r,
+                         "error": str(upper_failed[w])})
+        elif up != (upper[w].left, upper[w].right):
+            report.fail({"kind": "rank-raise", "w": format_perm(w), "r": r})
+    by_shape: Dict = {}
+    for t in enumerate_sdt(n, r):
+        by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
+    total = sum(c * c for c in by_shape.values())
+    report.bump("pairs_checked", len(elems))
+    if total != order:
+        report.fail({"kind": "counting", "r": r, "sum": total, "order": order})
+    if len(seen) != order:
+        report.fail({"kind": "image-size", "r": r, "size": len(seen)})
+    if r == rmax:
+        _check_symmetry(report, upper, rmax + 1)
+    else:
+        handoff[r + 1] = upper, upper_failed
     return report
 
 

@@ -662,6 +662,17 @@ def test_cli_insert_rejects_bad_input(capsys):
     capsys.readouterr()
 
 
+def test_cli_insert_refuses_a_bad_perm_as_argparse_refuses(capsys):
+    # a usage line, then one line with the program's error prefix
+    assert main(["insert", "--perm", "1 1", "--rank", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: dominocells")
+    assert error == ("dominocells: error: bad --perm: "
+                     "not a signed permutation of 1..2: (1, 1)")
+
+
 @pytest.mark.parametrize("argv", [
     "verify conjecture --n 2 --ratio abc",
     "verify conjecture --n 2 --ratio 0",
@@ -1025,6 +1036,7 @@ def _classes_reports(tmp_path):
 
 
 SPLIT_SUITES = {
+    "insertion": lambda tmp_path: [verify_insertion(4, 4).to_dict()],
     "tau": lambda tmp_path: [verify_tau(4).to_dict()],
     "conjecture": lambda tmp_path: [verify_conjecture(4, "all").to_dict()],
     "classes": _classes_reports,
@@ -1088,6 +1100,57 @@ def test_a_split_conjecture_merges_failures_in_the_serial_order(monkeypatch, for
     assert two == one
 
 
+def test_a_split_insertion_merges_failures_in_the_serial_order(monkeypatch, forks,
+                                                               tmp_path):
+    # one "symmetry" failure at each of ranks 0-5 and one "counting"
+    # failure at each of ranks 0-4; both processes see both kinds
+    healthy_sdt, healthy_inverse = verify_mod.enumerate_sdt, verify_mod.inverse
+    target, stranger = group_elements(4)[7], group_elements(4)[0]
+    monkeypatch.setattr(verify_mod, "enumerate_sdt",
+                        lambda n, rank: list(healthy_sdt(n, rank))[1:])
+    monkeypatch.setattr(verify_mod, "inverse",
+                        lambda w: stranger if w == target else healthy_inverse(w))
+    (two,), (one,) = _reports_in_one_and_two_processes("insertion", monkeypatch,
+                                                       tmp_path)
+    assert len(forks) == 1
+    assert two["failures"] == {"symmetry": 6, "counting": 5}
+    assert list(two["failures"]) == ["symmetry", "counting"]
+    assert [(c["kind"], c["r"]) for c in two["counterexamples"]] == [
+        (kind, r) for r in range(5) for kind in ("symmetry", "counting")]
+    assert two["counterexamples_truncated"] == 1
+    assert two == one
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_split_insertion_walks_only_the_boundary_rank_twice(monkeypatch, forks,
+                                                              tmp_path, cpus):
+    # ranks 0-2 cost 2 units and ranks 3-4 3, so the child checks 0-2 and
+    # this process 3-4; each walks the rank after its last one
+    log = tmp_path / "walks"
+    healthy = verify_mod._rank_pairs
+
+    def logged(ws, r):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {r}\n")
+        return healthy(ws, r)
+
+    monkeypatch.setattr(verify_mod, "_rank_pairs", logged)
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: cpus)
+    assert verify_insertion(4, 4).status == "pass"
+    walks = {}
+    for line in log.read_text().splitlines():
+        pid, r = map(int, line.split())
+        walks.setdefault(pid, []).append(r)
+    mine = walks.pop(os.getpid())
+    if cpus == 1:
+        assert not forks and not walks
+        assert mine == [0, 1, 2, 3, 4, 5]
+    else:
+        assert len(forks) == 1
+        assert mine == [3, 4, 5]
+        assert list(walks.values()) == [[0, 1, 2, 3]]
+
+
 def test_split_classes_reports_the_failures_of_one_process(monkeypatch, forks, tmp_path):
     # no class at even ranks: the unions across one rank differ at every rank
     healthy = verify_mod.class_of_tableau
@@ -1123,10 +1186,15 @@ def test_in_two_runs_in_one_process_without_fork(monkeypatch, forks):
     assert not forks
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_suites_fork_from_n_4_on(monkeypatch, forks, n):
+@pytest.mark.parametrize("suite, n", [
+    pytest.param(verify_tau, 3, id="3"),
+    pytest.param(verify_tau, 4, id="4"),
+    pytest.param(lambda n: verify_insertion(n, n), 3, id="insertion-3"),
+    pytest.param(lambda n: verify_insertion(n, n), 4, id="insertion-4"),
+])
+def test_suites_fork_from_n_4_on(monkeypatch, forks, suite, n):
     monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
-    assert verify_tau(n).status == "pass"
+    assert suite(n).status == "pass"
     assert len(forks) == (n >= 4)
 
 
@@ -1202,6 +1270,47 @@ def test_in_two_child_prints_nothing_and_repeats_no_pending_output(monkeypatch, 
 
     assert verify_mod._in_two(prints, [1, 2], lambda x: 1, 4) == [1, 2]
     assert capfd.readouterr().out == "once" + "never\n"
+
+
+def test_in_two_writes_the_error_text_of_the_child_once(monkeypatch, forks, capfd):
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def warns(x):
+        print(f"piece {x}", file=sys.stderr)
+        if x == 1 and os.getpid() != parent:
+            raise ValueError("the child's piece failed")
+        return x
+
+    # this process's half first, then the child's text once it is reaped,
+    # also when the child raised
+    assert verify_mod._in_two(warns, [3, 4], lambda x: 1, 4) == [3, 4]
+    assert capfd.readouterr().err == "piece 4\npiece 3\n"
+    with pytest.raises(ValueError, match="the child's piece failed"):
+        verify_mod._in_two(warns, [1, 2], lambda x: 1, 4)
+    assert capfd.readouterr().err == "piece 2\npiece 1\n"
+    assert len(forks) == 2
+
+
+def test_split_conjecture_names_every_entry_it_cannot_write(monkeypatch, forks, tmp_path,
+                                                            capsys):
+    # ratios 1-2 in the child and 3-4 here; a directory squats on each entry
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 2)
+    entries = [tmp_path / f"kl_v4_n4_a1_b{rt}.bin" for rt in (1, 2, 3, 4)]
+    for entry in entries:
+        entry.mkdir()
+    code = main(["verify", "conjecture", "--n", "4", "--ratio", "all",
+                 "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.startswith("[PASS] conjecture")
+    assert len(forks) == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 4
+    for entry in entries:
+        (line,) = [line for line in lines if line.startswith(f"dominocells: {entry} ")]
+        assert line.startswith(f"dominocells: {entry} not written: ")
+    assert all(entry.is_dir() for entry in entries)
 
 
 def test_halves_cut_where_the_costs_are_most_nearly_equal():
