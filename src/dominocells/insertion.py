@@ -35,15 +35,20 @@ once, and `verify insertion` each rank's pairs through `_rank_pairs`.  No
 suite reads back the memo on `insert`.
 
 The inverse runs the same local rules backwards (van Leeuwen's view of
-insertion as growth): it undoes the recorded steps last first and, within
-a step, the labels largest first, finding each moved domino's old place
-as the one removable domino that the re-entry rule sends onto its new
-place.  Every undo runs through one driver, `_uninserted`: it undoes a
-run of pairs in order, checks each distinct left tableau once with
-`check_standard`, which validates and returns nothing, and reads each
-pair's maps from the left tableau's rows.  `uninsert` is its one-pair
-call, and `verify insertion` undoes each rank's pairs through one call,
-so each distinct left tableau is checked once per rank, not once per pair.
+insertion as growth): `_undo_step` undoes one step, the labels largest
+first, finding each moved domino's old place as the one removable domino
+that the re-entry rule sends onto its new place.  `_rank_pairs` undoes
+each step its walk makes once, from the state that step left, and checks
+that the undo gives back the step's value, the map before the step and
+the shape less the recorded domino; on `group_elements(n)` that is one
+undo per signed prefix, 632 per rank at n = 4 and 6,330 at n = 5, where
+undoing every pair from its last step took 1,536 and 19,200.  An element
+fails its round trip when a step on its path fails, and a failed prefix
+is not undone again below it.  Each frozen pair is tied to what was
+undone: its left tableau has the walk's map, and its right tableau's
+dominos are the recorded steps.  `uninsert` undoes one pair from
+outside: it checks the left tableau with `check_standard`, which
+validates and returns nothing, and undoes the recorded steps last first.
 
 For rank >= n-1 the signs never interact and the whole map degenerates to
 a pair of ordinary Robinson-Schensted insertions, one on the positive
@@ -235,37 +240,113 @@ def tableau_classes(n: int, rank: int) -> Dict[DominoTableau, FrozenSet[SignedPe
     return {_tableau(rank, steps): frozenset(ws) for steps, ws in by_steps.items()}
 
 
-def _rank_pairs(
-    ws: Iterable[SignedPerm], rank: int
-) -> Tuple[Dict[SignedPerm, TableauPair], Dict[SignedPerm, Exception]]:
+def _rank_pairs(ws: Iterable[SignedPerm], rank: int, undo: bool = True) -> Tuple[
+    Dict[SignedPerm, TableauPair], Dict[SignedPerm, Exception],
+    Dict[SignedPerm, Exception],
+]:
     """The rank-`rank` pairs of `ws` from one walk: w -> pair, in order of
-    recording tableau, and w -> error for each w whose insertion failed.
-    A failure restarts the walk after its element, so the rest are still
+    recording tableau; w -> error for each w whose insertion failed; and
+    w -> error for each inserted w whose round trip failed.  A failure to
+    insert restarts the walk after its element, so the rest are still
     inserted.  Each distinct tableau is frozen once, whether it is a left
-    or a right, so equal tableaux are one object."""
+    or a right, so equal tableaux are one object.
+
+    The round trip is checked step by step in the walk (`_undo_walk`),
+    unless `undo` is false, and the frozen pair is tied to what was walked:
+    each pair's left tableau must have the square -> label map that the
+    walk left for its element, and each distinct right tableau's dominos
+    must be the recorded steps.  The first of these checks that fails is
+    w's round-trip error."""
     ws = list(ws)
     by_steps: Dict[tuple, List[Tuple[SignedPerm, tuple]]] = {}
     failed: Dict[SignedPerm, Exception] = {}
+    undone: Dict[SignedPerm, Exception] = {}
+    frozen = cache(partial(_tableau, rank))
+    # placed -> the walk's map for the first w frozen to it, and whether
+    # the frozen left tableau has that map
+    maps: Dict[tuple, Tuple[Dict[Square, int], bool]] = {}
     done = 0
     while done < len(ws):
+        walk = _walk(ws[done:], rank)
         try:
-            for w, states in _walk(ws[done:], rank):
-                _, where, steps = states[-1]
+            for w, states, error in (_undo_walk(walk, rank) if undo else
+                                     ((w, states, None) for w, states in walk)):
+                left, where, steps = states[-1]
                 placed = tuple([where[k] for k in range(1, len(w) + 1)])
+                if placed not in maps:
+                    maps[placed] = left, frozen(placed).cells() == left
+                first, tied = maps[placed]
+                if error is None and not (tied and first == left):
+                    error = TableauError("the left tableau is not the walk's map")
+                if error is not None:
+                    undone[w] = error
                 by_steps.setdefault(steps, []).append((w, placed))
                 done += 1
         except Exception as exc:
             failed[ws[done]] = exc
             done += 1
-    frozen = cache(partial(_tableau, rank))
     pairs = {}
     for steps, group in by_steps.items():
+        tie = None
         for w, placed in group:
             try:
-                pairs[w] = TableauPair(frozen(placed), frozen(steps))
+                pairs[w] = pair = TableauPair(frozen(placed), frozen(steps))
             except Exception as exc:
                 failed[w] = exc
-    return pairs, failed
+                continue
+            if tie is None:
+                recorded = {k: frozenset(d) for k, d in enumerate(steps, start=1)}
+                tie = pair.right.dominos == recorded
+            if not tie:
+                undone.setdefault(w, TableauError(
+                    "the right tableau's dominos are not the recorded steps"))
+    return pairs, failed, undone
+
+
+def _undo_walk(walk: Iterable[Tuple[SignedPerm, tuple]], rank: int) -> Iterator:
+    """Each (w, states) of the rank-`rank` walk `walk`, with the error that
+    w's round trip met, or None.  Each step the walk makes is undone once,
+    by `_undo_step`, from the state it left, which a later element shares
+    when it shares the prefix: on `group_elements(n)` one undo per signed
+    prefix.  The undo must give back the step's value, the live square ->
+    label map before the step and the shape less the recorded domino.
+    An element's round trip fails when a step on its path fails; a failed
+    prefix is not undone again for the elements below it."""
+    before: tuple = ()
+    undos: List[Tuple[Optional[Exception], Shape]] = []  # per state: error, shape
+    for w, states in walk:
+        k, shared = 0, min(len(before), len(states))
+        while k < shared and states[k] is before[k]:
+            k += 1
+        del undos[k:]
+        for j in range(k, len(states)):
+            error, shape = undos[j - 1] if j else (None, staircase(rank))
+            if j and error is None:
+                try:
+                    shape = _undo_checked(states[j - 1], states[j], w[j - 1], shape)
+                except Exception as exc:
+                    error = exc
+            undos.append((error, shape))
+        before = states
+        yield w, states, undos[-1][0]
+
+
+def _undo_checked(prev: tuple, state: tuple, value: int, shape: Shape) -> Shape:
+    """Undo, on a copy, the step that took the walk from state `prev`, of
+    shape `shape`, to `state` by inserting `value`; returns the shape of
+    `state`, and raises TableauError when the undo does not give back the
+    value, `prev`'s live map and `shape`."""
+    left, where, steps = state
+    added = steps[-1]
+    grown = _grown(shape, added)
+    cells = dict(left)
+    dominos = {label: frozenset(squares) for label, squares in where.items()}
+    back, before = _undo_step(cells, dominos, grown, added)
+    if back != value:
+        raise TableauError(f"step {len(steps)} undoes to {back}, not {value}")
+    if before != shape or cells != prev[0]:
+        raise TableauError(f"step {len(steps)} undoes to another state")
+    return grown
 
 
 # -- ordinary Robinson-Schensted, used by the bitableau model ------------
@@ -361,6 +442,19 @@ def _cut(rows: List[int], squares) -> List[int]:
     return rows
 
 
+def _grown(rows: Shape, squares) -> Shape:
+    """The shape `rows` with `squares` added leftmost first; raises
+    TableauError when one does not extend its row, as it goes, by one."""
+    rows = list(rows)
+    for i, j in sorted(squares):
+        if i == len(rows) + 1:
+            rows.append(0)
+        if not 0 < i <= len(rows) or rows[i - 1] != j - 1:
+            raise TableauError(f"squares {sorted(squares)} do not extend the rows")
+        rows[i - 1] = j
+    return tuple(rows)
+
+
 def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
                shape: Shape, added) -> Tuple[int, Shape]:
     """Undo the insertion step that added the domino `added` to the left
@@ -425,51 +519,22 @@ def _undo_step(cells: Dict[Square, int], dominos: Dict[int, FrozenSet[Square]],
 
 def uninsert(pair: TableauPair) -> SignedPerm:
     """The signed permutation mapping to `pair` under rank-`pair.rank`
-    insertion, by reverse bumping: the one-pair call of `_uninserted`,
-    raising what it met.
+    insertion, by reverse bumping: the left tableau is checked with
+    `check_standard`, and the steps the right tableau records are undone
+    last first, on a square -> label map and a label -> squares map read
+    from the left tableau's rows.
 
     >>> uninsert(insert((4, 1, -3, -2), 2))
     (4, 1, -3, -2)
     """
-    (back,) = _uninserted((pair,))
-    if isinstance(back, Exception):
-        raise back
-    return back
-
-
-def _uninserted(pairs: Iterable[TableauPair]) -> Iterator:
-    """The undo of each pair, in order: the signed permutation, or the
-    exception it met.  The steps the right tableau records are undone last
-    first, on a square -> label map and a label -> squares map read from
-    the left tableau's rows for that pair alone.  `check_standard` runs
-    once per distinct left tableau, and the right tableau's dominos are
-    read once per run of pairs that share it: one rank's pairs come
-    grouped by recording tableau."""
-    checked: Dict[DominoTableau, Optional[Exception]] = {}  # the check's error
-    right = recorded = None
-    for pair in pairs:
-        if pair.right is not right:
-            right, recorded = pair.right, pair.right.dominos
-        if pair.left not in checked:
-            try:
-                pair.left.check_standard(strict_core=False)
-                checked[pair.left] = None
-            except Exception as exc:
-                checked[pair.left] = exc
-        back = checked[pair.left]
-        if back is None:
-            cells = pair.left.cells()
-            dominos, shape, w = _dominos(cells), pair.shape, []
-            try:
-                for k in range(len(recorded), 0, -1):
-                    if k not in recorded:
-                        raise TableauError(f"no domino labeled {k}")
-                    value, shape = _undo_step(cells, dominos, shape, recorded[k])
-                    w.append(value)
-                if shape != staircase(pair.rank):
-                    raise TableauError(
-                        f"core squares do not form the rank-{pair.rank} staircase")
-                back = tuple(reversed(w))
-            except Exception as exc:
-                back = exc
-        yield back
+    pair.left.check_standard(strict_core=False)
+    cells = pair.left.cells()
+    dominos, shape, recorded, w = _dominos(cells), pair.shape, pair.right.dominos, []
+    for k in range(len(recorded), 0, -1):
+        if k not in recorded:
+            raise TableauError(f"no domino labeled {k}")
+        value, shape = _undo_step(cells, dominos, shape, recorded[k])
+        w.append(value)
+    if shape != staircase(pair.rank):
+        raise TableauError(f"core squares do not form the rank-{pair.rank} staircase")
+    return tuple(reversed(w))

@@ -12,18 +12,20 @@ Where the checks run.  Input from outside is validated at the edges:
 `DominoTableau(...)` checks nothing and stores the rows it is given as a
 tuple of tuples, and `check_standard` validates them and returns nothing;
 signed permutations from the command line, JSON included, go through
-`parse_perm`.  `uninsert`, the one-pair call of the undo driver
-`insertion._uninserted`, validates its argument; the driver checks each
-distinct left tableau once, so `verify insertion` checks each once per
-rank, however many pairs hold it.  A tableau that the library builds is checked once, where it is built, by one pass
-over the square -> label map that built it: `from_cells` reads the rows
-with `shapes.rows_of_cells`, the one Young-diagram reader, which rejects
-a map that is not a diagram, and `_check_tiling` checks the labels, the
-dominos and the core.  `_check_tiling` is the one statement of those
-rules: the cycle layer runs it on each moved map, and `check_standard`
-runs it on the grid of a tableau from outside.  It groups the squares
-by label with `_dominos`, the one label -> squares scan, which
-`dominos`, the cycle layer and the undo driver share.
+`parse_perm`.  `uninsert` validates its argument.  `verify insertion`
+checks each distinct left tableau once per rank, however many pairs hold
+it, and undoes its round trip inside the walk, once per signed prefix:
+632 undos per rank at n = 4 and 6,330 at n = 5, where undoing each pair
+took 1,536 and 19,200.  A tableau that the library builds is checked
+once, where it is built, by one pass over the square -> label map that
+built it: `from_cells` reads the rows with `shapes.rows_of_cells`, the
+one Young-diagram reader, which rejects a map that is not a diagram, and
+`_check_tiling` checks the labels, the dominos and the core.
+`_check_tiling` is the one statement of those rules: the cycle layer runs
+it on each moved map, and `check_standard` runs it on the grid of a
+tableau from outside.  It groups the squares by label with `_dominos`,
+the one label -> squares scan, which `dominos`, the cycle layer and
+`uninsert` share.
 
 Tableaux and pairs are slotted records that hold only their fields;
 `shape`, `n` and `dominos` are computed on each read.

@@ -37,7 +37,7 @@ from .cycles import (
 )
 from .hecke import KLTable, WeightFunction, kl_cells
 from .insertion import (
-    _rank_pairs, _tableau, _uninserted, _walk, asymptotic_bitableaux, tableau_classes,
+    _rank_pairs, _tableau, _walk, asymptotic_bitableaux, tableau_classes,
 )
 from .tableaux import _vertical, enhanced_tau_of_tableau, enumerate_sdt, tau_of_tableau
 from .wgroup import (
@@ -224,7 +224,15 @@ def verify_insertion(n: int, rmax: int) -> Report:
     """Bijectivity, roundtrips, the counting identity, bitableau agreement
     in the stable range, compatibility of the rank-raising map with
     insertion at the next rank, and, at every rank walked, the symmetry
-    P(w) = Q(w^-1): the left tableau of w is the right tableau of w^-1."""
+    P(w) = Q(w^-1): the left tableau of w is the right tableau of w^-1.
+
+    The roundtrip is undone inside the walk of each rank it checks, once
+    per signed prefix: in one process 3,160 undos at n = 4 and 37,980 at
+    n = 5, where undoing each pair from its last step took 7,680 and
+    115,200.  Each distinct left tableau of a rank is checked with
+    `check_standard` once; a pair whose left tableau fails it, or whose
+    element's undo or tie to its frozen pair fails, is one roundtrip
+    failure."""
     report = Report("insertion", {"n": n, "rmax": rmax})
     report.counts["elements"] = len(group_elements(n))
     # rank r + 1's pairs, built while checking rank r, wait here for rank
@@ -247,26 +255,32 @@ def _insertion_at(n: int, rmax: int, handoff: Dict[int, tuple], r: int) -> Repor
     report = Report("insertion", {"n": n, "rank": r})
     elems = group_elements(n)
     order = (2 ** n) * math.factorial(n)
-    pairs, failed = handoff.pop(r, None) or _rank_pairs(elems, r)
-    upper, upper_failed = _rank_pairs(elems, r + 1)
+    pairs, failed, undone = handoff.pop(r, None) or _rank_pairs(elems, r)
+    # rank rmax + 1 is read by the rank-raise and symmetry checks only, so
+    # its round trip is not undone
+    upper, upper_failed, upper_undone = _rank_pairs(elems, r + 1, undo=r < rmax)
     _check_symmetry(report, pairs, r)
     for w, exc in failed.items():
         report.fail({"kind": "insert", "w": format_perm(w), "r": r, "error": str(exc)})
     seen = {}
-    # unnamed, the raised list and the undo driver are gone before the
-    # next rank's walk
+    checked: Dict = {}  # left tableau -> the error `check_standard` raised, or None
+    # unnamed, the raised list is gone before the next rank's walk
     sides = ((pair.left, pair.right) for pair in pairs.values())
-    for (w, pair), up, back in zip(
-            pairs.items(), _shift(sides, REGULAR), _uninserted(pairs.values())):
+    for (w, pair), up in zip(pairs.items(), _shift(sides, REGULAR)):
         if pair in seen:
             report.fail({"kind": "collision", "r": r,
                          "w": format_perm(w), "other": format_perm(seen[pair])})
         seen[pair] = w
-        if isinstance(back, Exception):
+        if pair.left not in checked:
+            try:
+                pair.left.check_standard(strict_core=False)
+                checked[pair.left] = None
+            except Exception as exc:
+                checked[pair.left] = exc
+        error = checked[pair.left] or undone.get(w)
+        if error is not None:
             report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r,
-                         "error": str(back)})
-        elif back != w:
-            report.fail({"kind": "roundtrip", "w": format_perm(w), "r": r})
+                         "error": str(error)})
         if r >= n - 1:
             bit = asymptotic_bitableaux(w, r)
             if bit.left != pair.left or bit.right != pair.right:
@@ -291,7 +305,7 @@ def _insertion_at(n: int, rmax: int, handoff: Dict[int, tuple], r: int) -> Repor
     if r == rmax:
         _check_symmetry(report, upper, rmax + 1)
     else:
-        handoff[r + 1] = upper, upper_failed
+        handoff[r + 1] = upper, upper_failed, upper_undone
     return report
 
 

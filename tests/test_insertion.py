@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dominocells import insertion as insertion_mod
+from dominocells import verify as verify_mod
 from dominocells.cells import class_of_tableau
 from dominocells.insertion import (
     _core, _insert, _rank_pairs, _states, _tableau, _undo_step, _walk,
@@ -14,6 +15,7 @@ from dominocells.shapes import cells_of_shape, staircase
 from dominocells.tableaux import (
     DominoTableau, TableauError, TableauPair, _dominos, _vertical, enumerate_sdt,
 )
+from dominocells.verify import verify_insertion
 from dominocells.wgroup import group_elements, inverse
 from wgroup_oracles import is_nonsplit, split_ranks
 
@@ -274,8 +276,8 @@ def test_the_shared_staircase_stays_the_staircase(n):
 def test_rank_pairs_are_the_insertion_pairs_with_one_object_per_tableau(n):
     elems = group_elements(n)
     for r in range(n + 1):
-        pairs, failed = _rank_pairs(elems, r)
-        assert failed == {}
+        pairs, failed, undone = _rank_pairs(elems, r)
+        assert failed == {} and undone == {}
         assert tuple(sorted(pairs)) == elems
         # one dict for both sides: a tableau that is a left and a right is one object
         seen = {}
@@ -290,7 +292,7 @@ def test_rank_pair_images_are_pinned():
     digest = hashlib.sha256()
     for n in range(6):
         for rank in range(n + 2):
-            pairs, failed = _rank_pairs(group_elements(n), rank)
+            pairs, failed, _ = _rank_pairs(group_elements(n), rank)
             assert failed == {}
             for w, pair in sorted(pairs.items()):
                 digest.update(repr((w, pair.left.rows, pair.right.rows)).encode())
@@ -302,7 +304,7 @@ def test_rank_pair_images_are_pinned():
 def test_left_tableau_is_the_right_tableau_of_the_inverse(n):
     # P(w) = Q(w^-1) at every rank up to n + 1
     for rank in range(n + 2):
-        pairs, failed = _rank_pairs(group_elements(n), rank)
+        pairs, failed, _ = _rank_pairs(group_elements(n), rank)
         assert failed == {}
         for w, pair in pairs.items():
             assert pair.left == pairs[inverse(w)].right
@@ -325,6 +327,28 @@ def test_walk_makes_one_step_per_signed_prefix(monkeypatch, n):
             calls[0] = 0
             assert sum(1 for _ in _walk(elems, r)) == 2 ** n * math.factorial(n)
             assert calls[0] == prefixes
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_verify_insertion_undoes_each_signed_prefix_once_per_checked_rank(monkeypatch,
+                                                                         n):
+    # one process checks ranks 0..n and undoes each step of their walks
+    # once: 5 * 632 = 3,160 undos at n = 4 and 6 * 6,330 = 37,980 at n = 5,
+    # where undoing every pair from its last step took 7,680 and 115,200.
+    # Rank n + 1 is walked for the rank-raise and symmetry checks only
+    prefixes = sum(2 ** k * math.perm(n, k) for k in range(1, n + 1))
+    healthy = insertion_mod._undo_step
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return healthy(*args)
+
+    monkeypatch.setattr(insertion_mod, "_undo_step", counted)
+    monkeypatch.setattr(verify_mod, "_cpus", lambda: 1)
+    assert verify_insertion(n, n).status == "pass"
+    assert calls[0] == (n + 1) * prefixes
+    assert calls[0] == {4: 3160, 5: 37980}.get(n, calls[0])
 
 
 def test_walk_never_changes_a_yielded_state():

@@ -18,7 +18,7 @@ from dominocells.cells import CellPartition, combinatorial_cells
 from dominocells.cli import _build_parser, main
 from dominocells.hecke import KLTable, WeightFunction, kl_cells
 from dominocells.insertion import insert
-from dominocells.tableaux import DominoTableau, TableauError, TableauPair
+from dominocells.tableaux import DominoTableau, TableauError, TableauPair, enumerate_sdt
 from dominocells.verify import (
     Report, verify_class_decomposition, verify_conjecture, verify_insertion,
     verify_intermediate_structure, verify_tau,
@@ -76,7 +76,7 @@ def test_verify_insertion_reports_a_count_of_tableaux_that_misses_one(monkeypatc
 def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monkeypatch):
     # the re-cut of one moved map of rank 1 fails; healthy code beforehand
     # finds the pairs whose extended cycles move a side onto that map
-    pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
+    pairs, _, _ = insertion_mod._rank_pairs(group_elements(2), 1)
     readers = {}
     for w, pair in pairs.items():
         ext = cycles_mod.extended_cycles(pair.left, pair.right)
@@ -112,7 +112,7 @@ def test_verify_insertion_reports_a_failing_move_for_every_pair_reading_it(monke
 def test_verify_insertion_reports_moved_shapes_that_do_not_match(monkeypatch):
     # the right side of one rank-1 pair is linked to no extended cycle, so
     # only its left side moves and the moved shapes disagree
-    pairs, _ = insertion_mod._rank_pairs(group_elements(2), 1)
+    pairs, _, _ = insertion_mod._rank_pairs(group_elements(2), 1)
     w, pair = list(pairs.items())[3]
     healthy = cycles_mod._link
 
@@ -143,8 +143,8 @@ def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
     healthy = verify_mod._rank_pairs
     swapped = []
 
-    def one_swapped(ws, r):
-        pairs, failed = healthy(ws, r)
+    def one_swapped(ws, r, **undo):
+        pairs, failed, undone = healthy(ws, r, **undo)
         for w, pair in pairs.items() if r == rank else ():
             others = [p.left for p in pairs.values()
                       if p.left.shape == pair.left.shape and p.left != pair.left]
@@ -152,7 +152,7 @@ def test_verify_insertion_reports_a_broken_symmetry(monkeypatch, rank):
                 pairs[w] = TableauPair(others[0], pair.right)
                 swapped.append(w)
                 break
-        return pairs, failed
+        return pairs, failed, undone
 
     monkeypatch.setattr(verify_mod, "_rank_pairs", one_swapped)
     report = verify_insertion(2, 1)
@@ -167,13 +167,13 @@ def test_verify_insertion_reports_two_elements_sharing_a_pair(monkeypatch):
     healthy = verify_mod._rank_pairs
     shared = []
 
-    def collided(ws, r):
-        pairs, failed = healthy(ws, r)
+    def collided(ws, r, **undo):
+        pairs, failed, undone = healthy(ws, r, **undo)
         if r == 1:
             first, second = list(pairs)[:2]
             pairs[second] = pairs[first]
             shared.extend((first, second))
-        return pairs, failed
+        return pairs, failed, undone
 
     monkeypatch.setattr(verify_mod, "_rank_pairs", collided)
     report = verify_insertion(2, 2)
@@ -195,7 +195,7 @@ def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monk
     # copy with labels 1 and 2 exchanged in the row holding both; each of
     # those pairs fails its roundtrip with the copy's check error
     healthy = verify_mod._rank_pairs
-    pairs, _ = healthy(group_elements(3), 1)
+    pairs, _, _ = healthy(group_elements(3), 1)
     holders = {}
     for w, pair in pairs.items():
         if any(1 in row and 2 in row for row in pair.left.rows):
@@ -206,12 +206,12 @@ def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monk
         bad.check_standard(strict_core=False)
     assert len(victims) > 1
 
-    def non_standard(ws, r):
-        pairs, failed = healthy(ws, r)
+    def non_standard(ws, r, **undo):
+        pairs, failed, undone = healthy(ws, r, **undo)
         if r == 1:
             pairs = {w: TableauPair(bad, pair.right) if pair.left == chosen else pair
                      for w, pair in pairs.items()}
-        return pairs, failed
+        return pairs, failed, undone
 
     monkeypatch.setattr(verify_mod, "_rank_pairs", non_standard)
     report = verify_insertion(3, 1)
@@ -220,6 +220,54 @@ def test_verify_insertion_reports_a_non_standard_left_tableau_once_per_pair(monk
         if c["kind"] == "roundtrip":
             assert c["r"] == 1 and c["error"] == str(error.value)
             assert parse_perm(c["w"]) in victims
+
+
+def test_verify_insertion_ties_each_frozen_pair_to_the_walk(monkeypatch):
+    # one standard tableau of rank 1 freezes as another of its shape, which
+    # passes `check_standard`, so only the tie between the frozen pairs and
+    # the walk's state fails the elements holding it, on either side
+    pairs, _, _ = insertion_mod._rank_pairs(group_elements(3), 1)
+    by_shape = {}
+    for t in enumerate_sdt(3, 1):
+        by_shape.setdefault(t.shape, []).append(t)
+    chosen, other = next(same for same in by_shape.values() if len(same) > 1)[:2]
+    other.check_standard(strict_core=False)
+    holders = {format_perm(w) for w, pair in pairs.items()
+               if chosen in (pair.left, pair.right)}
+    assert len(holders) > 1
+    healthy = insertion_mod._tableau
+
+    def mistaken(rank, dominos):
+        t = healthy(rank, dominos)
+        return other if t == chosen else t
+
+    monkeypatch.setattr(insertion_mod, "_tableau", mistaken)
+    report = verify_insertion(3, 3)
+    assert report.status == "fail"
+    assert report.failures["roundtrip"] == len(holders)
+    for c in report.counterexamples:
+        if c["kind"] == "roundtrip":
+            assert c["r"] == 1 and c["w"] in holders
+
+
+def test_undoing_minus_two_as_two_fails_what_undoing_each_pair_failed(monkeypatch):
+    # the undo of any step that inserted -2 gives 2 when two dominos are
+    # left: the 8 elements with w(2) = -2 fail at each of ranks 0-3, each
+    # once, 32 in all, as when each pair was undone from its last step
+    healthy = insertion_mod._undo_step
+
+    def misread(cells, dominos, shape, added):
+        two_left = len(dominos) == 2
+        value, shape = healthy(cells, dominos, shape, added)
+        return (2 if two_left and value == -2 else value), shape
+
+    monkeypatch.setattr(insertion_mod, "_undo_step", misread)
+    report = verify_insertion(3, 3)
+    assert report.failures == {"roundtrip": 32}
+    assert len(report.counterexamples) == 10
+    for c in report.counterexamples:
+        assert parse_perm(c["w"])[1] == -2
+        assert c["error"] == "step 2 undoes to 2, not -2"
 
 
 def test_verify_insertion_checks_each_left_tableau_once_per_rank(monkeypatch):
@@ -243,8 +291,13 @@ def test_verify_insertion_checks_each_left_tableau_once_per_rank(monkeypatch):
 
 
 def test_verify_insertion_reads_each_right_tableau_once_per_rank(monkeypatch):
-    # the undo driver reads a recording tableau's dominos once per run of
-    # pairs that share it, and one rank's pairs come grouped by it
+    # the walk ties each distinct recording tableau to the recorded steps
+    # by reading its dominos once; ranks 0-3 are checked, and rank 4 is
+    # walked for the rank-raise check of rank 3
+    expected = [{pair.right
+                 for pair in insertion_mod._rank_pairs(group_elements(3), r)[0].values()}
+                for r in range(5)]
+    assert [len(s) for s in expected] == [20, 20, 20, 20, 20]
     read = []
     healthy = DominoTableau.dominos.fget
 
@@ -255,12 +308,8 @@ def test_verify_insertion_reads_each_right_tableau_once_per_rank(monkeypatch):
     monkeypatch.setattr(DominoTableau, "dominos", property(counted))
     report = verify_insertion(3, 3)
     assert report.status == "pass"
-    expected = [{pair.right
-                 for pair in insertion_mod._rank_pairs(group_elements(3), r)[0].values()}
-                for r in range(4)]
-    assert [len(s) for s in expected] == [20, 20, 20, 20]
     assert len(read) == sum(map(len, expected))
-    assert [{t for t in read if t.rank == r} for r in range(4)] == expected
+    assert [{t for t in read if t.rank == r} for r in range(5)] == expected
 
 
 def test_verify_insertion_reports_a_failing_insertion(monkeypatch):
@@ -1129,10 +1178,10 @@ def test_a_split_insertion_walks_only_the_boundary_rank_twice(monkeypatch, forks
     log = tmp_path / "walks"
     healthy = verify_mod._rank_pairs
 
-    def logged(ws, r):
+    def logged(ws, r, **undo):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {r}\n")
-        return healthy(ws, r)
+        return healthy(ws, r, **undo)
 
     monkeypatch.setattr(verify_mod, "_rank_pairs", logged)
     monkeypatch.setattr(verify_mod, "_cpus", lambda: cpus)
@@ -1149,6 +1198,34 @@ def test_a_split_insertion_walks_only_the_boundary_rank_twice(monkeypatch, forks
         assert len(forks) == 1
         assert mine == [3, 4, 5]
         assert list(walks.values()) == [[0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("rank", [1, 3, 4])
+def test_a_fault_in_one_undo_step_fails_the_elements_below_its_prefix(monkeypatch, forks,
+                                                                     tmp_path, rank):
+    # at one rank the undo of the step that inserts -2 after 1 gives 2: the
+    # 8 elements of W_4 that start 1, -2 fail their round trip there, each
+    # once.  The child checks ranks 0-2 and this process 3-4; both walk 3
+    prefix = insert((1, -2), rank)
+    target, entry = prefix.left.cells(), prefix.right.dominos[2]
+    healthy = insertion_mod._undo_step
+
+    def misread(cells, dominos, shape, added):
+        hit = cells == target and frozenset(added) == entry
+        value, shape = healthy(cells, dominos, shape, added)
+        return (-value if hit else value), shape
+
+    monkeypatch.setattr(insertion_mod, "_undo_step", misread)
+    (two,), (one,) = _reports_in_one_and_two_processes("insertion", monkeypatch,
+                                                       tmp_path)
+    assert len(forks) == 1
+    below = {format_perm(w) for w in group_elements(4) if w[:2] == (1, -2)}
+    assert len(below) == 8
+    assert two["failures"] == {"roundtrip": 8}
+    assert sorted(c["w"] for c in two["counterexamples"]) == sorted(below)
+    for c in two["counterexamples"]:
+        assert c["r"] == rank and c["error"] == "step 2 undoes to 2, not -2"
+    assert two == one
 
 
 def test_split_classes_reports_the_failures_of_one_process(monkeypatch, forks, tmp_path):
